@@ -55,7 +55,7 @@ from .representation import (
     roots_at,
     save_rep,
 )
-from .selection import SelectionConfig, greedy_select, rrqr_select
+from .selection import SelectionConfig, greedy_run, greedy_select, rrqr_factor, rrqr_select
 
 NUMERICAL_ERRORS = (
     ArithmeticError,
@@ -162,6 +162,9 @@ def cmd_eval(args, argv) -> int:
         print(f"numerical failure in eval: bad representation document: {exc}",
               file=sys.stderr)
         return 3
+    if args.branches and not isinstance(rep, Degree2Rep):
+        print("branch table requires a degree-2 representation", file=sys.stderr)
+        return 2
     if args.points is not None:
         with open(args.points, newline="") as fh:
             rows = [r for r in csv.reader(fh) if r]
@@ -182,9 +185,6 @@ def cmd_eval(args, argv) -> int:
                 complex_count += 1
                 writer.writerow([repr(float(x)), ""])
     if args.branches:
-        if not isinstance(rep, Degree2Rep):
-            print("branch table requires a degree-2 representation", file=sys.stderr)
-            return 2
         with open(out / "branches.csv", "w", newline="") as fh:
             writer = _csv_writer(fh)
             writer.writerow(["x", "root_lo", "root_hi"])
@@ -218,7 +218,29 @@ def _achievable_k(method: str, kmin: int, kmax: int):
     return ks
 
 
-def _convergence_cell(grid, fn, method: str, k: int, seed: int, cap: int):
+def _selection_runs(grid, cells, seed: int, cap: int) -> dict:
+    """One selection run per adaptive method in ``cells``, to its largest K.
+
+    Every K cell of the method is a truncation of that run.  A run that
+    fails is kept as its exception, which each of the method's cells reports.
+    """
+    runs = {}
+    for method in ("deg2-greedy", "deg2-rrqr"):
+        ks = [k for m, k in cells if m == method]
+        if not ks:
+            continue
+        try:
+            if method == "deg2-greedy":
+                runs[method] = greedy_run(grid, SelectionConfig(
+                    max_terms=max(ks), rng_seed=seed, stream_cap=cap))
+            else:
+                runs[method] = rrqr_factor(grid, stream_cap=cap)
+        except (*NUMERICAL_ERRORS, ValueError) as exc:
+            runs[method] = exc
+    return runs
+
+
+def _convergence_cell(grid, method: str, k: int, run):
     if method == "deg0":
         rep = fit_degree0(grid, k - 1)
     elif method == "deg1":
@@ -228,36 +250,41 @@ def _convergence_cell(grid, fn, method: str, k: int, seed: int, cap: int):
         n = (k - 2) // 3
         rep = fit_degree2_uniform(grid, n, n, n)
     elif method == "deg2-greedy":
-        rep, _ = greedy_select(grid, SelectionConfig(max_terms=k, rng_seed=seed,
-                                                     stream_cap=cap))
+        rep = run.rep_at(k)
     elif method == "deg2-rrqr":
-        rep, _ = rrqr_select(grid, stream_cap=cap, max_terms=k)
+        rep, _ = run.rep_at(k)
     else:
         raise ValueError(f"unknown method {method}")
     return relative_l2(rep, grid)
 
 
+def _failed_cell(method: str, k: int, exc: Exception) -> float:
+    verb = "failed" if isinstance(exc, NUMERICAL_ERRORS) else "skipped"
+    print(f"cell ({method}, K={k}) {verb}: {exc}", file=sys.stderr)
+    return float("nan")
+
+
 def cmd_convergence(args, argv) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    grid, fn = _grid_for_function(args.fn, args.order)
+    grid, _ = _grid_for_function(args.fn, args.order)
     methods = [m.strip() for m in args.methods.split(",")]
     for m in methods:
         if m not in METHODS:
             print(f"unknown method {m!r}; choices: {', '.join(METHODS)}", file=sys.stderr)
             return 2
     cells = [(m, k) for m in methods for k in _achievable_k(m, args.kmin, args.kmax)]
+    runs = _selection_runs(grid, cells, args.seed, args.cap)
 
     def run_cell(cell):
         m, k = cell
+        run = runs.get(m)
+        if isinstance(run, Exception):
+            return _failed_cell(m, k, run)
         try:
-            return _convergence_cell(grid, fn, m, k, args.seed, args.cap)
-        except NUMERICAL_ERRORS as exc:
-            print(f"cell ({m}, K={k}) failed: {exc}", file=sys.stderr)
-            return float("nan")
-        except ValueError as exc:
-            print(f"cell ({m}, K={k}) skipped: {exc}", file=sys.stderr)
-            return float("nan")
+            return _convergence_cell(grid, m, k, run)
+        except (*NUMERICAL_ERRORS, ValueError) as exc:
+            return _failed_cell(m, k, exc)
 
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
         errors = list(pool.map(run_cell, cells))

@@ -6,6 +6,7 @@ normalized polynomials ``L_n(x) = sqrt((2n+1)/2) P_n(x)`` are orthonormal.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,11 +61,14 @@ def _legendre_and_derivative(order: int, x: np.ndarray):
     return p, dp
 
 
+@functools.lru_cache
 def gauss_legendre(order: int) -> QuadratureRule:
     """Gauss-Legendre rule: nodes are the zeros of the degree-``order`` polynomial.
 
     Nodes are found by Newton iteration started from the Chebyshev-like guesses
     cos(pi (k - 1/4) / (order + 1/2)), converged to ~1e-15, then symmetrized.
+    Rules are cached per order, so every call with one order returns the same
+    rule; its arrays are read-only.
     """
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
@@ -82,7 +86,10 @@ def gauss_legendre(order: int) -> QuadratureRule:
     x = 0.5 * (x - x[::-1])
     w = 0.5 * (w + w[::-1])
     idx = np.argsort(x)
-    return QuadratureRule(nodes=x[idx], weights=w[idx])
+    nodes, weights = x[idx], w[idx]
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def _check_domain(x: np.ndarray) -> None:

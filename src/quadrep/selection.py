@@ -4,6 +4,11 @@ Two strategies: a stream-competition greedy (draw the next unused batch from
 each of the three candidate streams, keep whichever batch lowers the
 least-squares residual most) and rank-revealing pivoted-QR truncation of the
 full candidate matrix.
+
+Each runs in two stages: a selection run that does not depend on the number
+of terms kept (``greedy_run``, ``rrqr_factor``), then the rep at a given
+``max_terms`` (``rep_at``).  ``greedy_select`` and ``rrqr_select`` are one
+run and one rep; a convergence sweep does one run and many reps.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .dictionary import SampleGrid, assemble, STREAM_PLAIN, STREAM_F, STREAM_F2
-from .linalg import pivoted_qr
+from .linalg import PivotedQR, pivoted_qr
 from .representation import coefficients_to_rep
 
 __all__ = [
@@ -22,7 +27,11 @@ __all__ = [
     "StepRecord",
     "SelectionTrace",
     "RankReport",
+    "GreedyRun",
+    "RRQRFactor",
+    "greedy_run",
     "greedy_select",
+    "rrqr_factor",
     "rrqr_select",
 ]
 
@@ -129,8 +138,72 @@ def _orthonormalize_against(q_basis: np.ndarray, block: list[np.ndarray], dep_to
     return accepted, mask
 
 
-def greedy_select(grid: SampleGrid, config: SelectionConfig):
-    """Stream-competition greedy selection; returns (Degree2Rep, SelectionTrace).
+
+
+@dataclass(frozen=True)
+class GreedyRun:
+    """One stream-competition run: the kept columns in selection order.
+
+    With ``batch_size=1`` a run is prefix-consistent: the run stopped at
+    ``max_terms=K`` keeps exactly the first K columns of any longer run on
+    the same grid and seed (every step draws one column per stream whatever
+    the budget, and the seeded tie-breaks come in the same order).  So one
+    run to the largest K gives the rep at every smaller K through ``rep_at``.
+    """
+
+    grid: SampleGrid
+    config: SelectionConfig
+    tags: tuple
+    columns: np.ndarray  # kept W-scaled columns, each divided by its norm
+    norms: np.ndarray
+    target: np.ndarray  # W-scaled target
+    steps: tuple
+    notes: tuple
+    exhausted: bool
+    stopped_at_max_terms: bool
+
+    def rep_at(self, max_terms: int | None):
+        """The rep ``greedy_select`` returns for this run's config with ``max_terms``.
+
+        Raises ValueError where this run does not determine that rep: another
+        ``max_terms`` with ``batch_size`` 3 or 5, whose last batch would be cut
+        to the budget, or more terms than a run stopped at its own
+        ``max_terms`` kept.
+        """
+        n = len(self.tags)
+        k = n
+        if max_terms != self.config.max_terms:
+            if self.config.batch_size != 1:
+                raise ValueError(
+                    f"batch_size {self.config.batch_size} is not prefix-consistent:"
+                    f" a run to max_terms={self.config.max_terms} does not give"
+                    f" the rep at max_terms={max_terms}")
+            if max_terms is not None and max_terms < n:
+                k = max_terms
+            elif self.stopped_at_max_terms:
+                raise ValueError(f"the run stopped at {n} terms and cannot give"
+                                 f" the rep at max_terms={max_terms}")
+        if k == 0:
+            raise ValueError("greedy selection kept no columns")
+        # final least-squares coefficients on the kept (normalized) columns
+        q_fin, r_fin = np.linalg.qr(self.columns[:, :k], mode="reduced")
+        proj = q_fin.T @ self.target
+        eta_hat = solve_triangular(r_fin, proj, lower=False)
+        final_residual = float(np.linalg.norm(self.target - q_fin @ proj))
+        coefs = np.asarray(eta_hat) / self.norms[:k]
+        config = self.config
+        return coefficients_to_rep(
+            self.grid, self.tags[:k], coefs, final_residual,
+            provenance={"method": "greedy", "seed": config.rng_seed,
+                        "batch_size": config.batch_size,
+                        "max_terms": max_terms,
+                        "target_residual": config.target_residual,
+                        "stream_cap": config.stream_cap},
+        )
+
+
+def greedy_run(grid: SampleGrid, config: SelectionConfig) -> GreedyRun:
+    """Run the stream competition until ``config`` stops it.
 
     Each step draws the next ``batch_size`` unused columns from every stream,
     W-normalizes them, and keeps the stream whose tentative least-squares
@@ -159,17 +232,16 @@ def greedy_select(grid: SampleGrid, config: SelectionConfig):
     steps = []
     notes = []
     exhausted = False
+    stopped_at_max_terms = False
     step_no = 0
 
-    def selected_count():
-        return len(kept_tags)
-
     while True:
-        if config.max_terms is not None and selected_count() >= config.max_terms:
+        if config.max_terms is not None and len(kept_tags) >= config.max_terms:
+            stopped_at_max_terms = True
             break
         budget = None
         if config.max_terms is not None:
-            budget = config.max_terms - selected_count()
+            budget = config.max_terms - len(kept_tags)
         step_no += 1
         candidates = {}
         per_stream = {}
@@ -246,28 +318,77 @@ def greedy_select(grid: SampleGrid, config: SelectionConfig):
         if config.target_residual is not None and residual_after <= config.target_residual:
             break
 
-    if not kept_tags:
-        raise ValueError("greedy selection kept no columns")
-    # final least-squares coefficients on the kept (normalized) columns
-    a_kept = np.column_stack([c / n for c, n in zip(kept_cols, kept_norms)])
-    q_fin, r_fin = np.linalg.qr(a_kept, mode="reduced")
-    proj = q_fin.T @ y
-    eta_hat = solve_triangular(r_fin, proj, lower=False)
-    final_residual = float(np.linalg.norm(y - q_fin @ proj))
-    coefs = np.asarray(eta_hat) / np.asarray(kept_norms)
+    columns = np.empty((grid.size, 0))
+    if kept_cols:
+        columns = np.column_stack([c / n for c, n in zip(kept_cols, kept_norms)])
+    return GreedyRun(grid=grid, config=config, tags=tuple(kept_tags), columns=columns,
+                     norms=np.asarray(kept_norms, dtype=float), target=y,
+                     steps=tuple(steps), notes=tuple(notes), exhausted=exhausted,
+                     stopped_at_max_terms=stopped_at_max_terms)
 
-    trace = SelectionTrace(steps=tuple(steps), final_residual=final_residual,
-                           rng_seed=config.rng_seed, exhausted=exhausted,
-                           notes=tuple(notes))
-    rep = coefficients_to_rep(
-        grid, kept_tags, coefs, final_residual,
-        provenance={"method": "greedy", "seed": config.rng_seed,
-                    "batch_size": config.batch_size,
-                    "max_terms": config.max_terms,
-                    "target_residual": config.target_residual,
-                    "stream_cap": config.stream_cap},
-    )
+
+def greedy_select(grid: SampleGrid, config: SelectionConfig):
+    """Stream-competition greedy selection; returns (Degree2Rep, SelectionTrace).
+
+    One ``greedy_run`` and its rep at ``config.max_terms``.
+    """
+    run = greedy_run(grid, config)
+    rep = run.rep_at(config.max_terms)
+    trace = SelectionTrace(steps=run.steps, final_residual=rep.fit_residual,
+                           rng_seed=config.rng_seed, exhausted=run.exhausted,
+                           notes=run.notes)
     return rep, trace
+
+
+@dataclass(frozen=True)
+class RRQRFactor:
+    """The pivoted QR of one grid's weighted candidate matrix.
+
+    Column pivoting chooses its pivots without looking at the truncation
+    rank, so this one factorization serves every ``max_terms``: ``rep_at``
+    truncates it and solves.
+    """
+
+    grid: SampleGrid
+    stream_cap: int
+    tags: tuple  # candidate tags in dictionary column order
+    fact: PivotedQR
+    target: np.ndarray  # W-scaled target
+
+    def rep_at(self, max_terms: int | None = None, truncate_tol: float = 1e-12):
+        """Truncate at the first |R_kk| < truncate_tol * |R_11| (and at most
+        ``max_terms`` columns) and fit; returns (Degree2Rep, RankReport)."""
+        fact = self.fact
+        rank = fact.rank(truncate_tol)
+        if max_terms is not None:
+            rank = min(rank, max_terms)
+        if rank == 0:
+            raise ValueError("truncation removed every candidate column")
+        y = self.target
+        eta = fact.q[:, :rank].T @ y
+        residual = float(np.linalg.norm(y - fact.q[:, :rank] @ eta))
+        gamma = solve_triangular(fact.r[:rank, :rank], eta, lower=False)
+        tags = tuple(self.tags[j] for j in fact.perm[:rank])
+        rep = coefficients_to_rep(
+            self.grid, tags, gamma, residual,
+            provenance={"method": "rrqr", "stream_cap": self.stream_cap,
+                        "truncate_tol": truncate_tol, "max_terms": max_terms},
+        )
+        report = RankReport(rank=rank, diag_magnitudes=fact.diag,
+                            selected_tags=tags, truncate_tol=truncate_tol,
+                            n_candidates=len(self.tags))
+        return rep, report
+
+
+def rrqr_factor(grid: SampleGrid, stream_cap: int = 60) -> RRQRFactor:
+    """Assemble the candidate matrix, W-scale it and factor it with column pivoting."""
+    if stream_cap < 1:
+        raise ValueError("stream_cap must be >= 1")
+    d = assemble(grid, stream_cap, stream_cap, stream_cap)
+    sw = np.sqrt(grid.weights)
+    fact = pivoted_qr(d.columns * sw[:, None])
+    return RRQRFactor(grid=grid, stream_cap=stream_cap, tags=d.tags, fact=fact,
+                      target=d.target * sw)
 
 
 def rrqr_select(grid: SampleGrid, stream_cap: int = 60, truncate_tol: float = 1e-12,
@@ -280,28 +401,4 @@ def rrqr_select(grid: SampleGrid, stream_cap: int = 60, truncate_tol: float = 1e
     basis.  Coefficients are mapped back through R and the permutation;
     columns pivoted out of the truncation get zero coefficients.
     """
-    if stream_cap < 1:
-        raise ValueError("stream_cap must be >= 1")
-    d = assemble(grid, stream_cap, stream_cap, stream_cap)
-    sw = np.sqrt(grid.weights)
-    a = d.columns * sw[:, None]
-    fact = pivoted_qr(a)
-    rank = fact.rank(truncate_tol)
-    if max_terms is not None:
-        rank = min(rank, max_terms)
-    if rank == 0:
-        raise ValueError("truncation removed every candidate column")
-    y = d.target * sw
-    eta = fact.q[:, :rank].T @ y
-    residual = float(np.linalg.norm(y - fact.q[:, :rank] @ eta))
-    gamma = solve_triangular(fact.r[:rank, :rank], eta, lower=False)
-    tags = tuple(d.tags[j] for j in fact.perm[:rank])
-    rep = coefficients_to_rep(
-        grid, tags, gamma, residual,
-        provenance={"method": "rrqr", "stream_cap": stream_cap,
-                    "truncate_tol": truncate_tol, "max_terms": max_terms},
-    )
-    report = RankReport(rank=rank, diag_magnitudes=fact.diag,
-                        selected_tags=tags, truncate_tol=truncate_tol,
-                        n_candidates=d.n_columns)
-    return rep, report
+    return rrqr_factor(grid, stream_cap).rep_at(max_terms, truncate_tol)

@@ -126,6 +126,16 @@ def test_eval_relu_grid(tmp_path):
         assert abs(v - max(0.0, x)) < 1e-12
 
 
+def test_eval_branches_on_degree0_writes_nothing(tmp_path):
+    out = tmp_path / "f"
+    assert run(["fit", "--fn", "relu", "--method", "deg0", "--n", "5",
+                "--out", str(out)]) == 0
+    ev = tmp_path / "e"
+    assert run(["eval", "--rep", str(out / "rep.json"), "--grid", "11",
+                "--branches", "--out", str(ev)]) == 2
+    assert list(ev.iterdir()) == []
+
+
 def test_eval_schema_mismatch_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"type": "degree9", "domain": [0, 1]}))
@@ -255,6 +265,27 @@ def test_convergence_heaviside_sine_reaches_1e10(tmp_path):
     assert errors[20] < 1e-10
 
 
+def test_convergence_failures_stay_in_their_cells(tmp_path, capsys):
+    # relu greedy K >= 8 keeps only f^2 columns, so assign_index fails at
+    # those K alone; cap 0 fails each adaptive method's shared selection run
+    out = tmp_path / "relu"
+    assert run(["convergence", "--fn", "relu", "--methods", "deg2-greedy",
+                "--kmin", "6", "--kmax", "9", "--out", str(out)]) == 0
+    rows = read_csv(out / "convergence.csv")[1:]
+    assert [(r[1], math.isnan(float(r[2]))) for r in rows] == [
+        ("6", False), ("7", False), ("8", True), ("9", True)]
+    capped = tmp_path / "capped"
+    assert run(["convergence", "--fn", "relu", "--methods", "deg0,deg2-greedy,deg2-rrqr",
+                "--kmin", "2", "--kmax", "3", "--cap", "0", "--out", str(capped)]) == 0
+    rows = read_csv(capped / "convergence.csv")[1:]
+    assert [math.isnan(float(r[2])) for r in rows] == [False, False, True, True, True, True]
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("cell ")]
+    assert sorted(lines) == sorted(
+        [f"cell (deg2-greedy, K={k}) failed: both a(x) and b(x) vanish: no root" for k in (8, 9)]
+        + [f"cell ({m}, K={k}) skipped: stream_cap must be >= 1"
+           for m in ("deg2-greedy", "deg2-rrqr") for k in (2, 3)])
+
+
 def test_convergence_thread_count_invariance(tmp_path):
     outs = []
     for tag, threads in (("a", "1"), ("b", "4")):
@@ -263,7 +294,7 @@ def test_convergence_thread_count_invariance(tmp_path):
         os.environ["QUADREP_THREADS"] = threads
         try:
             assert run(["convergence", "--fn", "sin10pi", "--methods",
-                        "deg0,deg2-greedy", "--kmin", "2", "--kmax", "6",
+                        "deg0,deg2-greedy,deg2-rrqr", "--kmin", "2", "--kmax", "6",
                         "--order", "150", "--out", str(out)]) == 0
         finally:
             if env_before is None:

@@ -29,6 +29,17 @@ def test_order_two_closed_form():
     assert np.allclose(r.weights, [1.0, 1.0], atol=1e-15)
 
 
+def test_rule_is_cached_and_read_only():
+    first = gauss_legendre(37)
+    again = gauss_legendre(37)
+    assert np.array_equal(first.nodes, again.nodes)
+    assert np.array_equal(first.weights, again.weights)
+    for arr in (again.nodes, again.weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_order_zero_rejected():
     with pytest.raises(ValueError):
         gauss_legendre(0)

@@ -13,7 +13,15 @@ from quadrep.representation import (
     relative_l2,
     roots_at,
 )
-from quadrep.selection import RankReport, SelectionConfig, greedy_select, rrqr_select
+from quadrep.representation import rep_to_dict
+from quadrep.selection import (
+    RankReport,
+    SelectionConfig,
+    greedy_run,
+    greedy_select,
+    rrqr_factor,
+    rrqr_select,
+)
 
 
 def grid_of(name, order=1000):
@@ -189,3 +197,75 @@ def test_rrqr_beats_nothing_smaller_than_greedy_documented():
     err_r = relative_l2(rep_r, SIG_GRID)
     assert err_g < 1e-2
     assert not (err_r <= err_g * 1.05)
+
+
+# the largest K of each table of scripts/run_convergence_experiments.py
+PREFIX_KMAX = {"sigmoid60": 44, "heaviside-sine": 34, "sin10pi": 64}
+
+
+def _rep_doc(make):
+    """rep_to_dict of make()'s rep (coefficients, residual, index, provenance),
+    or the error it raised."""
+    try:
+        rep, tags = make()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return rep_to_dict(rep), tuple(tags)
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_KMAX))
+def test_greedy_run_prefix_is_greedy_select_at_every_k(name):
+    grid = grid_of(name)
+    kmax = PREFIX_KMAX[name]
+    run = greedy_run(grid, SelectionConfig(max_terms=kmax, rng_seed=0, stream_cap=60))
+    for k in range(2, kmax + 1):
+        config = SelectionConfig(max_terms=k, rng_seed=0, stream_cap=60)
+
+        def reference():
+            rep, trace = greedy_select(grid, config)
+            return rep, [tuple(t) for s in trace.steps for t in s.chosen_tags]
+
+        shared = _rep_doc(lambda: (run.rep_at(k), run.tags[:k]))
+        assert shared == _rep_doc(reference), f"{name} K={k}"
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_KMAX))
+def test_rrqr_factor_truncation_is_rrqr_select_at_every_k(name):
+    # order 200 keeps the kmax - 1 fresh 200x181 factorizations of the
+    # reference cheap; the pivots do not depend on the truncation at any order
+    grid = grid_of(name, order=200)
+    kmax = PREFIX_KMAX[name]
+    factor = rrqr_factor(grid, stream_cap=60)
+
+    def doc(rep_and_report):
+        rep, report = rep_and_report
+        return rep, report.selected_tags
+
+    for k in range(2, kmax + 1):
+        shared = _rep_doc(lambda: doc(factor.rep_at(k)))
+        assert shared == _rep_doc(lambda: doc(rrqr_select(grid, stream_cap=60, max_terms=k))), \
+            f"{name} K={k}"
+
+
+def test_greedy_run_refuses_reps_it_does_not_determine():
+    run = greedy_run(SIG_GRID, SelectionConfig(batch_size=3, max_terms=9, rng_seed=0))
+    assert run.rep_at(9).fit_residual == greedy_select(
+        SIG_GRID, SelectionConfig(batch_size=3, max_terms=9, rng_seed=0))[0].fit_residual
+    # a run cut at 5 terms draws a batch of 2 where the longer run drew 3
+    with pytest.raises(ValueError, match="prefix-consistent"):
+        run.rep_at(5)
+    run = greedy_run(SIG_GRID, SelectionConfig(max_terms=6, rng_seed=0))
+    with pytest.raises(ValueError, match="stopped at 6 terms"):
+        run.rep_at(7)
+    with pytest.raises(ValueError, match="stopped at 6 terms"):
+        run.rep_at(None)
+
+
+def test_greedy_run_stopped_by_target_gives_every_larger_budget():
+    config = SelectionConfig(target_residual=1e-6, rng_seed=0)
+    run = greedy_run(SIG_GRID, config)
+    n = len(run.tags)
+    for budget in (n, n + 5):
+        rep, _ = greedy_select(SIG_GRID, SelectionConfig(target_residual=1e-6,
+                                                         max_terms=budget, rng_seed=0))
+        assert rep_to_dict(run.rep_at(budget)) == rep_to_dict(rep)
