@@ -316,6 +316,9 @@ def _branch_roots(rep: Degree2Rep, x: np.ndarray, *, raise_on_complex: bool = Tr
     q_safe = np.where(q == 0.0, 1.0, q)
     r1 = np.where(q == 0.0, 0.0, q / (2.0 * a_safe))
     r2 = np.where(q == 0.0, 0.0, -2.0 * cv / q_safe)
+    # a clamped discriminant leaves the double root b/2a; -2c/b equals it
+    # only where D was exactly 0
+    r2 = np.where(clamped, r1, r2)
     plus = np.where(s > 0, r1, r2)
     minus = np.where(s > 0, r2, r1)
 

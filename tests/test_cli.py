@@ -126,6 +126,25 @@ def test_eval_relu_grid(tmp_path):
         assert abs(v - max(0.0, x)) < 1e-12
 
 
+def test_eval_clamped_node_gives_the_double_root(tmp_path):
+    # at x = 0 the fit's discriminant is -1.6e-16, within the clamp
+    # tolerance: both roots are the double root b/2a = -4e-15 there, where
+    # the cancellation-free -2c/b gave -0.0193
+    out = tmp_path / "f"
+    assert run(["fit", "--fn", "relu", "--method", "deg2-uniform",
+                "--n0", "6", "--n1", "6", "--n2", "6", "--out", str(out)]) == 0
+    ev = tmp_path / "e"
+    assert run(["eval", "--rep", str(out / "rep.json"), "--grid", "301",
+                "--branches", "--out", str(ev)]) == 0
+    values = read_csv(ev / "eval.csv")[1:]
+    assert float(values[150][0]) == 0.0
+    for x_str, v_str in values:
+        if float(x_str) <= 0.0:
+            assert abs(float(v_str)) < 1e-12
+    _, lo, hi = read_csv(ev / "branches.csv")[1:][150]
+    assert abs(float(lo)) < 1e-12 and abs(float(hi)) < 1e-12
+
+
 def test_eval_branches_on_degree0_writes_nothing(tmp_path):
     out = tmp_path / "f"
     assert run(["fit", "--fn", "relu", "--method", "deg0", "--n", "5",
