@@ -138,8 +138,6 @@ def _orthonormalize_against(q_basis: np.ndarray, block: list[np.ndarray], dep_to
     return accepted, mask
 
 
-
-
 @dataclass(frozen=True)
 class GreedyRun:
     """One stream-competition run: the kept columns in selection order.

@@ -11,9 +11,9 @@ from quadrep.representation import (
     basis_convert,
     fit_degree0,
     relative_l2,
+    rep_to_dict,
     roots_at,
 )
-from quadrep.representation import rep_to_dict
 from quadrep.selection import (
     RankReport,
     SelectionConfig,
