@@ -24,7 +24,6 @@ from . import __version__
 from .denoise import (
     NOISE_PRESETS,
     ALL_CONSTRAINTS,
-    MomentSystemError,
     SingularConstraintError,
     clamped_reconstruct,
     denoise_case3,
@@ -39,34 +38,26 @@ from .denoise import (
 )
 from .dictionary import DataError, build_grid, tabulated_grid
 from .functions import BUILTINS, get_builtin
-from .linalg import RankDeficiencyError
 from .representation import (
-    ComplexRootError,
+    Degree1Rep,
     Degree2Rep,
-    EvaluationError,
-    PoleError,
+    IndexFunction,
+    branches,
     eval_rep,
     fit_degree0,
     fit_degree1,
     fit_degree2_uniform,
     load_rep,
+    poles,
     relative_l2,
     rep_to_dict,
-    roots_at,
     save_rep,
 )
 from .selection import SelectionConfig, greedy_run, greedy_select, rrqr_factor, rrqr_select
 
-NUMERICAL_ERRORS = (
-    ArithmeticError,
-    np.linalg.LinAlgError,
-    RankDeficiencyError,
-    ComplexRootError,
-    PoleError,
-    EvaluationError,
-    MomentSystemError,
-    SingularConstraintError,
-)
+# ArithmeticError covers the representation errors (complex roots, poles, no
+# root) and MomentSystemError; LinAlgError covers RankDeficiencyError
+NUMERICAL_ERRORS = (ArithmeticError, np.linalg.LinAlgError, SingularConstraintError)
 
 METHODS = ("deg0", "deg1", "deg2-uniform", "deg2-greedy", "deg2-rrqr")
 
@@ -153,6 +144,27 @@ def cmd_fit(args, argv) -> int:
     return 0
 
 
+def _eval_table(rep, xs):
+    """Values at ``xs`` and, for a degree-2 rep, [root_lo, root_hi], from one
+    batched evaluation; NaN where a point has no real value (a pole, complex
+    or missing roots, no index)."""
+    values = np.full(xs.shape, np.nan)
+    if isinstance(rep, Degree2Rep):
+        br = branches(rep, xs)
+        if rep.index is not None:
+            values = br.select(rep.index.signs_at(xs))
+        lo = np.where(br.plus < br.minus, br.plus, br.minus)
+        return values, [lo, np.where(br.plus > br.minus, br.plus, br.minus)]
+    real = ~poles(rep, xs) if isinstance(rep, Degree1Rep) else np.ones(xs.shape, bool)
+    values[real] = eval_rep(rep, xs[real])
+    return values, None
+
+
+def _cell(v) -> str:
+    """A CSV value; blank where there is none."""
+    return "" if np.isnan(v) else repr(float(v))
+
+
 def cmd_eval(args, argv) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -171,33 +183,25 @@ def cmd_eval(args, argv) -> int:
         if rows and rows[0][0].strip().lower() in ("x",):
             rows = rows[1:]
         xs = np.array([float(r[0]) for r in rows])
+        if not np.all(np.isfinite(xs)):
+            raise ValueError(f"{args.points}: every x must be finite")
     else:
         lo, hi = rep_to_dict(rep)["domain"]
         xs = np.linspace(lo, hi, args.grid)
-    complex_count = 0
-    with open(out / "eval.csv", "w", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["x", "value"])
-        for x in xs:
-            try:
-                writer.writerow([repr(float(x)), repr(float(eval_rep(rep, x)))])
-            except (ComplexRootError, PoleError, EvaluationError):
-                complex_count += 1
-                writer.writerow([repr(float(x)), ""])
+    values, roots = _eval_table(rep, xs)
+    tables = [("eval.csv", ["x", "value"], [values])]
     if args.branches:
-        with open(out / "branches.csv", "w", newline="") as fh:
+        tables.append(("branches.csv", ["x", "root_lo", "root_hi"], roots))
+    blank = 0
+    for name, header, columns in tables:
+        with open(out / name, "w", newline="") as fh:
             writer = _csv_writer(fh)
-            writer.writerow(["x", "root_lo", "root_hi"])
-            for x in xs:
-                try:
-                    r = roots_at(rep, x)
-                    writer.writerow([repr(float(x)), repr(r.lo), repr(r.hi)])
-                except (ComplexRootError, EvaluationError):
-                    complex_count += 1
-                    writer.writerow([repr(float(x)), "", ""])
+            writer.writerow(header)
+            writer.writerows([repr(float(x)), *map(_cell, row)] for x, *row in zip(xs, *columns))
+        blank += int(np.sum(np.isnan(columns[0])))
     _write_manifest(out, "eval", argv, None)
-    if complex_count:
-        print(f"warning: {complex_count} points had no real value", file=sys.stderr)
+    if blank:
+        print(f"warning: {blank} points had no real value", file=sys.stderr)
     print(f"evaluated {xs.size} points")
     return 0
 
@@ -339,8 +343,6 @@ def cmd_denoise(args, argv) -> int:
         if args.mode == "ls+vote":
             index, vote_rounds, _ = knn_vote_index(signs, data.positions, k=args.k)
         else:
-            from .representation import IndexFunction
-
             index = IndexFunction.from_dense(data.positions, signs)
         values, _ = clamped_reconstruct(rep, data.positions, index)
     elif args.mode == "debias+vote":

@@ -24,8 +24,7 @@ from .representation import (
     Degree2Rep,
     IndexFunction,
     PolyCoeffs,
-    _branch_roots,
-    eval_rep,
+    branches,
 )
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "solve_moment_system",
     "nearest_root_signs",
     "knn_vote_index",
-    "reconstruct",
     "clamped_reconstruct",
     "ls_vote_baseline",
     "denoise_case3",
@@ -231,11 +229,10 @@ def fit_manifold_ls(data: NoisyDataset) -> ManifoldFit4:
     try:
         beta, resid = weighted_lsq(design, f * f, np.ones_like(t))
     except RankDeficiencyError as exc:
-        fact = pivoted_qr(design)
-        worst = _LS_COLUMN_NAMES[fact.perm[-1]]
+        worst = _LS_COLUMN_NAMES[exc.factorization.perm[-1]]
         raise RankDeficiencyError(
             f"degenerate design (column {worst!r} dependent); is f~ constant?",
-            exc.numerical_rank,
+            exc.numerical_rank, exc.factorization,
         ) from exc
     cond = float(np.linalg.cond(design))
     lo, hi = data.domain
@@ -349,14 +346,9 @@ def solve_moment_system(m: MomentSet, method: str = "debias") -> ManifoldFit4:
 
 
 def nearest_root_signs(rep: Degree2Rep, positions, values) -> np.ndarray:
-    """+1 where the plus branch is nearer the observation, else -1 (ties +1)."""
-    positions = np.asarray(positions, dtype=float)
-    values = np.asarray(values, dtype=float)
-    minus, plus, _, _, _, complex_mask = _branch_roots(rep, positions, raise_on_complex=False)
-    signs = np.where(np.abs(values - plus) <= np.abs(values - minus), 1, -1)
-    for i in np.nonzero(complex_mask)[0]:
-        signs[i] = signs[i - 1] if i > 0 else 1
-    return signs
+    """+1 where the plus branch is nearer the observation, else -1 (ties +1);
+    see ``BranchTable.nearest_signs`` for complex and missing roots."""
+    return branches(rep, positions).nearest_signs(np.asarray(values, dtype=float))
 
 
 def _knn_windows(positions: np.ndarray, k: int) -> np.ndarray:
@@ -415,28 +407,17 @@ class Case3Result:
     clamped_points: int = 0
 
 
-def reconstruct(rep: Degree2Rep, positions, index: IndexFunction) -> np.ndarray:
-    """Root values selected by the (possibly externally voted) index."""
-    return np.atleast_1d(eval_rep(replace(rep, index=index), np.asarray(positions, dtype=float)))
-
-
 def clamped_reconstruct(rep: Degree2Rep, positions, index: IndexFunction):
-    """Like reconstruct, but nodes whose discriminant is negative get the
-    manifold vertex b/(2a) instead of failing; returns (values, clamp count).
+    """Root values selected by the (possibly externally voted) index; nodes
+    whose discriminant is negative get the manifold vertex b/(2a) instead of
+    failing.  Returns (values, clamp count).
 
     Mirrors the clamp-to-vertex convention of manifold-noise generation.
     """
     positions = np.asarray(positions, dtype=float)
-    minus, plus, _, _, _, complex_mask = _branch_roots(rep, positions, raise_on_complex=False)
-    zeta = np.atleast_1d(index.signs_at(positions))
-    values = np.where(zeta > 0, plus, minus)
-    n_clamped = int(np.sum(complex_mask))
-    if n_clamped:
-        av = np.atleast_1d(rep.a.evaluate(positions[complex_mask]))
-        bv = np.atleast_1d(rep.b.evaluate(positions[complex_mask]))
-        values = values.copy()
-        values[complex_mask] = bv / (2.0 * av)
-    return values, n_clamped
+    br = branches(rep, positions)
+    values = np.where(br.complex, br.vertex, br.select(index.signs_at(positions)))
+    return values, int(np.sum(br.complex))
 
 
 def denoise_case3(data: NoisyDataset, sigma2: float, k: int = 10) -> Case3Result:

@@ -20,7 +20,6 @@ __all__ = [
     "tabulated_grid",
     "Dictionary",
     "assemble",
-    "stream_view",
     "STREAM_PLAIN",
     "STREAM_F",
     "STREAM_F2",
@@ -214,11 +213,3 @@ def assemble(grid: SampleGrid, n0: int, n1: int, n2: int) -> Dictionary:
         degenerate=degenerate,
         warnings=tuple(warnings),
     )
-
-
-def stream_view(dictionary: Dictionary, stream_id: int, count: int) -> np.ndarray:
-    """First ``count`` columns of a stream, in ascending Legendre degree."""
-    block = dictionary.stream(stream_id)
-    if count > block.shape[1]:
-        raise ValueError(f"stream {stream_id} has only {block.shape[1]} columns")
-    return block[:, :count]

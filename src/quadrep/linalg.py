@@ -16,20 +16,21 @@ __all__ = [
     "PivotedQR",
     "weighted_lsq",
     "pivoted_qr",
-    "IncrementalQR",
-    "append_column_qr",
 ]
 
 DEFAULT_RANK_TOL = 1e-12
-DEFAULT_DEP_TOL = 1e-13
 
 
 class RankDeficiencyError(np.linalg.LinAlgError):
-    """The design matrix is numerically rank-deficient at the working tolerance."""
+    """The design matrix is numerically rank-deficient at the working tolerance.
 
-    def __init__(self, message: str, numerical_rank: int):
+    ``factorization`` is the pivoted QR of the (weighted) design, so a caller
+    can fall back to ``factorization.solve`` without factoring again."""
+
+    def __init__(self, message: str, numerical_rank: int, factorization: PivotedQR):
         super().__init__(message)
         self.numerical_rank = numerical_rank
+        self.factorization = factorization
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,14 @@ class PivotedQR:
         if self.diag.size == 0 or self.diag[0] == 0.0:
             return 0
         return int(np.sum(self.diag >= tol * self.diag[0]))
+
+    def solve(self, y, rank: int):
+        """Least squares on the first ``rank`` pivoted columns: (coefficients
+        of columns ``perm[:rank]``, residual norm)."""
+        q = self.q[:, :rank]
+        proj = q.T @ y
+        residual = float(np.linalg.norm(y - q @ proj))
+        return solve_triangular(self.r[:rank, :rank], proj, lower=False), residual
 
 
 def pivoted_qr(a) -> PivotedQR:
@@ -97,15 +106,13 @@ def pivoted_qr(a) -> PivotedQR:
     return PivotedQR(q=q, r=r_out, perm=perm, diag=np.abs(np.diag(r_out)))
 
 
-def weighted_lsq(v, y, w, *, rank_tol: float = DEFAULT_RANK_TOL, column_scale=None):
+def weighted_lsq(v, y, w, *, rank_tol: float = DEFAULT_RANK_TOL):
     """Solve min_c || W^{1/2} (V c - y) ||_2 via QR of W^{1/2} V.
 
-    Returns (coefficients, achieved residual norm).  ``column_scale`` is an
-    experimental per-column scaling applied before the solve and divided back
-    out of the coefficients; default is all ones.
+    Returns (coefficients, achieved residual norm).
 
-    Raises RankDeficiencyError (carrying the numerical rank) when some
-    |R_kk| < rank_tol * |R_11|.
+    Raises RankDeficiencyError (carrying the numerical rank and the pivoted
+    QR of W^{1/2} V) when some |R_kk| < rank_tol * |R_11|.
     """
     v = np.asarray(v, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -121,93 +128,14 @@ def weighted_lsq(v, y, w, *, rank_tol: float = DEFAULT_RANK_TOL, column_scale=No
         raise ValueError("weights must be positive")
     sw = np.sqrt(w)
     a = v * sw[:, None]
-    if column_scale is not None:
-        column_scale = np.asarray(column_scale, dtype=float)
-        if column_scale.shape != (k,) or np.any(column_scale <= 0):
-            raise ValueError("column_scale must be positive, one entry per column")
-        a = a * column_scale[None, :]
     q, r = np.linalg.qr(a, mode="reduced")
     d = np.abs(np.diag(r))
     if d.max() == 0.0 or d.min() < rank_tol * d.max():
-        rank = pivoted_qr(a).rank(rank_tol)
+        fact = pivoted_qr(a)
+        rank = fact.rank(rank_tol)
         raise RankDeficiencyError(
-            f"rank-deficient design: numerical rank {rank} of {k} columns", rank
+            f"rank-deficient design: numerical rank {rank} of {k} columns", rank, fact
         )
     coef = solve_triangular(r, q.T @ (y * sw), lower=False)
-    if column_scale is not None:
-        coef = coef * column_scale
     resid = float(np.linalg.norm(sw * (v @ coef - y)))
     return coef, resid
-
-
-class IncrementalQR:
-    """Growable thin QR of a column set, for recycling least-squares solves.
-
-    Columns are orthonormalized with twice-applied Gram-Schmidt, so solving
-    against the factorization agrees with a from-scratch refactorization to
-    ~1e-12.  The builder is single-owner: not safe to share while growing.
-    """
-
-    def __init__(self, n_rows: int):
-        self.n_rows = int(n_rows)
-        self._q = np.empty((self.n_rows, 0))
-        self._r = np.empty((0, 0))
-
-    @property
-    def n_cols(self) -> int:
-        return self._q.shape[1]
-
-    @property
-    def q(self) -> np.ndarray:
-        return self._q
-
-    @property
-    def r(self) -> np.ndarray:
-        return self._r
-
-    def _orthogonalize(self, col: np.ndarray):
-        r1 = self._q.T @ col
-        u = col - self._q @ r1
-        r2 = self._q.T @ u
-        u = u - self._q @ r2
-        return u, r1 + r2
-
-    def append(self, col, dep_tol: float = DEFAULT_DEP_TOL) -> bool:
-        """Append a column; returns False (without appending) if the column is
-        numerically dependent on the current ones."""
-        col = np.asarray(col, dtype=float)
-        if col.shape != (self.n_rows,):
-            raise ValueError("column length mismatch")
-        u, coupling = self._orthogonalize(col)
-        rho = np.linalg.norm(u)
-        if rho < dep_tol * np.linalg.norm(col):
-            return False
-        k = self.n_cols
-        new_r = np.zeros((k + 1, k + 1))
-        new_r[:k, :k] = self._r
-        new_r[:k, k] = coupling
-        new_r[k, k] = rho
-        self._q = np.column_stack([self._q, u / rho])
-        self._r = new_r
-        return True
-
-    def solve(self, y):
-        """Least-squares coefficients (in append order) and residual norm."""
-        y = np.asarray(y, dtype=float)
-        if self.n_cols == 0:
-            return np.empty(0), float(np.linalg.norm(y))
-        proj = self._q.T @ y
-        coef = solve_triangular(self._r, proj, lower=False)
-        resid = float(np.linalg.norm(y - self._q @ proj))
-        return coef, resid
-
-    def residual_norm(self, y) -> float:
-        y = np.asarray(y, dtype=float)
-        if self.n_cols == 0:
-            return float(np.linalg.norm(y))
-        return float(np.linalg.norm(y - self._q @ (self._q.T @ y)))
-
-
-def append_column_qr(qr: IncrementalQR, col, dep_tol: float = DEFAULT_DEP_TOL) -> bool:
-    """Functional alias for IncrementalQR.append (dependence -> False, caller decides)."""
-    return qr.append(col, dep_tol=dep_tol)

@@ -13,11 +13,9 @@ import numpy as np
 
 __all__ = [
     "QuadratureRule",
-    "LegendreBasis",
     "gauss_legendre",
     "legendre_eval",
     "legendre_row",
-    "inner_product",
 ]
 
 
@@ -135,22 +133,3 @@ def legendre_row(max_degree: int, x):
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return table[0]
     return table
-
-
-@dataclass(frozen=True)
-class LegendreBasis:
-    """Orthonormal Legendre basis truncated at a maximum degree."""
-
-    max_degree: int
-
-    def rows(self, x) -> np.ndarray:
-        return legendre_row(self.max_degree, x)
-
-
-def inner_product(u, v, rule: QuadratureRule) -> float:
-    """Discrete <u, v> = sum_i w_i u(x_i) v(x_i) for samples taken at rule.nodes."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1 or u.size != rule.order:
-        raise ValueError("u, v must be 1-D samples at the rule's nodes")
-    return float(np.sum(rule.weights * u * v))

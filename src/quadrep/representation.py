@@ -17,7 +17,7 @@ from numpy.polynomial import legendre as npleg
 from numpy.polynomial import polynomial as nppoly
 
 from .dictionary import SampleGrid, assemble, STREAM_PLAIN, STREAM_F, STREAM_F2
-from .linalg import RankDeficiencyError, pivoted_qr, weighted_lsq
+from .linalg import RankDeficiencyError, weighted_lsq
 from .orthopoly import legendre_row
 
 __all__ = [
@@ -32,12 +32,15 @@ __all__ = [
     "IndexFunction",
     "Degree2Rep",
     "RootResult",
+    "BranchTable",
     "basis_convert",
     "fit_degree0",
     "fit_degree1",
     "fit_degree2_uniform",
+    "branches",
     "roots_at",
     "assign_index",
+    "poles",
     "eval_rep",
     "compose_piecewise_manifold",
     "residual_l2",
@@ -120,8 +123,6 @@ class PolyCoeffs:
         if np.isscalar(x) or np.asarray(x).ndim == 0:
             return float(out[0])
         return out
-
-    __call__ = evaluate
 
 
 def _affine_compose(coeffs: np.ndarray, shift: float, scale: float) -> np.ndarray:
@@ -282,34 +283,72 @@ class RootResult:
     clamped: bool = False
 
 
-def _a_scale(rep: Degree2Rep, extra: np.ndarray | None = None) -> float:
+@dataclass(frozen=True)
+class BranchTable:
+    """Both branches of a f^2 - b f - c = 0 at each point of a batch, with
+    the edge case each point falls in (see ``branches``).  Read-only arrays."""
+
+    minus: np.ndarray
+    plus: np.ndarray
+    disc: np.ndarray
+    vertex: np.ndarray
+    linear: np.ndarray
+    clamped: np.ndarray
+    complex: np.ndarray
+    no_root: np.ndarray
+
+    def require_real(self) -> None:
+        """Raise ComplexRootError if a point's roots are complex, else
+        EvaluationError if a point has no root."""
+        if np.any(self.complex):
+            worst = float(self.disc[self.complex].min())
+            raise ComplexRootError(f"negative discriminant {worst:.3e}", worst)
+        if np.any(self.no_root):
+            raise EvaluationError("both a(x) and b(x) vanish: no root")
+
+    def select(self, signs) -> np.ndarray:
+        """The plus branch where ``signs`` > 0, else the minus branch."""
+        return np.where(np.asarray(signs) > 0, self.plus, self.minus)
+
+    def nearest_signs(self, values) -> np.ndarray:
+        """Per point, +1 if the plus root is nearer ``values`` (ties +1), else
+        -1.  A point with complex roots inherits the previous point's sign (+1
+        at the first point); a point with no root raises EvaluationError."""
+        if np.any(self.no_root):
+            raise EvaluationError("both a(x) and b(x) vanish: no root")
+        signs = np.where(np.abs(values - self.plus) <= np.abs(values - self.minus), 1, -1)
+        for i in np.nonzero(self.complex)[0]:
+            signs[i] = signs[i - 1] if i > 0 else 1
+        return signs
+
+
+def branches(rep: Degree2Rep, x) -> BranchTable:
+    """Both roots of a(x) r^2 - b(x) r - c(x) = 0 at every point of ``x``, by
+    the cancellation-free quadratic formula; plus = (b + sqrt(D)) / 2a with
+    D = b^2 + 4ac.  Never raises: each edge case has one policy and a mask.
+
+    - ``complex``, D < -1e-8 (b^2 + 4|ac| + 1): both roots are NaN;
+      ``vertex`` = b/2a is the real part of the complex pair.
+    - ``clamped``, D negative within that tolerance: D is taken as 0 and both
+      roots are the double root b/2a.
+    - ``linear``, |a(x)| < 1e-10 max|a| over 129 equispaced probes of the
+      domain (a bound set by the rep alone, not by the other points of the
+      call): both roots are -c/b, or NaN where the point is also ``complex``.
+    - ``no_root``, a linear point where |b(x)| < 1e-300: both roots are NaN.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    av, bv, cv = rep.a.evaluate(x), rep.b.evaluate(x), rep.c.evaluate(x)
     lo, hi = rep.domain
-    probes = np.linspace(lo, hi, 129)
-    vals = np.abs(rep.a.evaluate(probes))
-    scale = float(vals.max())
-    if extra is not None and extra.size:
-        scale = max(scale, float(np.max(np.abs(extra))))
-    return scale if scale > 0 else 1.0
-
-
-def _branch_roots(rep: Degree2Rep, x: np.ndarray, *, raise_on_complex: bool = True):
-    """Vectorized stable roots; returns (minus, plus, D, linear, clamped, complex_mask)."""
-    av = np.atleast_1d(rep.a.evaluate(x))
-    bv = np.atleast_1d(rep.b.evaluate(x))
-    cv = np.atleast_1d(rep.c.evaluate(x))
-    scale = _a_scale(rep, av)
-    linear = np.abs(av) < A_DEGENERACY_RTOL * scale
+    a_scale = float(np.max(np.abs(rep.a.evaluate(np.linspace(lo, hi, 129)))))
+    linear = np.abs(av) < A_DEGENERACY_RTOL * (a_scale if a_scale > 0 else 1.0)
+    no_root = linear & (np.abs(bv) < 1e-300)
 
     disc = bv * bv + 4.0 * av * cv
     tol_d = 1e-8 * (bv * bv + 4.0 * np.abs(av * cv) + 1.0)
     complex_mask = disc < -tol_d
-    if np.any(complex_mask) and raise_on_complex:
-        worst = float(disc[complex_mask].min())
-        raise ComplexRootError(f"negative discriminant {worst:.3e}", worst)
     clamped = (disc < 0.0) & ~complex_mask
-    disc_eff = np.where(disc < 0.0, 0.0, disc)
 
-    sq = np.sqrt(disc_eff)
+    sq = np.sqrt(np.where(disc < 0.0, 0.0, disc))
     s = np.where(bv >= 0.0, 1.0, -1.0)
     q = bv + s * sq
     a_safe = np.where(linear, 1.0, av)
@@ -322,34 +361,31 @@ def _branch_roots(rep: Degree2Rep, x: np.ndarray, *, raise_on_complex: bool = Tr
     plus = np.where(s > 0, r1, r2)
     minus = np.where(s > 0, r2, r1)
 
-    if np.any(linear):
-        b_lin = bv[linear]
-        if np.any(np.abs(b_lin) < 1e-300):
-            raise EvaluationError("both a(x) and b(x) vanish: no root")
-        lin_root = -cv[linear] / b_lin
-        plus = plus.copy()
-        minus = minus.copy()
-        plus[linear] = lin_root
-        minus[linear] = lin_root
-    return minus, plus, disc, linear, clamped, complex_mask
+    lin_root = -cv / np.where(linear & ~no_root, bv, 1.0)
+    nan = complex_mask | no_root
+    plus = np.where(nan, np.nan, np.where(linear, lin_root, plus))
+    minus = np.where(nan, np.nan, np.where(linear, lin_root, minus))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = bv / (2.0 * av)
+    table = BranchTable(minus=minus, plus=plus, disc=disc, vertex=vertex, linear=linear,
+                        clamped=clamped, complex=complex_mask, no_root=no_root)
+    for arr in vars(table).values():
+        arr.flags.writeable = False
+    return table
 
 
 def roots_at(rep: Degree2Rep, x) -> RootResult:
-    """Both roots of a(x) r^2 - b(x) r - c(x) = 0, cancellation-safe.
-
-    If |a(x)| is negligible relative to a's scale on the domain, the manifold
-    is treated as linear and both slots carry -c/b with ``linear`` set.
-    Discriminants in [-tol, 0) are clamped to 0 with ``clamped`` set; more
-    negative ones raise ComplexRootError.
-    """
+    """Both roots at a single point, ordered; raises where ``branches`` has
+    no real root (ComplexRootError, or EvaluationError if a and b vanish)."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.size != 1:
-        raise ValueError("roots_at takes a single point; use eval_rep for vectors")
-    minus, plus, disc, linear, clamped, _ = _branch_roots(rep, arr)
-    lo = float(min(minus[0], plus[0]))
-    hi = float(max(minus[0], plus[0]))
-    return RootResult(lo=lo, hi=hi, discriminant=float(disc[0]),
-                      linear=bool(linear[0]), clamped=bool(clamped[0]))
+        raise ValueError("roots_at takes a single point; use branches for vectors")
+    br = branches(rep, arr)
+    br.require_real()
+    lo = float(min(br.minus[0], br.plus[0]))
+    hi = float(max(br.minus[0], br.plus[0]))
+    return RootResult(lo=lo, hi=hi, discriminant=float(br.disc[0]),
+                      linear=bool(br.linear[0]), clamped=bool(br.clamped[0]))
 
 
 def assign_index(rep: Degree2Rep, grid: SampleGrid) -> IndexFunction:
@@ -360,36 +396,34 @@ def assign_index(rep: Degree2Rep, grid: SampleGrid) -> IndexFunction:
     """
     if rep.domain != grid.domain:
         raise ValueError("representation and grid domains differ")
-    minus, plus, _, _, _, complex_mask = _branch_roots(rep, grid.nodes, raise_on_complex=False)
-    f = grid.values
-    signs = np.where(np.abs(f - plus) <= np.abs(f - minus), 1, -1)
-    if np.any(complex_mask):
-        idx = np.nonzero(complex_mask)[0]
-        for i in idx:
-            signs[i] = signs[i - 1] if i > 0 else 1
-    undefined = grid.nodes[complex_mask]
-    return IndexFunction.from_dense(grid.nodes, signs, undefined=undefined)
+    br = branches(rep, grid.nodes)
+    signs = br.nearest_signs(grid.values)
+    return IndexFunction.from_dense(grid.nodes, signs, undefined=grid.nodes[br.complex])
+
+
+def poles(rep: Degree1Rep, x) -> np.ndarray:
+    """Mask of the points where the denominator vanishes, |b(x)| <= 1e-13."""
+    return np.abs(np.atleast_1d(rep.denominator.evaluate(x))) <= 1e-13
 
 
 def eval_rep(rep, x):
-    """Evaluate any representation; scalar in -> scalar out."""
+    """Evaluate any representation; scalar in -> scalar out.  Raises where a
+    point has no value (PoleError, or see ``BranchTable.require_real``)."""
     scalar = np.isscalar(x) or np.asarray(x).ndim == 0
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(rep, Degree0Rep):
-        out = np.atleast_1d(rep.coeffs.evaluate(arr))
+        out = rep.coeffs.evaluate(arr)
     elif isinstance(rep, Degree1Rep):
-        num = np.atleast_1d(rep.numerator.evaluate(arr))
-        den = np.atleast_1d(rep.denominator.evaluate(arr))
-        bad = np.abs(den) <= 1e-13
+        bad = poles(rep, arr)
         if np.any(bad):
             raise PoleError(f"denominator vanishes near x={arr[bad][0]:.6g}")
-        out = num / den
+        out = rep.numerator.evaluate(arr) / rep.denominator.evaluate(arr)
     elif isinstance(rep, Degree2Rep):
         if rep.index is None:
             raise EvaluationError("degree-2 representation has no index assigned")
-        minus, plus, _, _, _, _ = _branch_roots(rep, arr)
-        zeta = rep.index.signs_at(arr)
-        out = np.where(np.atleast_1d(zeta) > 0, plus, minus)
+        br = branches(rep, arr)
+        br.require_real()
+        out = br.select(rep.index.signs_at(arr))
     else:
         raise TypeError(f"not a representation: {type(rep)!r}")
     return float(out[0]) if scalar else out
@@ -496,9 +530,9 @@ def fit_degree1(grid: SampleGrid, n0: int, n1: int) -> Degree1Rep:
 
 def coefficients_to_rep(grid: SampleGrid, tags, values, fit_residual: float,
                         degeneracy: dict | None = None,
-                        provenance: dict | None = None,
-                        with_index: bool = True) -> Degree2Rep:
-    """Package per-column dictionary coefficients into a Degree2Rep.
+                        provenance: dict | None = None) -> Degree2Rep:
+    """Package per-column dictionary coefficients into a Degree2Rep, with the
+    index ``assign_index`` gives on the grid.
 
     ``values`` are the least-squares coefficients of the raw dictionary
     columns listed in ``tags``; stream-3 coefficients enter a(x) negated,
@@ -529,9 +563,7 @@ def coefficients_to_rep(grid: SampleGrid, tags, values, fit_residual: float,
         degeneracy=degeneracy,
         provenance=provenance or {},
     )
-    if with_index:
-        rep = replace(rep, index=assign_index(rep, grid))
-    return rep
+    return replace(rep, index=assign_index(rep, grid))
 
 
 def fit_degree2_uniform(grid: SampleGrid, n0: int, n1: int, n2: int) -> Degree2Rep:
@@ -544,30 +576,30 @@ def fit_degree2_uniform(grid: SampleGrid, n0: int, n1: int, n2: int) -> Degree2R
     if n0 + n1 + n2 + 2 > grid.size:
         raise ValueError("more coefficients than samples")
     d = assemble(grid, n0, n1, n2)
-    v = d.columns
     provenance = {"method": "uniform", "n0": n0, "n1": n1, "n2": n2}
     degeneracy = None
     try:
-        eta, resid = weighted_lsq(v, d.target, grid.weights)
+        eta, resid = weighted_lsq(d.columns, d.target, grid.weights)
         tags = d.tags
-    except RankDeficiencyError:
-        sw = np.sqrt(grid.weights)
-        fact = pivoted_qr(v * sw[:, None])
-        rank = fact.rank()
-        y = d.target * sw
-        proj = fact.q[:, :rank].T @ y
-        from scipy.linalg import solve_triangular
-
-        gamma = solve_triangular(fact.r[:rank, :rank], proj, lower=False)
-        resid = float(np.linalg.norm(y - fact.q[:, :rank] @ proj))
+    except RankDeficiencyError as exc:
+        fact, rank = exc.factorization, exc.numerical_rank
+        eta, resid = fact.solve(d.target * np.sqrt(grid.weights), rank)
         tags = tuple(d.tags[j] for j in fact.perm[:rank])
-        eta = gamma
         degeneracy = {
             "numerical_rank": int(rank),
             "dropped_tags": [list(d.tags[j]) for j in fact.perm[rank:]],
         }
     return coefficients_to_rep(grid, tags, eta, resid,
                                degeneracy=degeneracy, provenance=provenance)
+
+
+def _reference_values(grid: SampleGrid, reference) -> np.ndarray:
+    """The grid's samples (None), a callable at the grid nodes, or an array."""
+    if reference is None:
+        return grid.values
+    if callable(reference):
+        return np.asarray([reference(x) for x in grid.nodes], dtype=float)
+    return np.asarray(reference, dtype=float)
 
 
 def residual_l2(rep, grid: SampleGrid, reference=None) -> float:
@@ -577,12 +609,7 @@ def residual_l2(rep, grid: SampleGrid, reference=None) -> float:
     evaluated at the grid nodes.  Evaluation failures (poles, complex roots)
     count as +inf with a warning.
     """
-    if reference is None:
-        ref = grid.values
-    elif callable(reference):
-        ref = np.asarray([reference(x) for x in grid.nodes], dtype=float)
-    else:
-        ref = np.asarray(reference, dtype=float)
+    ref = _reference_values(grid, reference)
     try:
         vals = eval_rep(rep, grid.nodes)
     except (ComplexRootError, PoleError, EvaluationError) as exc:
@@ -593,12 +620,7 @@ def residual_l2(rep, grid: SampleGrid, reference=None) -> float:
 
 def relative_l2(rep, grid: SampleGrid, reference=None) -> float:
     """residual_l2 normalized by the reference norm (when nonzero)."""
-    if reference is None:
-        ref = grid.values
-    elif callable(reference):
-        ref = np.asarray([reference(x) for x in grid.nodes], dtype=float)
-    else:
-        ref = np.asarray(reference, dtype=float)
+    ref = _reference_values(grid, reference)
     denom = float(np.sqrt(np.sum(grid.weights * ref * ref)))
     err = residual_l2(rep, grid, ref)
     return err / denom if denom > 0 else err

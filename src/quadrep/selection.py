@@ -362,10 +362,7 @@ class RRQRFactor:
             rank = min(rank, max_terms)
         if rank == 0:
             raise ValueError("truncation removed every candidate column")
-        y = self.target
-        eta = fact.q[:, :rank].T @ y
-        residual = float(np.linalg.norm(y - fact.q[:, :rank] @ eta))
-        gamma = solve_triangular(fact.r[:rank, :rank], eta, lower=False)
+        gamma, residual = fact.solve(self.target, rank)
         tags = tuple(self.tags[j] for j in fact.perm[:rank])
         rep = coefficients_to_rep(
             self.grid, tags, gamma, residual,

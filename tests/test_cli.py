@@ -155,6 +155,55 @@ def test_eval_branches_on_degree0_writes_nothing(tmp_path):
     assert list(ev.iterdir()) == []
 
 
+def _write_rep(path, doc):
+    path.write_text(json.dumps({"domain": [-1.0, 1.0], "basis": "monomial", "a": None,
+                                "index": None, "fit_residual": 0.0, "provenance": {},
+                                **doc}))
+    return str(path)
+
+
+def test_eval_complex_node_blanks_only_its_rows(tmp_path, capsys):
+    # f^2 = x^2 - 0.01: the roots are complex only at x = 0 of the 11-point grid
+    rep = _write_rep(tmp_path / "rep.json", {
+        "type": "degree2", "a": [1.0], "b": [0.0], "c": [-0.01, 0.0, 1.0],
+        "index": {"breakpoints": [], "first_sign": 1}})
+    ev = tmp_path / "ev"
+    assert run(["eval", "--rep", rep, "--grid", "11", "--branches", "--out", str(ev)]) == 0
+    assert "warning: 2 points had no real value" in capsys.readouterr().err
+    values = read_csv(ev / "eval.csv")[1:]
+    roots = read_csv(ev / "branches.csv")[1:]
+    for (x, v), (_, lo, hi) in zip(values, roots):
+        if float(x) == 0.0:
+            assert v == lo == hi == ""
+        else:
+            root = math.sqrt(float(x) ** 2 - 0.01)
+            assert float(v) == pytest.approx(root, rel=1e-14)
+            assert (float(lo), float(hi)) == pytest.approx((-root, root), rel=1e-14)
+
+
+def test_eval_degree1_pole_blanks_only_its_row(tmp_path, capsys):
+    # f = 1 / (1 - 2x): the pole x = 0.5 is a node of the 9-point grid
+    rep = _write_rep(tmp_path / "rep.json", {
+        "type": "degree1", "b": [1.0, -2.0], "c": [1.0]})
+    ev = tmp_path / "ev"
+    assert run(["eval", "--rep", rep, "--grid", "9", "--out", str(ev)]) == 0
+    assert "warning: 1 points had no real value" in capsys.readouterr().err
+    for x, v in read_csv(ev / "eval.csv")[1:]:
+        if float(x) == 0.5:
+            assert v == ""
+        else:
+            assert float(v) == pytest.approx(1.0 / (1.0 - 2.0 * float(x)), rel=1e-14)
+
+
+def test_eval_rejects_non_finite_points(tmp_path, capsys):
+    # a blank cell means "no real value"; a NaN x must not produce one
+    rep = _write_rep(tmp_path / "rep.json", {"type": "degree0", "c": [1.0]})
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x\n0.5\nnan\n")
+    assert run(["eval", "--rep", rep, "--points", str(pts), "--out", str(tmp_path / "ev")]) == 2
+    assert "every x must be finite" in capsys.readouterr().err
+
+
 def test_eval_schema_mismatch_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"type": "degree9", "domain": [0, 1]}))

@@ -12,7 +12,6 @@ from quadrep.dictionary import (
     STREAM_PLAIN,
     assemble,
     build_grid,
-    stream_view,
     tabulated_grid,
 )
 
@@ -75,14 +74,14 @@ def test_assemble_counts_with_f2_stream():
 def test_stream_views():
     grid = build_grid(lambda x: math.sin(x), (-1.0, 1.0), 60)
     d = assemble(grid, 4, 4, 4)
-    v1 = stream_view(d, STREAM_PLAIN, 1)
+    v1 = d.stream(STREAM_PLAIN)[:, :1]
     assert v1.shape == (60, 1)
     assert np.allclose(v1[:, 0], 1 / math.sqrt(2))
-    v3 = stream_view(d, STREAM_F2, 2)
-    assert np.allclose(v3, d.stream3[:, :2])
-    assert stream_view(d, STREAM_F, 0).shape == (60, 0)
+    v3 = d.stream(STREAM_F2)[:, :2]
+    assert np.allclose(v3, grid.legendre_table(2)[:, 1:] * (grid.values**2)[:, None])
+    assert d.stream(STREAM_F)[:, :0].shape == (60, 0)
     with pytest.raises(ValueError):
-        stream_view(d, STREAM_F, 99)
+        d.stream(4)
 
 
 def test_tag_column_bijection():

@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadrep.linalg import (
-    IncrementalQR,
-    RankDeficiencyError,
-    append_column_qr,
-    pivoted_qr,
-    weighted_lsq,
-)
+from quadrep.linalg import RankDeficiencyError, pivoted_qr, weighted_lsq
 
 
 def test_single_column_of_ones():
@@ -108,42 +102,3 @@ def test_pivoted_qr_rank_matches_gram_eigenvalue_oracle():
     # columns span polynomials up to degree 4 (x^0..x^4): dimension 5
     assert oracle_rank == 5
     assert fact.rank(1e-10) == oracle_rank
-
-
-def test_append_orthogonal_column_gains_norm_diagonal():
-    qr = IncrementalQR(4)
-    assert qr.append(np.array([1.0, 0, 0, 0]))
-    col = np.array([0.0, 3.0, 0, 0])
-    assert append_column_qr(qr, col)
-    assert abs(qr.r[1, 1] - 3.0) < 1e-15
-
-
-def test_append_duplicate_column_signals_dependence():
-    qr = IncrementalQR(4)
-    col = np.array([1.0, 2.0, -1.0, 0.5])
-    assert qr.append(col)
-    assert not qr.append(col.copy())
-    assert qr.n_cols == 1
-
-
-def test_incremental_matches_batch_least_squares():
-    rng = np.random.default_rng(11)
-    cols = rng.standard_normal((60, 8))
-    y = rng.standard_normal(60)
-    qr = IncrementalQR(60)
-    for j in range(8):
-        assert qr.append(cols[:, j])
-        coef_inc, resid_inc = qr.solve(y)
-        coef_b, resid_b = weighted_lsq(cols[:, : j + 1], y, np.ones(60))
-        assert np.max(np.abs(coef_inc - coef_b)) < 1e-11
-        assert abs(resid_inc - resid_b) < 1e-11
-
-
-def test_column_scale_is_divided_back_out():
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal((20, 3))
-    y = rng.standard_normal(20)
-    w = np.ones(20)
-    base, _ = weighted_lsq(v, y, w)
-    scaled, _ = weighted_lsq(v, y, w, column_scale=np.array([2.0, 0.5, 1.3]))
-    assert np.max(np.abs(base - scaled)) < 1e-12

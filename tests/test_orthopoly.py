@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadrep.orthopoly import (
-    LegendreBasis,
     QuadratureRule,
     gauss_legendre,
-    inner_product,
     legendre_eval,
     legendre_row,
 )
@@ -142,27 +140,6 @@ def test_row_vectorized_shape():
     table = legendre_row(5, xs)
     assert table.shape == (7, 6)
     assert np.allclose(table[3], legendre_row(5, xs[3]))
-
-
-def test_basis_rows_helper():
-    basis = LegendreBasis(max_degree=4)
-    assert basis.rows(0.25).shape == (5,)
-
-
-def test_inner_product_orthonormality():
-    r = RULE_1000
-    l3 = legendre_row(3, r.nodes)[:, 3]
-    l2 = legendre_row(5, r.nodes)[:, 2]
-    l5 = legendre_row(5, r.nodes)[:, 5]
-    assert abs(inner_product(l3, l3, r) - 1.0) < 1e-13
-    assert abs(inner_product(l2, l5, r)) < 1e-13
-    assert abs(inner_product(r.nodes, r.nodes, r) - 2.0 / 3.0) < 1e-13
-
-
-def test_inner_product_length_mismatch():
-    r = gauss_legendre(5)
-    with pytest.raises(ValueError):
-        inner_product(np.ones(4), np.ones(4), r)
 
 
 def test_full_orthonormality_block():

@@ -22,6 +22,7 @@ from quadrep.representation import (
     PolyCoeffs,
     assign_index,
     basis_convert,
+    branches,
     compose_piecewise_manifold,
     eval_rep,
     fit_degree0,
@@ -225,6 +226,109 @@ def test_degenerate_a_linear_fallback():
     r = roots_at(rep, 0.75)
     assert r.linear
     assert abs(r.lo - 1.5) < 1e-9 and abs(r.hi - 1.5) < 1e-9  # -c/b = 3/2
+
+
+def mp_roots(a, b, c):
+    """Both roots of a r^2 - b r - c = 0 for the doubles a != 0, b, c, by the
+    textbook formula (complex where the discriminant is negative), with 60
+    digits beyond the ones b - sqrt(D) cancels."""
+    cancelled = 0.0
+    if a != 0.0 and b != 0.0 and c != 0.0:
+        cancelled = 2 * math.log10(abs(b)) - math.log10(abs(a)) - math.log10(abs(c))
+    with mp.workdps(60 + max(0, int(cancelled))):
+        a, b, c = mp.mpf(a), mp.mpf(b), mp.mpf(c)
+        sq = mp.sqrt(b * b + 4 * a * c)
+        return (b - sq) / (2 * a), (b + sq) / (2 * a)
+
+
+def abc_at(rep, x):
+    return tuple(float(p.evaluate(x)) for p in (rep.a, rep.b, rep.c))
+
+
+signed = st.sampled_from([-1.0, 1.0])
+
+
+@given(b=st.floats(0.5, 10.0), sign=signed, c=st.floats(-10.0, 10.0),
+       delta=st.floats(-1e-11, 1e-11))
+@settings(max_examples=100, deadline=None)
+def test_kernel_near_zero_a_takes_the_linear_root(b, sign, c, delta):
+    # a(x) = 1 - 2x vanishes at x = 0.5; max|a| over the probes is 3
+    rep = monomial_rep([1.0, -2.0], [sign * b], [c])
+    x = 0.5 + delta
+    av, bv, cv = abc_at(rep, x)
+    br = branches(rep, x)
+    assert br.linear[0] and not br.no_root[0]
+    assert br.minus[0] == br.plus[0] == -cv / bv
+    if av != 0.0:
+        # the finite root nearest -c/b differs from it by about |a c| / b^2
+        small = min(mp_roots(av, bv, cv), key=lambda r: abs(r + cv / bv))
+        assert abs(br.plus[0] - float(small)) <= 2e-9 * abs(float(small))
+
+
+@given(alpha=st.floats(-0.5, 0.5), x=st.floats(-1.0, 1.0), b=st.floats(1e-3, 1e3),
+       sign=signed, eps=st.floats(1e-13, 1e-9))
+@settings(max_examples=100, deadline=None)
+def test_kernel_clamped_discriminant_gives_the_double_root(alpha, x, b, sign, eps):
+    a_at_x = 1.0 + alpha * x
+    c = -(b * b) / (4.0 * a_at_x) * (1.0 + eps)
+    rep = monomial_rep([1.0, alpha], [sign * b], [c])
+    av, bv, cv = abc_at(rep, x)
+    br = branches(rep, x)
+    assert br.clamped[0] and not br.complex[0]
+    # the double root is the real part of the oracle's complex pair, b/2a
+    lo, hi = mp_roots(av, bv, cv)
+    vertex = float(mp.re(hi))
+    assert float(mp.re(lo)) == vertex
+    for root in (br.minus[0], br.plus[0], br.vertex[0]):
+        assert abs(root - vertex) <= 4e-16 * abs(vertex)
+
+
+@given(alpha=st.floats(-0.5, 0.5), x=st.floats(-1.0, 1.0), b=st.floats(1e6, 1e12),
+       sign=signed, c=st.floats(-10.0, 10.0))
+@settings(max_examples=100, deadline=None)
+def test_kernel_huge_b_keeps_both_roots_accurate(alpha, x, b, sign, c):
+    rep = monomial_rep([1.0, alpha], [sign * b], [c])
+    av, bv, cv = abc_at(rep, x)
+    br = branches(rep, x)
+    assert not (br.linear[0] or br.clamped[0] or br.complex[0])
+    exact = sorted(mp_roots(av, bv, cv))
+    got = sorted((br.minus[0], br.plus[0]))
+    for root, ref in zip(got, exact):
+        # no cancellation: the small root ~ -c/b keeps full relative accuracy
+        assert abs(root - float(ref)) <= 1e-14 * abs(float(ref))
+
+
+@given(alpha=st.floats(1.01, 4.0), b=st.floats(-2.0, 2.0), c=st.floats(-2.0, 2.0),
+       xs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_kernel_masks_do_not_depend_on_the_batch(alpha, b, c, xs):
+    # a(x) = 1 - alpha x vanishes at 1/alpha inside the domain; the batch
+    # holds that point, points near it and arbitrary ones
+    zero = 1.0 / alpha
+    rep = monomial_rep([1.0, -alpha], [b, 1.0], [c, 0.0, -1.0])
+    batch = np.array(xs + [zero, np.nextafter(zero, 2.0), min(zero + 1e-11, 1.0)])
+    table = branches(rep, batch)
+    for i, x in enumerate(batch):
+        alone = branches(rep, x)
+        for mask in ("linear", "clamped", "complex", "no_root"):
+            assert getattr(alone, mask)[0] == getattr(table, mask)[i]
+
+
+def test_kernel_never_raises_and_marks_each_edge_case():
+    # a = b = 1 - x, c = 1: no root at x = 1, two real roots at x = 0
+    rep = monomial_rep([1.0, -1.0], [1.0, -1.0], [1.0])
+    br = branches(rep, [1.0, 0.0])
+    assert br.no_root.tolist() == [True, False]
+    assert np.isnan(br.plus[0]) and np.isnan(br.minus[0])
+    assert br.plus[1] == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-15)
+    with pytest.raises(EvaluationError):
+        br.require_real()
+    complex_rep = monomial_rep([1.0], [0.0], [-1.0])
+    br = branches(complex_rep, [0.0, 0.5])
+    assert br.complex.all() and np.isnan(br.plus).all()
+    assert br.vertex.tolist() == [0.0, 0.0]
+    with pytest.raises(ComplexRootError):
+        br.require_real()
 
 
 # ---------------------------------------------------------------- index
