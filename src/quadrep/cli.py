@@ -37,7 +37,7 @@ from .denoise import (
     write_dataset,
 )
 from .dictionary import DataError, build_grid, tabulated_grid
-from .functions import BUILTINS, get_builtin
+from .functions import BUILTINS, STEP_MID, get_builtin
 from .representation import (
     Degree1Rep,
     Degree2Rep,
@@ -53,13 +53,12 @@ from .representation import (
     rep_to_dict,
     save_rep,
 )
-from .selection import SelectionConfig, greedy_run, greedy_select, rrqr_factor, rrqr_select
+from .selection import (METHODS, SelectionConfig, achievable_k, fit_at_k, greedy_select,
+                        method_run, rrqr_select)
 
 # ArithmeticError covers the representation errors (complex roots, poles, no
 # root) and MomentSystemError; LinAlgError covers RankDeficiencyError
 NUMERICAL_ERRORS = (ArithmeticError, np.linalg.LinAlgError, SingularConstraintError)
-
-METHODS = ("deg0", "deg1", "deg2-uniform", "deg2-greedy", "deg2-rrqr")
 
 
 def _thread_count() -> int:
@@ -115,11 +114,10 @@ def _fit_with_method(grid, args):
         rep, trace = greedy_select(grid, config)
         k = sum(len(s.chosen_tags) for s in trace.steps)
         return rep, k, trace
-    if method == "deg2-rrqr":
-        rep, report = rrqr_select(grid, stream_cap=args.cap,
-                                  truncate_tol=args.tol, max_terms=args.max_terms)
-        return rep, report.rank, None
-    raise ValueError(f"unknown method {method}")
+    # deg2-rrqr: argparse choices guard the method
+    rep, report = rrqr_select(grid, stream_cap=args.cap,
+                              truncate_tol=args.tol, max_terms=args.max_terms)
+    return rep, report.rank, None
 
 
 def cmd_fit(args, argv) -> int:
@@ -139,7 +137,7 @@ def cmd_fit(args, argv) -> int:
     _write_manifest(out, "fit", argv, args.seed)
     print(f"K={k} residual={rep.fit_residual:.6e}")
     if args.method in ("deg2-greedy", "deg2-rrqr") and k - 1 < grid.size:
-        baseline = fit_degree0(grid, k - 1)
+        baseline = fit_at_k(grid, "deg0", k)
         print(f"deg0 residual at K={k}: {baseline.fit_residual:.6e}")
     return 0
 
@@ -206,62 +204,6 @@ def cmd_eval(args, argv) -> int:
     return 0
 
 
-def _achievable_k(method: str, kmin: int, kmax: int):
-    ks = []
-    for k in range(max(kmin, 1), kmax + 1):
-        if method == "deg0":
-            ks.append(k)
-        elif method == "deg1":
-            if k % 2 == 1:
-                ks.append(k)
-        elif method == "deg2-uniform":
-            if (k - 2) % 3 == 0 and k >= 2:
-                ks.append(k)
-        else:
-            ks.append(k)
-    return ks
-
-
-def _selection_runs(grid, cells, seed: int, cap: int) -> dict:
-    """One selection run per adaptive method in ``cells``, to its largest K.
-
-    Every K cell of the method is a truncation of that run.  A run that
-    fails is kept as its exception, which each of the method's cells reports.
-    """
-    runs = {}
-    for method in ("deg2-greedy", "deg2-rrqr"):
-        ks = [k for m, k in cells if m == method]
-        if not ks:
-            continue
-        try:
-            if method == "deg2-greedy":
-                runs[method] = greedy_run(grid, SelectionConfig(
-                    max_terms=max(ks), rng_seed=seed, stream_cap=cap))
-            else:
-                runs[method] = rrqr_factor(grid, stream_cap=cap)
-        except (*NUMERICAL_ERRORS, ValueError) as exc:
-            runs[method] = exc
-    return runs
-
-
-def _convergence_cell(grid, method: str, k: int, run):
-    if method == "deg0":
-        rep = fit_degree0(grid, k - 1)
-    elif method == "deg1":
-        n = (k - 1) // 2
-        rep = fit_degree1(grid, n, n)
-    elif method == "deg2-uniform":
-        n = (k - 2) // 3
-        rep = fit_degree2_uniform(grid, n, n, n)
-    elif method == "deg2-greedy":
-        rep = run.rep_at(k)
-    elif method == "deg2-rrqr":
-        rep, _ = run.rep_at(k)
-    else:
-        raise ValueError(f"unknown method {method}")
-    return relative_l2(rep, grid)
-
-
 def _failed_cell(method: str, k: int, exc: Exception) -> float:
     verb = "failed" if isinstance(exc, NUMERICAL_ERRORS) else "skipped"
     print(f"cell ({method}, K={k}) {verb}: {exc}", file=sys.stderr)
@@ -273,20 +215,23 @@ def cmd_convergence(args, argv) -> int:
     out.mkdir(parents=True, exist_ok=True)
     grid, _ = _grid_for_function(args.fn, args.order)
     methods = [m.strip() for m in args.methods.split(",")]
-    for m in methods:
-        if m not in METHODS:
-            print(f"unknown method {m!r}; choices: {', '.join(METHODS)}", file=sys.stderr)
-            return 2
-    cells = [(m, k) for m in methods for k in _achievable_k(m, args.kmin, args.kmax)]
-    runs = _selection_runs(grid, cells, args.seed, args.cap)
+    cells = [(m, k) for m in methods for k in achievable_k(m, args.kmin, args.kmax)]
+    # one selection run per adaptive method, to its largest K; a run that
+    # fails is kept as its exception, which each of the method's cells reports
+    runs = {}
+    for m in dict.fromkeys(methods):
+        ks = [k for c, k in cells if c == m]
+        try:
+            runs[m] = method_run(grid, m, max(ks), args.seed, args.cap) if ks else None
+        except (*NUMERICAL_ERRORS, ValueError) as exc:
+            runs[m] = exc
 
     def run_cell(cell):
         m, k = cell
-        run = runs.get(m)
-        if isinstance(run, Exception):
-            return _failed_cell(m, k, run)
+        if isinstance(runs[m], Exception):
+            return _failed_cell(m, k, runs[m])
         try:
-            return _convergence_cell(grid, m, k, run)
+            return relative_l2(fit_at_k(grid, m, k, runs[m]), grid)
         except (*NUMERICAL_ERRORS, ValueError) as exc:
             return _failed_cell(m, k, exc)
 
@@ -324,10 +269,6 @@ def cmd_generate(args, argv) -> int:
     return 0
 
 
-def _truth_signs(positions):
-    return np.where(step_ground_truth(positions) > 140.0, 1, -1)
-
-
 def cmd_denoise(args, argv) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -352,7 +293,7 @@ def cmd_denoise(args, argv) -> int:
         res = denoise_case3(data, args.sigma2, k=args.k)
         fit, index, values = res.fit, res.index, res.reconstructed
         vote_rounds = res.vote_rounds
-    elif args.mode == "iterative":
+    else:  # iterative
         names = ALL_CONSTRAINTS if args.constraints == "all8" else tuple(
             c.strip() for c in args.constraints.split(","))
         res = denoise_iterative(data, constraint_names=names, init=args.init,
@@ -361,9 +302,6 @@ def cmd_denoise(args, argv) -> int:
         fit, index, values = res.fit, res.index, res.reconstructed
         converged, iterations = res.converged, res.iterations
         constraint_residual = res.max_constraint_residual
-    else:
-        print(f"unknown mode {args.mode!r}", file=sys.stderr)
-        return 2
 
     eps_hat = data.observed - values
     with open(out / "reconstruction.csv", "w", newline="") as fh:
@@ -391,11 +329,9 @@ def cmd_denoise(args, argv) -> int:
         "max_constraint_residual": constraint_residual,
     }
     if args.truth is not None:
-        if args.truth == "step":
-            tsigns = _truth_signs(data.positions)
-        else:
-            tdata = read_dataset(args.truth)
-            tsigns = np.where(tdata.observed > 140.0, 1, -1)
+        truth = (step_ground_truth(data.positions) if args.truth == "step"
+                 else read_dataset(args.truth).observed)
+        tsigns = np.where(truth > STEP_MID, 1, -1)
         report["mislabel_count"] = int(np.sum(index.dense(data.positions) != tsigns))
     with open(out / "report.json", "w") as fh:
         json.dump(report, fh, indent=2)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .functions import STEP_HIGH, STEP_JUMP_AT, STEP_LOW, STEP_MID
 from .linalg import RankDeficiencyError, pivoted_qr, weighted_lsq
 from .orthopoly import legendre_row
 from .representation import (
@@ -58,11 +59,8 @@ __all__ = [
     "NOISE_PRESETS",
 ]
 
-STEP_LOW = 25.0
-STEP_HIGH = 255.0
-STEP_JUMP_AT = 140.0
-
 ALL_CONSTRAINTS = ("1", "x", "x2", "f", "xf", "x2f", "f2", "xf2")
+_VOTE_ROUNDS = 100  # k-NN voting stops after this many rounds
 
 # presets: (noise model, sigma)
 NOISE_PRESETS = {
@@ -147,12 +145,11 @@ def step_ground_truth(positions) -> np.ndarray:
     return np.where(positions <= STEP_JUMP_AT, STEP_LOW, STEP_HIGH)
 
 
-def generate_noisy(positions, truth, model: str, sigma: float, seed: int,
-                   roots: tuple[float, float] = (STEP_LOW, STEP_HIGH)) -> NoisyDataset:
+def generate_noisy(positions, truth, model: str, sigma: float, seed: int) -> NoisyDataset:
     """Synthesize noisy observations of ``truth`` at ``positions``.
 
     ``function`` noise adds sigma * z pointwise.  ``manifold`` noise perturbs
-    the quadratic relation (f-r_lo)(f-r_hi) = eps and re-solves for the
+    the step's quadratic relation (f-25)(f-255) = eps and re-solves for the
     observation on the ground-truth branch; points whose perturbed
     discriminant goes negative are clamped to the vertex and counted.
     """
@@ -168,9 +165,8 @@ def generate_noisy(positions, truth, model: str, sigma: float, seed: int,
     if model == "function":
         observed = truth + eps
     elif model == "manifold":
-        r_lo, r_hi = roots
-        mid = 0.5 * (r_lo + r_hi)
-        half = 0.5 * (r_hi - r_lo)
+        mid = STEP_MID
+        half = 0.5 * (STEP_HIGH - STEP_LOW)
         disc = half * half + eps
         clamped = disc < 0.0
         root_offset = np.sqrt(np.maximum(disc, 0.0))
@@ -367,10 +363,11 @@ def _knn_windows(positions: np.ndarray, k: int) -> np.ndarray:
     return starts
 
 
-def knn_vote_index(signs, positions, k: int = 10, max_rounds: int = 100):
+def knn_vote_index(signs, positions, k: int = 10):
     """Iterated majority vote of each point with its k nearest neighbors.
 
-    Rounds are synchronous; voting stops when a round changes nothing.
+    Rounds are synchronous; voting stops when a round changes nothing, or
+    after ``_VOTE_ROUNDS`` rounds.
     Returns (IndexFunction, rounds used, converged flag).  An exact tie
     (possible only for odd k, even electorate) keeps the current sign.
     """
@@ -385,7 +382,7 @@ def knn_vote_index(signs, positions, k: int = 10, max_rounds: int = 100):
     cumlen = k + 1
     rounds = 0
     converged = False
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, _VOTE_ROUNDS + 1):
         csum = np.concatenate([[0], np.cumsum(signs)])
         totals = csum[starts + cumlen] - csum[starts]
         new = np.where(totals > 0, 1, np.where(totals < 0, -1, signs))
@@ -489,10 +486,9 @@ def noise_constraints(unit_positions, f_values,
                               unit_positions=t, gram_rank=rank, dependent=dependent)
 
 
-def project_noise(residual, constraints: NoiseConstraintSet,
-                  n_modes: int | None = None):
-    """Split the estimated noise into a smooth Legendre part fixed by the
-    constraints and a remainder satisfying them.
+def project_noise(residual, constraints: NoiseConstraintSet):
+    """Split the estimated noise into a smooth part, one Legendre mode per
+    constraint, fixed by the constraints and a remainder satisfying them.
 
     Solves <g_j, sum_n c_n L_n> = <g_j, residual> for the mode coefficients
     (minimum-norm when the constraint set is dependent but consistent) and
@@ -501,8 +497,8 @@ def project_noise(residual, constraints: NoiseConstraintSet,
     dependent constraints disagree), SingularConstraintError is raised.
     """
     eps = np.asarray(residual, dtype=float)
-    k = constraints.count if n_modes is None else n_modes
-    modes = legendre_row(k - 1, np.clip(constraints.unit_positions, -1.0, 1.0))
+    modes = legendre_row(constraints.count - 1,
+                         np.clip(constraints.unit_positions, -1.0, 1.0))
     # row-normalize: the constraints are homogeneous and their vectors span
     # wildly different scales (f^2 vs 1), so solve in unit-norm rows
     g = constraints.vectors / np.linalg.norm(constraints.vectors, axis=0, keepdims=True)

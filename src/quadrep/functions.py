@@ -6,6 +6,11 @@ from dataclasses import dataclass
 
 __all__ = ["BuiltinFunction", "BUILTINS", "get_builtin"]
 
+# the two-level step signal (the `step-25-255` builtin and the denoising
+# ground truth): STEP_LOW up to x = STEP_JUMP_AT inclusive, STEP_HIGH after
+STEP_LOW, STEP_HIGH, STEP_JUMP_AT = 25.0, 255.0, 140.0
+STEP_MID = 0.5 * (STEP_LOW + STEP_HIGH)  # the value that splits the two levels
+
 
 def _heaviside(x: float) -> float:
     # 0 for x < 0, 1 for x >= 0
@@ -20,10 +25,6 @@ class BuiltinFunction:
 
     def __call__(self, x):
         return self.fn(x)
-
-
-def _step(x: float) -> float:
-    return 25.0 if x <= 140.0 else 255.0
 
 
 BUILTINS = {
@@ -48,7 +49,9 @@ BUILTINS = {
         BuiltinFunction("relu",
                         lambda x: max(0.0, x),
                         (-1.0, 1.0)),
-        BuiltinFunction("step-25-255", _step, (0.0, 400.0)),
+        BuiltinFunction("step-25-255",
+                        lambda x: STEP_LOW if x <= STEP_JUMP_AT else STEP_HIGH,
+                        (0.0, 400.0)),
     )
 }
 

@@ -106,13 +106,13 @@ def pivoted_qr(a) -> PivotedQR:
     return PivotedQR(q=q, r=r_out, perm=perm, diag=np.abs(np.diag(r_out)))
 
 
-def weighted_lsq(v, y, w, *, rank_tol: float = DEFAULT_RANK_TOL):
+def weighted_lsq(v, y, w):
     """Solve min_c || W^{1/2} (V c - y) ||_2 via QR of W^{1/2} V.
 
     Returns (coefficients, achieved residual norm).
 
     Raises RankDeficiencyError (carrying the numerical rank and the pivoted
-    QR of W^{1/2} V) when some |R_kk| < rank_tol * |R_11|.
+    QR of W^{1/2} V) when some |R_kk| < DEFAULT_RANK_TOL * |R_11|.
     """
     v = np.asarray(v, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -130,9 +130,9 @@ def weighted_lsq(v, y, w, *, rank_tol: float = DEFAULT_RANK_TOL):
     a = v * sw[:, None]
     q, r = np.linalg.qr(a, mode="reduced")
     d = np.abs(np.diag(r))
-    if d.max() == 0.0 or d.min() < rank_tol * d.max():
+    if d.max() == 0.0 or d.min() < DEFAULT_RANK_TOL * d.max():
         fact = pivoted_qr(a)
-        rank = fact.rank(rank_tol)
+        rank = fact.rank()
         raise RankDeficiencyError(
             f"rank-deficient design: numerical rank {rank} of {k} columns", rank, fact
         )

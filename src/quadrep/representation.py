@@ -105,21 +105,17 @@ class PolyCoeffs:
     def degree(self) -> int:
         return self.coeffs.size - 1
 
-    def _unit(self, x: np.ndarray) -> np.ndarray:
-        lo, hi = self.domain
-        t = (2.0 * x - (lo + hi)) / (hi - lo)
-        # tolerate endpoint roundoff, reject genuine overshoot
-        tol = 4 * np.finfo(float).eps
-        if np.any(np.abs(t) > 1.0 + tol):
-            raise ValueError(f"evaluation outside domain {self.domain}")
-        return np.clip(t, -1.0, 1.0)
-
     def evaluate(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.basis == BASIS_MONOMIAL:
+        lo, hi = self.domain
+        t = (2.0 * arr - (lo + hi)) / (hi - lo)
+        # both bases: tolerate endpoint roundoff, reject genuine overshoot
+        if np.any(np.abs(t) > 1.0 + 4 * np.finfo(float).eps):
+            raise ValueError(f"evaluation outside domain {self.domain}")
+        if self.basis == BASIS_MONOMIAL:  # at the raw x, so in-domain values keep their bits
             out = nppoly.polyval(arr, self.coeffs)
         else:
-            out = legendre_row(self.degree, self._unit(arr)) @ self.coeffs
+            out = legendre_row(self.degree, np.clip(t, -1.0, 1.0)) @ self.coeffs
         if np.isscalar(x) or np.asarray(x).ndim == 0:
             return float(out[0])
         return out

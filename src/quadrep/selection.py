@@ -20,7 +20,8 @@ from scipy.linalg import solve_triangular
 
 from .dictionary import SampleGrid, assemble, STREAM_PLAIN, STREAM_F, STREAM_F2
 from .linalg import PivotedQR, pivoted_qr
-from .representation import coefficients_to_rep
+from .representation import (coefficients_to_rep, fit_degree0, fit_degree1,
+                             fit_degree2_uniform)
 
 __all__ = [
     "SelectionConfig",
@@ -33,6 +34,10 @@ __all__ = [
     "greedy_select",
     "rrqr_factor",
     "rrqr_select",
+    "METHODS",
+    "achievable_k",
+    "method_run",
+    "fit_at_k",
 ]
 
 _STREAMS = (STREAM_PLAIN, STREAM_F, STREAM_F2)
@@ -113,29 +118,23 @@ class RankReport:
     n_candidates: int
 
 
-def _orthonormalize_against(q_basis: np.ndarray, block: list[np.ndarray], dep_tol: float):
-    """CGS2-orthonormalize block columns against q_basis and one another.
-
-    Returns (accepted orthonormal columns, mask of accepted positions).
-    """
+def _orthonormalize_against(q_basis: np.ndarray, block: list[np.ndarray]) -> list:
+    """CGS2-orthonormalize block columns against q_basis and one another;
+    returns the accepted orthonormal columns."""
     accepted = []
-    mask = []
     for col in block:
         u = col
-        for qmat in (q_basis,):
-            if qmat.shape[1]:
-                u = u - qmat @ (qmat.T @ u)
-                u = u - qmat @ (qmat.T @ u)
+        if q_basis.shape[1]:
+            u = u - q_basis @ (q_basis.T @ u)
+            u = u - q_basis @ (q_basis.T @ u)
         for q in accepted:
             u = u - q * (q @ u)
             u = u - q * (q @ u)
         rho = np.linalg.norm(u)
-        if rho < dep_tol * np.linalg.norm(col) or rho == 0.0:
-            mask.append(False)
+        if rho < _DEP_TOL * np.linalg.norm(col) or rho == 0.0:
             continue
         accepted.append(u / rho)
-        mask.append(True)
-    return accepted, mask
+    return accepted
 
 
 @dataclass(frozen=True)
@@ -267,7 +266,7 @@ def greedy_run(grid: SampleGrid, config: SelectionConfig) -> GreedyRun:
                     cols.append(col / norm)
                     norms.append(norm)
             usable = [c for c in cols if c is not None]
-            qs, mask = _orthonormalize_against(q_basis, usable, _DEP_TOL)
+            qs = _orthonormalize_against(q_basis, usable)
             if not qs:
                 candidates[s] = {
                     "tags": [list(t) for t in ctags],
@@ -297,7 +296,7 @@ def greedy_run(grid: SampleGrid, config: SelectionConfig) -> GreedyRun:
             if col is None:
                 notes.append(f"skipped zero column {tag}")
                 continue
-            qs, mask = _orthonormalize_against(q_basis, [col], _DEP_TOL)
+            qs = _orthonormalize_against(q_basis, [col])
             if not qs:
                 notes.append(f"skipped dependent column {tag}")
                 continue
@@ -397,3 +396,52 @@ def rrqr_select(grid: SampleGrid, stream_cap: int = 60, truncate_tol: float = 1e
     columns pivoted out of the truncation get zero coefficients.
     """
     return rrqr_factor(grid, stream_cap).rep_at(max_terms, truncate_tol)
+
+
+# The method table: the five methods that the convergence comparison fits at
+# equal K, the number of fitted coefficients.  Per method: K = step * n +
+# offset; the rep at n from the method's run; the run builder, or None.  deg0
+# fits degree n = K - 1, deg1 two polynomials of degree n, deg2-uniform three;
+# an adaptive method keeps the first n = K columns of its run.
+_TABLE = {
+    "deg0": (1, 1, lambda grid, n, run: fit_degree0(grid, n), None),
+    "deg1": (2, 1, lambda grid, n, run: fit_degree1(grid, n, n), None),
+    "deg2-uniform": (3, 2, lambda grid, n, run: fit_degree2_uniform(grid, n, n, n), None),
+    "deg2-greedy": (1, 0, lambda grid, n, run: run.rep_at(n),
+                    lambda grid, kmax, seed, cap: greedy_run(grid, SelectionConfig(
+                        max_terms=kmax, rng_seed=seed, stream_cap=cap))),
+    "deg2-rrqr": (1, 0, lambda grid, n, run: run.rep_at(n)[0],
+                  lambda grid, kmax, seed, cap: rrqr_factor(grid, stream_cap=cap)),
+}
+METHODS = tuple(_TABLE)
+
+
+def _method(method: str):
+    try:
+        return _TABLE[method]
+    except KeyError:
+        raise ValueError(f"unknown method {method!r}; choices: {', '.join(METHODS)}") from None
+
+
+def achievable_k(method: str, kmin: int, kmax: int) -> list[int]:
+    """The K in [max(kmin, 1), kmax] at which ``method`` fits exactly K
+    coefficients: odd K for deg1, K = 3n + 2 for deg2-uniform, every K for
+    the others."""
+    step, offset, _, _ = _method(method)
+    return [k for k in range(max(kmin, 1), kmax + 1) if (k - offset) % step == 0]
+
+
+def method_run(grid: SampleGrid, method: str, kmax: int, seed: int, cap: int):
+    """The selection run that every K <= kmax of an adaptive method truncates
+    (a ``GreedyRun`` to kmax terms, or an ``RRQRFactor``); None for a
+    fixed-degree method."""
+    build = _method(method)[3]
+    return None if build is None else build(grid, kmax, seed, cap)
+
+
+def fit_at_k(grid: SampleGrid, method: str, k: int, run=None):
+    """The rep ``method`` fits with K coefficients; at a K that ``achievable_k``
+    skips, the rep at the largest achievable K below it.  An adaptive method
+    truncates ``run``, its ``method_run`` to at least K terms."""
+    step, offset, fit, _ = _method(method)
+    return fit(grid, (k - offset) // step, run)

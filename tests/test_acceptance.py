@@ -41,7 +41,7 @@ from quadrep.representation import (
     fit_degree2_uniform,
     relative_l2,
 )
-from quadrep.selection import SelectionConfig, greedy_select, rrqr_select
+from quadrep.selection import SelectionConfig, fit_at_k, greedy_select, method_run
 
 POS = np.arange(0.0, 401.0)
 TRUTH = step_ground_truth(POS)
@@ -177,22 +177,13 @@ def test_criterion_05_two_term_oscillatory():
                          f"c1 {mono[1]:.5f}, {elapsed:.1f}s")
 
 
+# criterion 6 compares rrqr at stream cap 40 with greedy at the default 60
+_SIGMOID_CAPS = {"deg2-rrqr": 40}
+
+
 def _sigmoid_method_error(grid, method, k, seed=0):
-    if method == "deg0":
-        return relative_l2(fit_degree0(grid, k - 1), grid)
-    if method == "deg1":
-        n = (k - 1) // 2
-        return relative_l2(fit_degree1(grid, n, n), grid)
-    if method == "deg2-uniform":
-        n = (k - 2) // 3
-        return relative_l2(fit_degree2_uniform(grid, n, n, n), grid)
-    if method == "deg2-greedy":
-        rep, _ = greedy_select(grid, SelectionConfig(max_terms=k, rng_seed=seed))
-        return relative_l2(rep, grid)
-    if method == "deg2-rrqr":
-        rep, _ = rrqr_select(grid, stream_cap=40, max_terms=k)
-        return relative_l2(rep, grid)
-    raise ValueError(method)
+    run = method_run(grid, method, k, seed, _SIGMOID_CAPS.get(method, 60))
+    return relative_l2(fit_at_k(grid, method, k, run), grid)
 
 
 def test_criterion_06_sigmoid_method_ordering():

@@ -162,6 +162,24 @@ def _write_rep(path, doc):
     return str(path)
 
 
+@pytest.mark.parametrize("outside", [-1000.0, 5000.0])
+def test_eval_monomial_rep_checks_its_domain(tmp_path, capsys, outside):
+    # the 25/255 step manifold in the monomial basis over [0, 400]: evaluated
+    # at its endpoints, refused outside them, as a Legendre rep is
+    rep = _write_rep(tmp_path / "rep.json", {
+        "type": "degree2", "domain": [0.0, 400.0], "a": [1.0], "b": [280.0],
+        "c": [-6375.0], "index": {"breakpoints": [140.5], "first_sign": -1}})
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x\n0.0\n400.0\n")
+    assert run(["eval", "--rep", rep, "--points", str(pts), "--out", str(tmp_path / "in")]) == 0
+    assert [float(v) for _, v in read_csv(tmp_path / "in" / "eval.csv")[1:]] == [25.0, 255.0]
+    pts.write_text(f"x\n{outside}\n")
+    ev = tmp_path / "out"
+    assert run(["eval", "--rep", rep, "--points", str(pts), "--out", str(ev)]) == 2
+    assert "evaluation outside domain (0.0, 400.0)" in capsys.readouterr().err
+    assert not (ev / "eval.csv").exists()
+
+
 def test_eval_complex_node_blanks_only_its_rows(tmp_path, capsys):
     # f^2 = x^2 - 0.01: the roots are complex only at x = 0 of the 11-point grid
     rep = _write_rep(tmp_path / "rep.json", {
@@ -301,6 +319,14 @@ def test_convergence_table(tmp_path):
     assert all(k % 2 == 1 for m, k in ks if m == "deg1")
     errors = {(r[0], int(r[1])): float(r[2]) for r in rows[1:]}
     assert errors[("deg1", 9)] < errors[("deg0", 9)]
+
+
+def test_convergence_unknown_method_usage_error(tmp_path, capsys):
+    out = tmp_path / "c"
+    assert run(["convergence", "--fn", "relu", "--methods", "deg0,deg3",
+                "--kmax", "4", "--order", "64", "--out", str(out)]) == 2
+    assert "unknown method 'deg3'" in capsys.readouterr().err
+    assert not (out / "convergence.csv").exists()
 
 
 def test_eval_branch_table_traces_both_pieces(tmp_path):

@@ -10,15 +10,21 @@ from quadrep.representation import (
     BASIS_MONOMIAL,
     basis_convert,
     fit_degree0,
+    fit_degree1,
+    fit_degree2_uniform,
     relative_l2,
     rep_to_dict,
     roots_at,
 )
 from quadrep.selection import (
+    METHODS,
     RankReport,
     SelectionConfig,
+    achievable_k,
+    fit_at_k,
     greedy_run,
     greedy_select,
+    method_run,
     rrqr_factor,
     rrqr_select,
 )
@@ -269,3 +275,46 @@ def test_greedy_run_stopped_by_target_gives_every_larger_budget():
         rep, _ = greedy_select(SIG_GRID, SelectionConfig(target_residual=1e-6,
                                                          max_terms=budget, rng_seed=0))
         assert rep_to_dict(run.rep_at(budget)) == rep_to_dict(rep)
+
+
+def test_achievable_k_per_method():
+    assert achievable_k("deg1", 2, 12) == [3, 5, 7, 9, 11]
+    assert achievable_k("deg2-uniform", 2, 12) == [2, 5, 8, 11]
+    for method in ("deg0", "deg2-greedy", "deg2-rrqr"):
+        assert achievable_k(method, 2, 12) == list(range(2, 13))
+    assert achievable_k("deg0", -3, 2) == [1, 2]
+    assert achievable_k("deg1", 9, 8) == []
+
+
+@pytest.mark.parametrize("method, k, direct", [
+    ("deg0", 9, lambda grid: fit_degree0(grid, 8)),
+    ("deg1", 9, lambda grid: fit_degree1(grid, 4, 4)),
+    ("deg2-uniform", 11, lambda grid: fit_degree2_uniform(grid, 3, 3, 3)),
+    # a K the method cannot reach gives the largest achievable K below it
+    ("deg1", 10, lambda grid: fit_degree1(grid, 4, 4)),
+    ("deg2-uniform", 13, lambda grid: fit_degree2_uniform(grid, 3, 3, 3)),
+])
+def test_fit_at_k_is_the_direct_fit(method, k, direct):
+    run = method_run(SIG_GRID, method, k, 0, 60)
+    assert run is None
+    assert rep_to_dict(fit_at_k(SIG_GRID, method, k, run)) == rep_to_dict(direct(SIG_GRID))
+
+
+def test_method_run_gives_the_select_reps():
+    # seed 3 and cap 40 show that both reach the selection run
+    greedy = method_run(SIG_GRID, "deg2-greedy", 12, 3, 40)
+    rrqr = method_run(SIG_GRID, "deg2-rrqr", 12, 3, 40)
+    for k in (5, 12):
+        rep, _ = greedy_select(SIG_GRID, SelectionConfig(max_terms=k, rng_seed=3, stream_cap=40))
+        assert rep_to_dict(fit_at_k(SIG_GRID, "deg2-greedy", k, greedy)) == rep_to_dict(rep)
+        rep, _ = rrqr_select(SIG_GRID, stream_cap=40, max_terms=k)
+        assert rep_to_dict(fit_at_k(SIG_GRID, "deg2-rrqr", k, rrqr)) == rep_to_dict(rep)
+
+
+def test_method_table_rejects_an_unknown_method():
+    assert METHODS == ("deg0", "deg1", "deg2-uniform", "deg2-greedy", "deg2-rrqr")
+    for call in (lambda: achievable_k("deg3", 2, 10),
+                 lambda: method_run(SIG_GRID, "deg3", 10, 0, 60),
+                 lambda: fit_at_k(SIG_GRID, "deg3", 10)):
+        with pytest.raises(ValueError, match="unknown method 'deg3'"):
+            call()
