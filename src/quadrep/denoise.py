@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +61,7 @@ __all__ = [
 
 ALL_CONSTRAINTS = ("1", "x", "x2", "f", "xf", "x2f", "f2", "xf2")
 _VOTE_ROUNDS = 100  # k-NN voting stops after this many rounds
+_MOMENT_METHOD = "debias"  # label of every moment-system fit
 
 # presets: (noise model, sigma)
 NOISE_PRESETS = {
@@ -313,7 +314,7 @@ def debias_moments(noisy: MomentSet, sigma2: float) -> MomentSet:
     )
 
 
-def solve_moment_system(m: MomentSet, method: str = "debias") -> ManifoldFit4:
+def solve_moment_system(m: MomentSet) -> ManifoldFit4:
     """Solve the 4x4 orthogonality system for (b0, b1, c0, c1).
 
     Rows enforce <r,1> = <r,x> = <r,f> = <r,xf> = 0 for the manifold residual
@@ -333,7 +334,7 @@ def solve_moment_system(m: MomentSet, method: str = "debias") -> ManifoldFit4:
     lo = m.center - m.halfwidth
     hi = m.center + m.halfwidth
     b0, b1, c0, c1 = _unit_to_raw(sol[0], sol[1], sol[2], sol[3], lo, hi)
-    return ManifoldFit4(b0=b0, b1=b1, c0=c0, c1=c1, method=method, condition=cond)
+    return ManifoldFit4(b0=b0, b1=b1, c0=c0, c1=c1, method=_MOMENT_METHOD, condition=cond)
 
 
 # --------------------------------------------------------------------------
@@ -348,37 +349,36 @@ def nearest_root_signs(rep: Degree2Rep, positions, values) -> np.ndarray:
 
 
 def _knn_windows(positions: np.ndarray, k: int) -> np.ndarray:
-    """Start index of each point's (k+1)-wide nearest-neighbor window."""
+    """Start index of each point's (k+1)-wide nearest-neighbor window.
+
+    Candidate starts for point i are i-k .. i, clipped to the valid range
+    0 .. n-k-1; the window with the smallest span wins, the lowest start on
+    ties (``argmin`` takes the first minimum).
+    """
     n = positions.size
-    starts = np.empty(n, dtype=int)
-    for i in range(n):
-        lo_min = max(0, i - k)
-        lo_max = min(i, n - k - 1)
-        best_lo, best_span = lo_min, math.inf
-        for lo in range(lo_min, lo_max + 1):
-            span = max(positions[i] - positions[lo], positions[lo + k] - positions[i])
-            if span < best_span:
-                best_lo, best_span = lo, span
-        starts[i] = best_lo
-    return starts
+    if not 1 <= k < n:
+        raise ValueError("need 1 <= k < sample count")
+    lo = np.clip(np.arange(n)[:, None] + np.arange(-k, 1), 0, n - k - 1)
+    x = positions[:, None]
+    span = np.maximum(x - positions[lo], positions[lo + k] - x)
+    return lo[np.arange(n), np.argmin(span, axis=1)]
 
 
-def knn_vote_index(signs, positions, k: int = 10):
+def knn_vote_index(signs, positions, k: int = 10, starts=None):
     """Iterated majority vote of each point with its k nearest neighbors.
 
     Rounds are synchronous; voting stops when a round changes nothing, or
-    after ``_VOTE_ROUNDS`` rounds.
+    after ``_VOTE_ROUNDS`` rounds.  ``starts`` takes the windows
+    ``_knn_windows(positions, k)`` when the caller already holds them.
     Returns (IndexFunction, rounds used, converged flag).  An exact tie
     (possible only for odd k, even electorate) keeps the current sign.
     """
     signs = np.asarray(signs, dtype=int).copy()
     positions = np.asarray(positions, dtype=float)
-    n = signs.size
     if positions.shape != signs.shape:
         raise ValueError("signs and positions must match")
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < sample count")
-    starts = _knn_windows(positions, k)
+    if starts is None:
+        starts = _knn_windows(positions, k)
     cumlen = k + 1
     rounds = 0
     converged = False
@@ -417,15 +417,19 @@ def clamped_reconstruct(rep: Degree2Rep, positions, index: IndexFunction):
     return values, int(np.sum(br.complex))
 
 
-def denoise_case3(data: NoisyDataset, sigma2: float, k: int = 10) -> Case3Result:
-    """Known-variance pipeline: moments -> de-bias -> 4x4 solve -> vote -> rebuild."""
+def denoise_case3(data: NoisyDataset, sigma2: float, k: int = 10,
+                  starts=None) -> Case3Result:
+    """Known-variance pipeline: moments -> de-bias -> 4x4 solve -> vote -> rebuild.
+
+    ``starts`` is passed on to ``knn_vote_index``.
+    """
     if sigma2 <= 0:
         raise ValueError("case 3 needs a known sigma2 > 0")
     moments = compute_noisy_moments(data)
-    fit = solve_moment_system(debias_moments(moments, sigma2), method="debias")
+    fit = solve_moment_system(debias_moments(moments, sigma2))
     rep = fit.as_rep(data.domain)
     signs = nearest_root_signs(rep, data.positions, data.observed)
-    index, rounds, converged = knn_vote_index(signs, data.positions, k=k)
+    index, rounds, converged = knn_vote_index(signs, data.positions, k, starts)
     values, n_clamped = clamped_reconstruct(rep, data.positions, index)
     return Case3Result(fit=fit, index=index, reconstructed=values,
                        noise_estimate=data.observed - values,
@@ -442,21 +446,35 @@ def denoise_case3(data: NoisyDataset, sigma2: float, k: int = 10) -> Case3Result
 class NoiseConstraintSet:
     """Sampled constraint functionals g_j with <g_j, eps> = 0 expected.
 
-    ``gram_rank`` is the numerical rank of the vectors: constraint sets built
-    from values lying exactly on a quadratic manifold are structurally
-    dependent (f^2 is then a combination of {1, x, f, xf}), which is legal as
-    long as the dependent constraints stay consistent.
+    ``gram_rank`` is the numerical rank of the vectors and ``dependent`` names
+    the constraints past it; both come from one pivoted QR of the unit-norm
+    vectors, computed on first access (the projection itself never reads
+    them).  Constraint sets built from values lying exactly on a quadratic
+    manifold are structurally dependent (f^2 is then a combination of
+    {1, x, f, xf}), which is legal as long as the dependent constraints stay
+    consistent.
     """
 
     names: tuple[str, ...]
     vectors: np.ndarray
     unit_positions: np.ndarray
-    gram_rank: int
-    dependent: tuple[str, ...]
 
     @property
     def count(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def _rank_factor(self):
+        scaled = self.vectors / np.linalg.norm(self.vectors, axis=0, keepdims=True)
+        return pivoted_qr(scaled)
+
+    @property
+    def gram_rank(self) -> int:
+        return self._rank_factor.rank(1e-10)
+
+    @property
+    def dependent(self) -> tuple[str, ...]:
+        return tuple(self.names[j] for j in self._rank_factor.perm[self.gram_rank:])
 
 
 def noise_constraints(unit_positions, f_values,
@@ -478,12 +496,7 @@ def noise_constraints(unit_positions, f_values,
     if unknown:
         raise ValueError(f"unknown constraint names {unknown}")
     vectors = np.column_stack([table[n] for n in names])
-    scaled = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-    fact = pivoted_qr(scaled)
-    rank = fact.rank(1e-10)
-    dependent = tuple(names[j] for j in fact.perm[rank:])
-    return NoiseConstraintSet(names=tuple(names), vectors=vectors,
-                              unit_positions=t, gram_rank=rank, dependent=dependent)
+    return NoiseConstraintSet(names=tuple(names), vectors=vectors, unit_positions=t)
 
 
 def project_noise(residual, constraints: NoiseConstraintSet):
@@ -535,11 +548,11 @@ class IterativeResult:
     max_constraint_residual: float
 
 
-def _fit_and_vote(data_like: NoisyDataset, k: int):
+def _fit_and_vote(data_like: NoisyDataset, k: int, starts=None):
     fit = fit_manifold_ls(data_like)
     rep = fit.as_rep(data_like.domain)
     signs = nearest_root_signs(rep, data_like.positions, data_like.observed)
-    index, _, _ = knn_vote_index(signs, data_like.positions, k=k)
+    index, _, _ = knn_vote_index(signs, data_like.positions, k, starts)
     return fit, rep, index
 
 
@@ -564,17 +577,19 @@ def denoise_iterative(data: NoisyDataset,
     subtract the smooth excess from the data, refit the manifold and re-vote
     the index.  Converged when the coefficients move by < tol (relative) and
     no index sign flips.  Constraint vectors that involve f use the current
-    iterate, rebuilt every iteration.
+    iterate, rebuilt every iteration.  The positions never change, so the
+    k-NN windows are computed once and shared by every vote.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     t = data.unit_positions()
+    starts = _knn_windows(data.positions, k)
     if init in ("case1", "case2"):
-        fit, rep, index = _fit_and_vote(data, k)
+        fit, rep, index = _fit_and_vote(data, k, starts)
     elif init == "case3":
         if sigma2_0 is None:
             raise ValueError("case3 initialization needs sigma2_0")
-        res = denoise_case3(data, sigma2_0, k=k)
+        res = denoise_case3(data, sigma2_0, k, starts)
         fit, index = res.fit, res.index
         rep = fit.as_rep(data.domain)
     else:
@@ -599,7 +614,7 @@ def denoise_iterative(data: NoisyDataset,
             improved = NoisyDataset(positions=data.positions,
                                     observed=data.observed - corrected,
                                     metadata=data.metadata)
-            new_fit, rep, new_index = _fit_and_vote(improved, k)
+            new_fit, rep, new_index = _fit_and_vote(improved, k, starts)
             new_values, _ = clamped_reconstruct(rep, data.positions, new_index)
         except (ArithmeticError, np.linalg.LinAlgError, SingularConstraintError):
             # iterate left the representable region: keep the last good one

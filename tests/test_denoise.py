@@ -3,7 +3,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import quadrep.denoise as denoise_mod
+import quadrep.linalg as linalg_mod
 from quadrep.denoise import (
     ALL_CONSTRAINTS,
     MomentSet,
@@ -252,6 +256,75 @@ def test_moment_system_singular_raises():
 # ------------------------------------------------------------- voting
 
 
+def knn_windows_reference(positions, k):
+    """Loop form of ``_knn_windows``: scan starts lo_min..lo_max in order and
+    keep the first strictly smallest span."""
+    n = positions.size
+    starts = np.empty(n, dtype=int)
+    for i in range(n):
+        lo_min = max(0, i - k)
+        lo_max = min(i, n - k - 1)
+        best_lo, best_span = lo_min, math.inf
+        for lo in range(lo_min, lo_max + 1):
+            span = max(positions[i] - positions[lo], positions[lo + k] - positions[i])
+            if span < best_span:
+                best_lo, best_span = lo, span
+        starts[i] = best_lo
+    return starts
+
+
+@st.composite
+def _window_cases(draw):
+    n = draw(st.integers(2, 60))
+    k = draw(st.integers(1, n - 1))
+    kind = draw(st.sampled_from(("unit", "random", "ties")))
+    if kind == "unit":
+        positions = np.arange(float(n)) + draw(st.integers(-50, 50))
+    elif kind == "random":
+        values = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+        positions = np.sort(np.array(values))
+    else:  # few distinct values, so many equal spans
+        values = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        positions = np.sort(np.array(values, dtype=float))
+    return positions, k
+
+
+@given(_window_cases())
+@settings(max_examples=150, deadline=None)
+def test_knn_windows_match_loop_reference(case):
+    positions, k = case
+    got = denoise_mod._knn_windows(positions, k)
+    want = knn_windows_reference(positions, k)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_knn_vote_index_with_given_windows_is_unchanged():
+    data = generate_noisy(POS, TRUTH, "function", 150.0, 4)
+    signs0 = np.where(np.abs(data.observed - 255.0) < np.abs(data.observed - 25.0), 1, -1)
+    idx, rounds, converged = knn_vote_index(signs0, POS, k=7)
+    starts = denoise_mod._knn_windows(POS, 7)
+    again, rounds2, converged2 = knn_vote_index(signs0, POS, 7, starts)
+    assert (rounds2, converged2) == (rounds, converged)
+    assert np.array_equal(again.dense(POS), idx.dense(POS))
+
+
+@pytest.mark.parametrize("init", ["case1", "case3"])
+def test_iterative_computes_windows_once(monkeypatch, init):
+    calls = []
+    real = denoise_mod._knn_windows
+
+    def counted(positions, k):
+        calls.append(k)
+        return real(positions, k)
+
+    monkeypatch.setattr(denoise_mod, "_knn_windows", counted)
+    data = generate_noisy(POS, TRUTH, "function", 30.0, 2)
+    res = denoise_iterative(data, init=init, sigma2_0=900.0, k=10)
+    assert res.iterations > 1
+    assert calls == [10]
+
+
 def test_vote_uniform_signs_unchanged():
     signs = np.ones(50, dtype=int)
     idx, rounds, converged = knn_vote_index(signs, np.arange(50.0), k=4)
@@ -369,6 +442,27 @@ def test_project_noise_eight_constraints_residuals_vanish():
     corrected, _ = project_noise(eps, constraints)
     res = constraint_residuals(corrected, constraints)
     assert np.all(res < 1e-9 * np.linalg.norm(eps))
+
+
+def test_projection_does_not_factor_the_constraints(monkeypatch):
+    # the rank and the dependent names are read only on the error path
+    calls = []
+    real = linalg_mod.pivoted_qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg_mod, "pivoted_qr", counted)
+    monkeypatch.setattr(denoise_mod, "pivoted_qr", counted)
+    data = generate_noisy(POS, TRUTH, "function", 200.0, seed=9)
+    constraints = noise_constraints(data.unit_positions(), TRUTH, ALL_CONSTRAINTS)
+    corrected, _ = project_noise(data.observed - TRUTH, constraints)
+    assert np.all(np.isfinite(corrected))
+    assert calls == []
+    assert constraints.gram_rank == 6
+    assert len(constraints.dependent) == 2
+    assert calls == [(401, 8)]  # one factorization serves both
 
 
 def test_constraints_on_manifold_values_are_rank_six():
