@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -348,28 +348,34 @@ def nearest_root_signs(rep: Degree2Rep, positions, values) -> np.ndarray:
     return branches(rep, positions).nearest_signs(np.asarray(values, dtype=float))
 
 
-def _knn_windows(positions: np.ndarray, k: int) -> np.ndarray:
-    """Start index of each point's (k+1)-wide nearest-neighbor window.
+@lru_cache(maxsize=1)
+def _knn_windows(raw: bytes, k: int) -> np.ndarray:
+    """Start index of each point's (k+1)-wide nearest-neighbor window, for
+    the float64 positions whose bytes are ``raw``.
 
     Candidate starts for point i are i-k .. i, clipped to the valid range
     0 .. n-k-1; the window with the smallest span wins, the lowest start on
-    ties (``argmin`` takes the first minimum).
+    ties (``argmin`` takes the first minimum).  Cached on the bytes, so the
+    votes of one ``denoise_iterative`` run, which never moves the positions,
+    share one read-only result.
     """
+    positions = np.frombuffer(raw)
     n = positions.size
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < sample count")
     lo = np.clip(np.arange(n)[:, None] + np.arange(-k, 1), 0, n - k - 1)
     x = positions[:, None]
     span = np.maximum(x - positions[lo], positions[lo + k] - x)
-    return lo[np.arange(n), np.argmin(span, axis=1)]
+    starts = lo[np.arange(n), np.argmin(span, axis=1)]
+    starts.flags.writeable = False
+    return starts
 
 
-def knn_vote_index(signs, positions, k: int = 10, starts=None):
+def knn_vote_index(signs, positions, k: int = 10):
     """Iterated majority vote of each point with its k nearest neighbors.
 
     Rounds are synchronous; voting stops when a round changes nothing, or
-    after ``_VOTE_ROUNDS`` rounds.  ``starts`` takes the windows
-    ``_knn_windows(positions, k)`` when the caller already holds them.
+    after ``_VOTE_ROUNDS`` rounds.
     Returns (IndexFunction, rounds used, converged flag).  An exact tie
     (possible only for odd k, even electorate) keeps the current sign.
     """
@@ -377,8 +383,7 @@ def knn_vote_index(signs, positions, k: int = 10, starts=None):
     positions = np.asarray(positions, dtype=float)
     if positions.shape != signs.shape:
         raise ValueError("signs and positions must match")
-    if starts is None:
-        starts = _knn_windows(positions, k)
+    starts = _knn_windows(positions.tobytes(), k)
     cumlen = k + 1
     rounds = 0
     converged = False
@@ -417,19 +422,15 @@ def clamped_reconstruct(rep: Degree2Rep, positions, index: IndexFunction):
     return values, int(np.sum(br.complex))
 
 
-def denoise_case3(data: NoisyDataset, sigma2: float, k: int = 10,
-                  starts=None) -> Case3Result:
-    """Known-variance pipeline: moments -> de-bias -> 4x4 solve -> vote -> rebuild.
-
-    ``starts`` is passed on to ``knn_vote_index``.
-    """
+def denoise_case3(data: NoisyDataset, sigma2: float, k: int = 10) -> Case3Result:
+    """Known-variance pipeline: moments -> de-bias -> 4x4 solve -> vote -> rebuild."""
     if sigma2 <= 0:
         raise ValueError("case 3 needs a known sigma2 > 0")
     moments = compute_noisy_moments(data)
     fit = solve_moment_system(debias_moments(moments, sigma2))
     rep = fit.as_rep(data.domain)
     signs = nearest_root_signs(rep, data.positions, data.observed)
-    index, rounds, converged = knn_vote_index(signs, data.positions, k, starts)
+    index, rounds, converged = knn_vote_index(signs, data.positions, k=k)
     values, n_clamped = clamped_reconstruct(rep, data.positions, index)
     return Case3Result(fit=fit, index=index, reconstructed=values,
                        noise_estimate=data.observed - values,
@@ -548,11 +549,11 @@ class IterativeResult:
     max_constraint_residual: float
 
 
-def _fit_and_vote(data_like: NoisyDataset, k: int, starts=None):
+def _fit_and_vote(data_like: NoisyDataset, k: int):
     fit = fit_manifold_ls(data_like)
     rep = fit.as_rep(data_like.domain)
     signs = nearest_root_signs(rep, data_like.positions, data_like.observed)
-    index, _, _ = knn_vote_index(signs, data_like.positions, k, starts)
+    index, _, _ = knn_vote_index(signs, data_like.positions, k=k)
     return fit, rep, index
 
 
@@ -577,19 +578,17 @@ def denoise_iterative(data: NoisyDataset,
     subtract the smooth excess from the data, refit the manifold and re-vote
     the index.  Converged when the coefficients move by < tol (relative) and
     no index sign flips.  Constraint vectors that involve f use the current
-    iterate, rebuilt every iteration.  The positions never change, so the
-    k-NN windows are computed once and shared by every vote.
+    iterate, rebuilt every iteration.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     t = data.unit_positions()
-    starts = _knn_windows(data.positions, k)
     if init in ("case1", "case2"):
-        fit, rep, index = _fit_and_vote(data, k, starts)
+        fit, rep, index = _fit_and_vote(data, k)
     elif init == "case3":
         if sigma2_0 is None:
             raise ValueError("case3 initialization needs sigma2_0")
-        res = denoise_case3(data, sigma2_0, k, starts)
+        res = denoise_case3(data, sigma2_0, k)
         fit, index = res.fit, res.index
         rep = fit.as_rep(data.domain)
     else:
@@ -614,7 +613,7 @@ def denoise_iterative(data: NoisyDataset,
             improved = NoisyDataset(positions=data.positions,
                                     observed=data.observed - corrected,
                                     metadata=data.metadata)
-            new_fit, rep, new_index = _fit_and_vote(improved, k, starts)
+            new_fit, rep, new_index = _fit_and_vote(improved, k)
             new_values, _ = clamped_reconstruct(rep, data.positions, new_index)
         except (ArithmeticError, np.linalg.LinAlgError, SingularConstraintError):
             # iterate left the representable region: keep the last good one

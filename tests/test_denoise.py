@@ -293,36 +293,28 @@ def _window_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_knn_windows_match_loop_reference(case):
     positions, k = case
-    got = denoise_mod._knn_windows(positions, k)
+    got = denoise_mod._knn_windows(positions.tobytes(), k)
     want = knn_windows_reference(positions, k)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 
 
-def test_knn_vote_index_with_given_windows_is_unchanged():
-    data = generate_noisy(POS, TRUTH, "function", 150.0, 4)
-    signs0 = np.where(np.abs(data.observed - 255.0) < np.abs(data.observed - 25.0), 1, -1)
-    idx, rounds, converged = knn_vote_index(signs0, POS, k=7)
-    starts = denoise_mod._knn_windows(POS, 7)
-    again, rounds2, converged2 = knn_vote_index(signs0, POS, 7, starts)
-    assert (rounds2, converged2) == (rounds, converged)
-    assert np.array_equal(again.dense(POS), idx.dense(POS))
-
-
 @pytest.mark.parametrize("init", ["case1", "case3"])
-def test_iterative_computes_windows_once(monkeypatch, init):
-    calls = []
-    real = denoise_mod._knn_windows
+def test_iterative_builds_windows_once(monkeypatch, init):
+    votes = []
+    real_vote = denoise_mod.knn_vote_index
 
-    def counted(positions, k):
-        calls.append(k)
-        return real(positions, k)
+    def counted_vote(*args, **kwargs):
+        votes.append(1)
+        return real_vote(*args, **kwargs)
 
-    monkeypatch.setattr(denoise_mod, "_knn_windows", counted)
+    monkeypatch.setattr(denoise_mod, "knn_vote_index", counted_vote)
+    denoise_mod._knn_windows.cache_clear()
     data = generate_noisy(POS, TRUTH, "function", 30.0, 2)
     res = denoise_iterative(data, init=init, sigma2_0=900.0, k=10)
+    info = denoise_mod._knn_windows.cache_info()
     assert res.iterations > 1
-    assert calls == [10]
+    assert (info.misses, info.hits) == (1, len(votes) - 1)
 
 
 def test_vote_uniform_signs_unchanged():
