@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 __all__ = [
     "RankDeficiencyError",
@@ -59,24 +59,47 @@ class PivotedQR:
 def pivoted_qr(a) -> PivotedQR:
     """Householder QR with greedy pivoting on remaining column norms.
 
-    Ties are broken by the lowest original column index so runs are
-    bit-reproducible.
+    Compress, then pivot: LAPACK's unblocked Householder QR gives
+    A = Q0 R0, and the pivot loop runs on the small triangle R0.  An
+    orthogonal Q0 leaves every column norm unchanged, so the pivots are
+    those of pivoting on A itself, in far fewer flops.  The minimal
+    workspace keeps LAPACK on its unblocked path, whose bits do not depend
+    on the BLAS thread count (the blocked path's do, above 128 columns).
+
+    Raises ValueError on a non-finite entry: LAPACK does not check.
     """
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("expected a nonempty 2-D matrix")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries (NaN or inf)")
     m, n = a.shape
-    r = a.copy()
+    steps = min(m, n)
+    qr, tau, _, info = lapack.dgeqrf(a, lwork=n)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrf failed (info={info})")
+    q0, _, info = lapack.dorgqr(qr[:, :steps], tau, lwork=steps)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dorgqr failed (info={info})")
+    return _pivot(q0, np.triu(qr[:steps]))
+
+
+def _pivot(q0: np.ndarray, r0: np.ndarray) -> PivotedQR:
+    """Greedy column pivoting on the upper-trapezoidal ``r0`` of A = q0 r0.
+
+    Each step takes the remaining column of largest norm; ties (norms within
+    a relative 1e-12 of the largest) go to the lowest original column index,
+    so runs are bit-reproducible.  Returns A @ perm = (q0 q1) r.
+    """
+    r = r0.copy()
+    steps, n = r.shape
     perm = np.arange(n)
     reflectors = []
-    steps = min(m, n)
     for k in range(steps):
         norms = np.linalg.norm(r[k:, k:], axis=0)
         best = norms.max()
         if best == 0.0:
             break
-        # tie-break: among maximal-norm columns (to roundoff) pick the lowest
-        # original index
         cand = np.nonzero(norms >= best * (1.0 - 1e-12))[0] + k
         j = cand[np.argmin(perm[cand])]
         if j != k:
@@ -95,15 +118,14 @@ def pivoted_qr(a) -> PivotedQR:
         r[k:, k] = 0.0
         r[k, k] = alpha
         reflectors.append(v)
-    # thin Q: apply reflectors in reverse to the leading columns of I
-    q = np.zeros((m, steps))
-    q[:steps, :steps] = np.eye(steps)
+    # q1: apply the reflectors in reverse to the identity
+    q1 = np.eye(steps)
     for k in range(len(reflectors) - 1, -1, -1):
         v = reflectors[k]
         if v is not None:
-            q[k:, :] -= 2.0 * np.outer(v, v @ q[k:, :])
-    r_out = np.triu(r[:steps, :])
-    return PivotedQR(q=q, r=r_out, perm=perm, diag=np.abs(np.diag(r_out)))
+            q1[k:, :] -= 2.0 * np.outer(v, v @ q1[k:, :])
+    r = np.triu(r)
+    return PivotedQR(q=q0 @ q1, r=r, perm=perm, diag=np.abs(np.diag(r)))
 
 
 def weighted_lsq(v, y, w):
@@ -131,7 +153,7 @@ def weighted_lsq(v, y, w):
     q, r = np.linalg.qr(a, mode="reduced")
     d = np.abs(np.diag(r))
     if d.max() == 0.0 or d.min() < DEFAULT_RANK_TOL * d.max():
-        fact = pivoted_qr(a)
+        fact = _pivot(q, r)
         rank = fact.rank()
         raise RankDeficiencyError(
             f"rank-deficient design: numerical rank {rank} of {k} columns", rank, fact

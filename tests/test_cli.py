@@ -2,6 +2,9 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,6 +398,26 @@ def test_convergence_thread_count_invariance(tmp_path):
                 os.environ.pop("QUADREP_THREADS", None)
             else:
                 os.environ["QUADREP_THREADS"] = env_before
+        outs.append((out / "convergence.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_convergence_blas_thread_count_invariance(tmp_path):
+    # the BLAS thread count is read when the library loads, so each count
+    # needs its own process; heaviside-sine deg2-rrqr factors a 1000 x 182
+    # candidate matrix, and K = 33, 34 move if that factorization's bits
+    # depend on the thread count
+    src = str(Path(__import__("quadrep").__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from quadrep.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "convergence", "--fn", "heaviside-sine",
+             "--methods", "deg2-rrqr", "--kmax", "34", "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300)
         outs.append((out / "convergence.csv").read_bytes())
     assert outs[0] == outs[1]
 

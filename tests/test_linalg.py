@@ -1,9 +1,57 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadrep.linalg import RankDeficiencyError, pivoted_qr, weighted_lsq
+import quadrep.linalg
+from quadrep.dictionary import assemble, build_grid
+from quadrep.functions import BUILTINS
+from quadrep.linalg import PivotedQR, RankDeficiencyError, pivoted_qr, weighted_lsq
+from quadrep.representation import fit_degree2_uniform
+
+
+def pivoted_qr_reference(a) -> PivotedQR:
+    """The pivot loop run directly on the m x n matrix, as ``pivoted_qr`` did
+    before it compressed A to its triangle first; the oracle for its pivots."""
+    a = np.array(a, dtype=float)
+    m, n = a.shape
+    r = a.copy()
+    perm = np.arange(n)
+    reflectors = []
+    steps = min(m, n)
+    for k in range(steps):
+        norms = np.linalg.norm(r[k:, k:], axis=0)
+        best = norms.max()
+        if best == 0.0:
+            break
+        cand = np.nonzero(norms >= best * (1.0 - 1e-12))[0] + k
+        j = cand[np.argmin(perm[cand])]
+        if j != k:
+            r[:, [k, j]] = r[:, [j, k]]
+            perm[[k, j]] = perm[[j, k]]
+        x = r[k:, k]
+        alpha = -np.copysign(np.linalg.norm(x), x[0] if x[0] != 0 else 1.0)
+        v = x.copy()
+        v[0] -= alpha
+        vnorm = np.linalg.norm(v)
+        if vnorm == 0.0:
+            reflectors.append(None)
+            continue
+        v /= vnorm
+        r[k:, k:] -= 2.0 * np.outer(v, v @ r[k:, k:])
+        r[k:, k] = 0.0
+        r[k, k] = alpha
+        reflectors.append(v)
+    q = np.zeros((m, steps))
+    q[:steps, :steps] = np.eye(steps)
+    for k in range(len(reflectors) - 1, -1, -1):
+        v = reflectors[k]
+        if v is not None:
+            q[k:, :] -= 2.0 * np.outer(v, v @ q[k:, :])
+    r_out = np.triu(r[:steps, :])
+    return PivotedQR(q=q, r=r_out, perm=perm, diag=np.abs(np.diag(r_out)))
 
 
 def test_single_column_of_ones():
@@ -89,8 +137,6 @@ def test_pivoted_qr_reconstruction_and_orthogonality():
 def test_pivoted_qr_rank_matches_gram_eigenvalue_oracle():
     # dictionary for f(x) = x: the f- and f^2-streams duplicate plain
     # polynomial content, so the numerical rank is the polynomial dimension
-    from quadrep.dictionary import assemble, build_grid
-
     grid = build_grid(lambda x: x, (-1.0, 1.0), 200)
     d = assemble(grid, 2, 2, 2)
     a = d.columns * np.sqrt(grid.weights)[:, None]
@@ -102,3 +148,105 @@ def test_pivoted_qr_rank_matches_gram_eigenvalue_oracle():
     # columns span polynomials up to degree 4 (x^0..x^4): dimension 5
     assert oracle_rank == 5
     assert fact.rank(1e-10) == oracle_rank
+
+
+@pytest.mark.parametrize("cap", [40, 60])
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_pivoted_qr_matches_reference_on_builtins(name, cap):
+    fn = BUILTINS[name]
+    grid = build_grid(fn.fn, fn.domain, 1000)
+    d = assemble(grid, cap, cap, cap)
+    a = d.columns * np.sqrt(grid.weights)[:, None]
+    fact, ref = pivoted_qr(a), pivoted_qr_reference(a)
+    rank = ref.rank()
+    assert fact.rank() == rank
+    assert np.array_equal(fact.perm[:rank], ref.perm[:rank])
+    assert np.max(np.abs(fact.diag - ref.diag)) <= 1e-14 * ref.diag[0]
+
+
+@st.composite
+def planted_ties(draw):
+    """Columns drawn, with repeats, from an orthonormal set scaled by norms 1
+    or 2, so many columns tie on norm at every pivot step."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    p = draw(st.integers(1, 6))
+    m = draw(st.integers(p, 30))
+    scales = np.array(draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=p, max_size=p)))
+    picks = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=10))
+    basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, p)))[0] * scales
+    return basis[:, picks], picks, scales
+
+
+@given(planted_ties())
+@settings(max_examples=60, deadline=None)
+def test_pivoted_qr_ties_go_to_lowest_index(case):
+    a, picks, scales = case
+    # first occurrence of each distinct column, norm-2 columns first, each
+    # group in index order; every repeat falls past the rank
+    first = sorted({p: j for j, p in reversed(list(enumerate(picks)))}.items(),
+                   key=lambda pj: (-scales[pj[0]], pj[1]))
+    expected = [j for _, j in first]
+    fact = pivoted_qr(a)
+    assert fact.rank() == len(expected)
+    assert fact.perm[:len(expected)].tolist() == expected
+    ref = pivoted_qr_reference(a)
+    assert ref.perm[:len(expected)].tolist() == expected
+
+
+def test_pivoted_qr_zero_matrix():
+    fact = pivoted_qr(np.zeros((5, 3)))
+    assert fact.perm.tolist() == [0, 1, 2]
+    assert fact.rank() == 0
+    assert np.array_equal(fact.r, np.zeros((3, 3)))
+    assert np.array_equal(fact.diag, np.zeros(3))
+    assert np.array_equal(fact.q, np.eye(5, 3))
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (7, 1), (1, 1), (2, 6)])
+def test_pivoted_qr_small_shapes_match_reference(shape):
+    a = np.random.default_rng(11).standard_normal(shape)
+    fact, ref = pivoted_qr(a), pivoted_qr_reference(a)
+    steps = min(shape)
+    assert fact.q.shape == ref.q.shape == (shape[0], steps)
+    assert fact.r.shape == ref.r.shape == (steps, shape[1])
+    assert np.array_equal(fact.perm, ref.perm)
+    assert fact.rank() == ref.rank() == steps
+    assert np.max(np.abs(fact.diag - ref.diag)) <= 1e-14 * ref.diag[0]
+    # the same factorization up to the sign of each column of Q (row of R)
+    signs = np.sign(np.diag(fact.r)) * np.sign(np.diag(ref.r))
+    assert np.allclose(fact.q * signs, ref.q, atol=1e-14)
+    assert np.allclose(fact.r * signs[:, None], ref.r, atol=1e-14)
+    assert np.allclose(fact.q @ fact.r, a[:, fact.perm], atol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pivoted_qr_rejects_non_finite(bad):
+    a = np.ones((4, 3))
+    a[2, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            pivoted_qr(a)
+
+
+def test_rank_deficient_fallback_pivots_the_triangle_it_has(monkeypatch):
+    # sigmoid60 deg2-uniform at K = 35, 38, 41, 44 is rank-deficient; the
+    # fallback pivots weighted_lsq's own R and never refactors the m x n design
+    calls = []
+    real = quadrep.linalg.pivoted_qr
+    monkeypatch.setattr(quadrep.linalg, "pivoted_qr",
+                        lambda a: calls.append(1) or real(a))
+    fn = BUILTINS["sigmoid60"]
+    grid = build_grid(fn.fn, fn.domain, 1000)
+    expected = {
+        11: (32, {(3, 4), (2, 5), (3, 1)}),
+        12: (35, {(3, 5), (3, 6), (3, 1)}),
+        13: (36, {(2, 4), (2, 3), (3, 6), (2, 7), (3, 1)}),
+        14: (38, {(2, 1), (2, 9), (3, 8), (2, 4), (2, 5), (3, 1)}),
+    }
+    for n, (rank, dropped) in expected.items():
+        deg = fit_degree2_uniform(grid, n, n, n).degeneracy
+        assert deg["numerical_rank"] == rank
+        assert {tuple(t) for t in deg["dropped_tags"]} == dropped
+        assert len(deg["dropped_tags"]) == len(dropped)
+    assert calls == []
