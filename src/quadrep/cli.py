@@ -31,7 +31,6 @@ from .denoise import (
     fit_manifold_ls,
     generate_noisy,
     knn_vote_index,
-    nearest_root_signs,
     read_dataset,
     step_ground_truth,
     write_dataset,
@@ -279,13 +278,13 @@ def cmd_denoise(args, argv) -> int:
     constraint_residual = None
     if args.mode == "ls" or args.mode == "ls+vote":
         fit = fit_manifold_ls(data)
-        rep = fit.as_rep(data.domain)
-        signs = nearest_root_signs(rep, data.positions, data.observed)
+        table = branches(fit.as_rep(data.domain), data.positions)
+        signs = table.nearest_signs(data.observed)
         if args.mode == "ls+vote":
             index, vote_rounds, _ = knn_vote_index(signs, data.positions, k=args.k)
         else:
             index = IndexFunction.from_dense(data.positions, signs)
-        values, _ = clamped_reconstruct(rep, data.positions, index)
+        values, _ = clamped_reconstruct(table, index.signs_at(data.positions))
     elif args.mode == "debias+vote":
         if args.sigma2 is None:
             print("--mode debias+vote requires --sigma2", file=sys.stderr)

@@ -22,6 +22,7 @@ from .linalg import RankDeficiencyError, pivoted_qr, weighted_lsq
 from .orthopoly import legendre_row
 from .representation import (
     BASIS_MONOMIAL,
+    BranchTable,
     Degree2Rep,
     IndexFunction,
     PolyCoeffs,
@@ -42,7 +43,6 @@ __all__ = [
     "compute_noisy_moments",
     "debias_moments",
     "solve_moment_system",
-    "nearest_root_signs",
     "knn_vote_index",
     "clamped_reconstruct",
     "ls_vote_baseline",
@@ -342,12 +342,6 @@ def solve_moment_system(m: MomentSet) -> ManifoldFit4:
 # --------------------------------------------------------------------------
 
 
-def nearest_root_signs(rep: Degree2Rep, positions, values) -> np.ndarray:
-    """+1 where the plus branch is nearer the observation, else -1 (ties +1);
-    see ``BranchTable.nearest_signs`` for complex and missing roots."""
-    return branches(rep, positions).nearest_signs(np.asarray(values, dtype=float))
-
-
 @lru_cache(maxsize=1)
 def _knn_windows(raw: bytes, k: int) -> np.ndarray:
     """Start index of each point's (k+1)-wide nearest-neighbor window, for
@@ -409,17 +403,26 @@ class Case3Result:
     clamped_points: int = 0
 
 
-def clamped_reconstruct(rep: Degree2Rep, positions, index: IndexFunction):
-    """Root values selected by the (possibly externally voted) index; nodes
-    whose discriminant is negative get the manifold vertex b/(2a) instead of
-    failing.  Returns (values, clamp count).
+def clamped_reconstruct(table: BranchTable, signs):
+    """Root values of a ``branches`` table selected by ``signs`` (an index's
+    signs at the table's points); points whose discriminant is negative get
+    the manifold vertex b/(2a) instead of failing.  Returns (values, clamp
+    count).
 
     Mirrors the clamp-to-vertex convention of manifold-noise generation.
     """
-    positions = np.asarray(positions, dtype=float)
-    br = branches(rep, positions)
-    values = np.where(br.complex, br.vertex, br.select(index.signs_at(positions)))
-    return values, int(np.sum(br.complex))
+    values = np.where(table.complex, table.vertex, table.select(signs))
+    return values, int(np.sum(table.complex))
+
+
+def _vote_and_rebuild(rep: Degree2Rep, positions, observed, k: int):
+    """Nearest-root signs of ``observed``, their k-NN vote, and the root
+    values the voted index selects, all read from one branch table.
+    Returns (index, vote rounds, vote converged, values, clamp count)."""
+    table = branches(rep, positions)
+    index, rounds, converged = knn_vote_index(table.nearest_signs(observed), positions, k=k)
+    values, n_clamped = clamped_reconstruct(table, index.signs_at(positions))
+    return index, rounds, converged, values, n_clamped
 
 
 def denoise_case3(data: NoisyDataset, sigma2: float, k: int = 10) -> Case3Result:
@@ -428,10 +431,8 @@ def denoise_case3(data: NoisyDataset, sigma2: float, k: int = 10) -> Case3Result
         raise ValueError("case 3 needs a known sigma2 > 0")
     moments = compute_noisy_moments(data)
     fit = solve_moment_system(debias_moments(moments, sigma2))
-    rep = fit.as_rep(data.domain)
-    signs = nearest_root_signs(rep, data.positions, data.observed)
-    index, rounds, converged = knn_vote_index(signs, data.positions, k=k)
-    values, n_clamped = clamped_reconstruct(rep, data.positions, index)
+    index, rounds, converged, values, n_clamped = _vote_and_rebuild(
+        fit.as_rep(data.domain), data.positions, data.observed, k)
     return Case3Result(fit=fit, index=index, reconstructed=values,
                        noise_estimate=data.observed - values,
                        vote_rounds=rounds, vote_converged=converged,
@@ -549,18 +550,11 @@ class IterativeResult:
     max_constraint_residual: float
 
 
-def _fit_and_vote(data_like: NoisyDataset, k: int):
-    fit = fit_manifold_ls(data_like)
-    rep = fit.as_rep(data_like.domain)
-    signs = nearest_root_signs(rep, data_like.positions, data_like.observed)
-    index, _, _ = knn_vote_index(signs, data_like.positions, k=k)
-    return fit, rep, index
-
-
 def ls_vote_baseline(data: NoisyDataset, k: int = 10):
     """Case-1 style least squares plus voting; returns (fit, index, values, clamps)."""
-    fit, rep, index = _fit_and_vote(data, k)
-    values, n_clamped = clamped_reconstruct(rep, data.positions, index)
+    fit = fit_manifold_ls(data)
+    index, _, _, values, n_clamped = _vote_and_rebuild(
+        fit.as_rep(data.domain), data.positions, data.observed, k)
     return fit, index, values, n_clamped
 
 
@@ -584,17 +578,15 @@ def denoise_iterative(data: NoisyDataset,
         raise ValueError("max_iter must be >= 1")
     t = data.unit_positions()
     if init in ("case1", "case2"):
-        fit, rep, index = _fit_and_vote(data, k)
+        fit, index, values, _ = ls_vote_baseline(data, k)
     elif init == "case3":
         if sigma2_0 is None:
             raise ValueError("case3 initialization needs sigma2_0")
         res = denoise_case3(data, sigma2_0, k)
-        fit, index = res.fit, res.index
-        rep = fit.as_rep(data.domain)
+        fit, index, values = res.fit, res.index, res.reconstructed
     else:
         raise ValueError(f"unknown init mode {init!r}")
 
-    values, _ = clamped_reconstruct(rep, data.positions, index)
     prev_coeffs = np.array([fit.b0, fit.b1, fit.c0, fit.c1])
     prev_signs = index.dense(data.positions)
     trace = [tuple(prev_coeffs)]
@@ -613,8 +605,7 @@ def denoise_iterative(data: NoisyDataset,
             improved = NoisyDataset(positions=data.positions,
                                     observed=data.observed - corrected,
                                     metadata=data.metadata)
-            new_fit, rep, new_index = _fit_and_vote(improved, k)
-            new_values, _ = clamped_reconstruct(rep, data.positions, new_index)
+            new_fit, new_index, new_values, _ = ls_vote_baseline(improved, k)
         except (ArithmeticError, np.linalg.LinAlgError, SingularConstraintError):
             # iterate left the representable region: keep the last good one
             break

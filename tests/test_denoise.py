@@ -23,7 +23,6 @@ from quadrep.denoise import (
     generate_noisy,
     knn_vote_index,
     ls_vote_baseline,
-    nearest_root_signs,
     noise_constraints,
     normal_stream,
     project_noise,
@@ -147,15 +146,15 @@ def test_case2_manifold_noise_recovery_frozen_oracle():
     data = generate_noisy(POS, TRUTH, "manifold", 5000.0, seed=0)
     fit = fit_manifold_ls(data)
     rep = fit.as_rep(data.domain)
-    from quadrep.representation import roots_at
+    from quadrep.representation import branches, roots_at
 
     r0 = roots_at(rep, 0.0)
     assert r0.lo == pytest.approx(0.0545, abs=2e-3)
     assert r0.hi == pytest.approx(247.65, abs=0.1)
     # the reconstruction still tracks the two branches to ~15% of the jump
-    signs = nearest_root_signs(rep, POS, data.observed)
-    idx, _, _ = knn_vote_index(signs, POS, k=10)
-    values, _ = clamped_reconstruct(rep, POS, idx)
+    table = branches(rep, POS)
+    idx, _, _ = knn_vote_index(table.nearest_signs(data.observed), POS, k=10)
+    values, _ = clamped_reconstruct(table, idx.signs_at(POS))
     rmse = float(np.sqrt(np.mean((values - TRUTH) ** 2)))
     assert rmse < 0.15 * 230.0
 
@@ -315,6 +314,24 @@ def test_iterative_builds_windows_once(monkeypatch, init):
     info = denoise_mod._knn_windows.cache_info()
     assert res.iterations > 1
     assert (info.misses, info.hits) == (1, len(votes) - 1)
+
+
+@pytest.mark.parametrize("init", ["case1", "case3"])
+def test_iterative_builds_one_branch_table_per_vote(monkeypatch, init):
+    # each vote-and-rebuild reads the nearest-root signs and the rebuilt
+    # values from one table: the start plus one per iteration
+    tables = []
+    real_branches = denoise_mod.branches
+
+    def counted_branches(*args, **kwargs):
+        tables.append(1)
+        return real_branches(*args, **kwargs)
+
+    monkeypatch.setattr(denoise_mod, "branches", counted_branches)
+    data = generate_noisy(POS, TRUTH, "function", 200.0, 3)
+    res = denoise_iterative(data, init=init, sigma2_0=40000.0, k=10)
+    assert not res.converged and res.iterations == 50
+    assert len(tables) == 51
 
 
 def test_vote_uniform_signs_unchanged():
