@@ -61,10 +61,11 @@ def pivoted_qr(a) -> PivotedQR:
 
     Compress, then pivot: LAPACK's unblocked Householder QR gives
     A = Q0 R0, and the pivot loop runs on the small triangle R0.  An
-    orthogonal Q0 leaves every column norm unchanged, so the pivots are
-    those of pivoting on A itself, in far fewer flops.  The minimal
-    workspace keeps LAPACK on its unblocked path, whose bits do not depend
-    on the BLAS thread count (the blocked path's do, above 128 columns).
+    orthogonal Q0 leaves every column norm unchanged, so in exact arithmetic
+    the pivots are those of pivoting A itself, at a fraction of the flops.
+    The minimal workspace keeps LAPACK on its unblocked path, whose bits do
+    not depend on the BLAS thread count (the blocked path's do, above 128
+    columns).
 
     Raises ValueError on a non-finite entry: LAPACK does not check.
     """
@@ -134,7 +135,8 @@ def weighted_lsq(v, y, w):
     Returns (coefficients, achieved residual norm).
 
     Raises RankDeficiencyError (carrying the numerical rank and the pivoted
-    QR of W^{1/2} V) when some |R_kk| < DEFAULT_RANK_TOL * |R_11|.
+    QR of W^{1/2} V) when some |R_kk| < DEFAULT_RANK_TOL * |R_11|; that QR
+    pivots the triangle already computed, without factoring W^{1/2} V again.
     """
     v = np.asarray(v, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import quadrep
 from quadrep.cli import main
 from quadrep.representation import load_rep
 
@@ -407,7 +408,7 @@ def test_convergence_blas_thread_count_invariance(tmp_path):
     # needs its own process; heaviside-sine deg2-rrqr factors a 1000 x 182
     # candidate matrix, and K = 33, 34 move if that factorization's bits
     # depend on the thread count
-    src = str(Path(__import__("quadrep").__file__).resolve().parents[1])
+    src = str(Path(quadrep.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / threads
