@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -157,9 +159,9 @@ def _eval_table(rep, xs):
     return values, None
 
 
-def _cell(v) -> str:
+def _cell(v: float) -> str:
     """A CSV value; blank where there is none."""
-    return "" if np.isnan(v) else repr(float(v))
+    return "" if math.isnan(v) else repr(v)
 
 
 def cmd_eval(args, argv) -> int:
@@ -194,7 +196,8 @@ def cmd_eval(args, argv) -> int:
         with open(out / name, "w", newline="") as fh:
             writer = _csv_writer(fh)
             writer.writerow(header)
-            writer.writerows([repr(float(x)), *map(_cell, row)] for x, *row in zip(xs, *columns))
+            writer.writerows([repr(x), *map(_cell, row)]
+                             for x, *row in zip(xs.tolist(), *(c.tolist() for c in columns)))
         blank += int(np.sum(np.isnan(columns[0])))
     _write_manifest(out, "eval", argv, None)
     if blank:
@@ -306,8 +309,8 @@ def cmd_denoise(args, argv) -> int:
     with open(out / "reconstruction.csv", "w", newline="") as fh:
         writer = _csv_writer(fh)
         writer.writerow(["x", "f_obs", "f_hat", "eps_hat"])
-        for x, fo, fh_, eh in zip(data.positions, data.observed, values, eps_hat):
-            writer.writerow([repr(float(x)), repr(float(fo)), repr(float(fh_)), repr(float(eh))])
+        columns = (data.positions, data.observed, values, eps_hat)
+        writer.writerows(map(repr, row) for row in zip(*(c.tolist() for c in columns)))
     doc = {
         "b0": fit.b0, "b1": fit.b1, "c0": fit.c0, "c1": fit.c1,
         "method": fit.method, "residual": fit.residual, "condition": fit.condition,
@@ -352,7 +355,10 @@ def cmd_replay(args, argv) -> int:
     return main(stored)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (``replay`` re-enters
+    ``main``); ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="quadrep",
                                      description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -643,8 +643,8 @@ def write_dataset(path, data: NoisyDataset) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x", "f"])
-        for x, f in zip(data.positions, data.observed):
-            writer.writerow([repr(float(x)), repr(float(f))])
+        writer.writerows(map(repr, row)
+                         for row in zip(data.positions.tolist(), data.observed.tolist()))
     with open(_sidecar_path(str(path)), "w") as fh:
         json.dump(data.metadata, fh, indent=2)
         fh.write("\n")

@@ -7,6 +7,8 @@ normalized polynomials ``L_n(x) = sqrt((2n+1)/2) P_n(x)`` are orthonormal.
 from __future__ import annotations
 
 import functools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +16,6 @@ import numpy as np
 __all__ = [
     "QuadratureRule",
     "gauss_legendre",
-    "legendre_eval",
     "legendre_row",
 ]
 
@@ -95,34 +96,23 @@ def _check_domain(x: np.ndarray) -> None:
         raise ValueError("evaluation outside [-1, 1] is not supported; rescale first")
 
 
-def legendre_eval(n: int, x):
-    """Normalized Legendre polynomial L_n(x) = sqrt((2n+1)/2) P_n(x), |x| <= 1."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    arr = np.asarray(x, dtype=float)
-    _check_domain(arr)
-    p_prev = np.ones_like(arr)
-    if n == 0:
-        out = p_prev
-    else:
-        p = arr.copy()
-        for k in range(2, n + 1):
-            p_prev, p = p, ((2 * k - 1) * arr * p - (k - 1) * p_prev) / k
-        out = p
-    out = np.sqrt((2 * n + 1) / 2.0) * out
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+# Tables of L_0..L_d at recently seen point sets, keyed on the points' shape
+# and float64 bytes, each at the highest degree requested for those points.
+# A convergence sweep evaluates every rep at the same nodes; one `branches` call
+# uses two point sets (the points and the a-scale probes): a few entries suffice.
+# The convergence command's pool threads share the cache, hence the lock.
+_TABLE_CAPACITY = 4
+_tables: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_tables_lock = threading.Lock()
 
 
-def legendre_row(max_degree: int, x):
-    """All of L_0(x)..L_max_degree(x) from a single recurrence pass.
+def _legendre_table(max_degree: int, arr: np.ndarray) -> np.ndarray:
+    """L_0..L_max_degree at the points ``arr`` by the three-term recurrence.
 
-    For scalar x returns shape (max_degree+1,); for a vector of m points,
-    shape (m, max_degree+1).
+    Column k depends only on columns k-1, k-2 and the points, and each column
+    is normalized on its own, so the first d+1 columns of a degree-D table have
+    the bits of the degree-d table.
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_domain(arr)
     table = np.empty((arr.size, max_degree + 1))
     table[:, 0] = 1.0
     if max_degree >= 1:
@@ -130,6 +120,40 @@ def legendre_row(max_degree: int, x):
     for k in range(2, max_degree + 1):
         table[:, k] = ((2 * k - 1) * arr * table[:, k - 1] - (k - 1) * table[:, k - 2]) / k
     table *= np.sqrt((2 * np.arange(max_degree + 1) + 1) / 2.0)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return table[0]
     return table
+
+
+def legendre_row(max_degree: int, x):
+    """All of L_0(x)..L_max_degree(x) from a single recurrence pass.
+
+    For scalar x returns shape (max_degree+1,); for a vector of m points,
+    shape (m, max_degree+1).  Tables are cached per point set (see
+    ``_tables``); every call returns a fresh, writable array with the bits
+    of a table built for that call alone.
+    """
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    key = (arr.shape, arr.tobytes())
+    with _tables_lock:
+        table = _tables.get(key)
+        if table is not None:
+            _tables.move_to_end(key)
+    if table is None or table.shape[1] <= max_degree:
+        # a hit has the bytes of points that already passed the check
+        _check_domain(arr)
+        table = _legendre_table(max_degree, arr)
+        table.flags.writeable = False
+        with _tables_lock:
+            held = _tables.get(key)
+            if held is None or held.shape[1] < table.shape[1]:
+                _tables[key] = table
+            _tables.move_to_end(key)
+            while len(_tables) > _TABLE_CAPACITY:
+                _tables.popitem(last=False)
+    # a copy, not a strided view: BLAS products over a view of the wider
+    # table differ in the last bits from those over a fresh table
+    out = table[:, :max_degree + 1].copy()
+    if np.isscalar(x) or np.asarray(x).ndim == 0:
+        return out[0]
+    return out

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import quadrep
+from quadrep import dictionary, orthopoly, representation
 from quadrep.cli import main
+from quadrep.functions import get_builtin
 from quadrep.representation import load_rep
 
 
@@ -385,14 +387,19 @@ def test_convergence_failures_stay_in_their_cells(tmp_path, capsys):
 
 
 def test_convergence_thread_count_invariance(tmp_path):
+    # each run starts from an empty Legendre table cache, so the pool's
+    # workers build and read the shared tables concurrently
     outs = []
     for tag, threads in (("a", "1"), ("b", "4")):
         out = tmp_path / tag
         env_before = os.environ.get("QUADREP_THREADS")
         os.environ["QUADREP_THREADS"] = threads
+        with orthopoly._tables_lock:
+            orthopoly._tables.clear()
         try:
             assert run(["convergence", "--fn", "sin10pi", "--methods",
-                        "deg0,deg2-greedy,deg2-rrqr", "--kmin", "2", "--kmax", "6",
+                        "deg0,deg1,deg2-uniform,deg2-greedy,deg2-rrqr",
+                        "--kmin", "2", "--kmax", "6",
                         "--order", "150", "--out", str(out)]) == 0
         finally:
             if env_before is None:
@@ -401,6 +408,42 @@ def test_convergence_thread_count_invariance(tmp_path):
                 os.environ["QUADREP_THREADS"] = env_before
         outs.append((out / "convergence.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_convergence_builds_one_legendre_table_per_degree_rise(tmp_path, monkeypatch):
+    # the recurrence runs at the grid nodes once, and again only when a
+    # degree above every earlier request at those nodes is asked for
+    monkeypatch.setenv("QUADREP_THREADS", "1")
+    requests, builds = [], []
+
+    def recorded(module):
+        real = module.legendre_row
+
+        def legendre_row(max_degree, x):
+            requests.append((max_degree, np.asarray(x, dtype=float).tobytes()))
+            return real(max_degree, x)
+        monkeypatch.setattr(module, "legendre_row", legendre_row)
+
+    for module in (dictionary, representation):
+        recorded(module)
+    real_build = orthopoly._legendre_table
+
+    def counted_build(max_degree, arr):
+        builds.append((max_degree, arr.tobytes()))
+        return real_build(max_degree, arr)
+
+    monkeypatch.setattr(orthopoly, "_legendre_table", counted_build)
+    with orthopoly._tables_lock:
+        orthopoly._tables.clear()
+    assert run(["convergence", "--fn", "sin10pi", "--methods", "deg0,deg2-uniform,deg2-rrqr",
+                "--kmin", "2", "--kmax", "12", "--order", "150",
+                "--out", str(tmp_path / "c")]) == 0
+    fn = get_builtin("sin10pi")
+    nodes = np.clip(dictionary.build_grid(fn.fn, fn.domain, 150).unit_nodes, -1.0, 1.0).tobytes()
+    at_nodes = [d for d, key in requests if key == nodes]
+    rises = [d for i, d in enumerate(at_nodes) if d > max(at_nodes[:i], default=-1)]
+    assert len(at_nodes) > 50
+    assert [d for d, key in builds if key == nodes] == rises
 
 
 def test_convergence_blas_thread_count_invariance(tmp_path):

@@ -1,18 +1,38 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadrep import orthopoly
 from quadrep.orthopoly import (
     QuadratureRule,
     gauss_legendre,
-    legendre_eval,
     legendre_row,
 )
 
 RULE_1000 = gauss_legendre(1000)
+
+
+def legendre_row_reference(max_degree, x):
+    """``legendre_row`` before it cached its tables: one recurrence per call."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(np.abs(arr) > 1.0):
+        raise ValueError("evaluation outside [-1, 1] is not supported; rescale first")
+    table = np.empty((arr.size, max_degree + 1))
+    table[:, 0] = 1.0
+    if max_degree >= 1:
+        table[:, 1] = arr
+    for k in range(2, max_degree + 1):
+        table[:, k] = ((2 * k - 1) * arr * table[:, k - 1] - (k - 1) * table[:, k - 2]) / k
+    table *= np.sqrt((2 * np.arange(max_degree + 1) + 1) / 2.0)
+    if np.isscalar(x) or np.asarray(x).ndim == 0:
+        return table[0]
+    return table
 
 
 def test_order_one_is_midpoint_rule():
@@ -93,13 +113,13 @@ def test_rule_invariant_validation():
 
 
 def test_eval_constant_and_linear():
-    assert abs(legendre_eval(0, 0.37) - 1 / math.sqrt(2)) < 1e-15
-    assert abs(legendre_eval(1, 0.5) - math.sqrt(1.5) * 0.5) < 1e-15
+    assert abs(legendre_row(0, 0.37)[0] - 1 / math.sqrt(2)) < 1e-15
+    assert abs(legendre_row(1, 0.5)[1] - math.sqrt(1.5) * 0.5) < 1e-15
 
 
 def test_eval_degree_seven_matches_high_precision_recurrence():
     # frozen from a 40-digit mpmath evaluation of sqrt(15/2) * P_7(0.9)
-    assert abs(legendre_eval(7, 0.9) - (-1.0073302314553587)) < 1e-14
+    assert abs(legendre_row(7, 0.9)[7] - (-1.0073302314553587)) < 1e-14
 
 
 @pytest.mark.parametrize(
@@ -113,12 +133,12 @@ def test_eval_degree_seven_matches_high_precision_recurrence():
     ],
 )
 def test_recurrence_stability_to_degree_200(n, x, expected):
-    assert abs(legendre_eval(n, x) - expected) < 1e-12 * abs(expected)
+    assert abs(legendre_row(n, x)[n] - expected) < 1e-12 * abs(expected)
 
 
 def test_eval_outside_domain_rejected():
     with pytest.raises(ValueError):
-        legendre_eval(3, 1.5)
+        legendre_row(3, 1.5)
     with pytest.raises(ValueError):
         legendre_row(3, -1.0001)
 
@@ -132,7 +152,7 @@ def test_row_examples():
 def test_row_matches_individual_evaluations():
     row = legendre_row(10, 0.3)
     for k in range(11):
-        assert row[k] == legendre_eval(k, 0.3)
+        assert row[k] == legendre_row_reference(k, 0.3)[k]
 
 
 def test_row_vectorized_shape():
@@ -147,3 +167,73 @@ def test_full_orthonormality_block():
     table = legendre_row(50, r.nodes)
     gram = table.T @ (r.weights[:, None] * table)
     assert np.max(np.abs(gram - np.eye(51))) < 1e-12
+
+
+# ------------------------------------------------------------- table cache
+
+_POINT_SETS = (
+    RULE_1000.nodes,
+    gauss_legendre(37).nodes,
+    np.linspace(-1.0, 1.0, 129),
+    np.array([-1.0, -0.25, 0.0, 0.5, 1.0]),
+    np.array([0.3]),
+    np.linspace(-0.9, 0.7, 11),
+    0.3,
+    -0.77,
+)
+
+
+@st.composite
+def _call_sequences(draw):
+    # more point sets than the cache holds, interleaved, at growing and
+    # shrinking degrees, with scalar points among them
+    assert len(_POINT_SETS) > orthopoly._TABLE_CAPACITY
+    return draw(st.lists(st.tuples(st.sampled_from(_POINT_SETS), st.integers(0, 60)),
+                         min_size=1, max_size=25))
+
+
+@given(_call_sequences())
+@settings(max_examples=80, deadline=None)
+def test_cached_rows_match_reference_bit_for_bit(calls):
+    with orthopoly._tables_lock:
+        orthopoly._tables.clear()
+    for x, degree in calls:
+        got = legendre_row(degree, x)
+        want = legendre_row_reference(degree, x)
+        assert got.shape == want.shape
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert np.array_equal(got, want)
+    assert len(orthopoly._tables) <= orthopoly._TABLE_CAPACITY
+
+
+def test_returned_table_is_independent_of_the_cache():
+    xs = np.linspace(-1.0, 1.0, 17)
+    first = legendre_row(12, xs)
+    first[:] = 7.0
+    scalar = legendre_row(5, 0.25)
+    scalar[:] = 7.0
+    assert np.array_equal(legendre_row(12, xs), legendre_row_reference(12, xs))
+    assert np.array_equal(legendre_row(4, xs), legendre_row_reference(4, xs))
+    assert np.array_equal(legendre_row(5, 0.25), legendre_row_reference(5, 0.25))
+
+
+def test_out_of_domain_rejected_around_a_cached_call():
+    bad = np.array([0.0, 0.5, 1.0 + 1e-12])
+    good = np.array([0.0, 0.5, 1.0])
+    with pytest.raises(ValueError):
+        legendre_row(8, bad)
+    assert np.array_equal(legendre_row(8, good), legendre_row_reference(8, good))
+    for degree in (0, 8, 20):
+        with pytest.raises(ValueError):
+            legendre_row(degree, bad)
+
+
+def test_concurrent_calls_at_mixed_degrees_match_reference():
+    with orthopoly._tables_lock:
+        orthopoly._tables.clear()
+    x = RULE_1000.nodes
+    degrees = [(7 * i) % 61 for i in range(200)]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        tables = list(pool.map(lambda d: legendre_row(d, x), degrees))
+    for degree, table in zip(degrees, tables):
+        assert np.array_equal(table, legendre_row_reference(degree, x))
