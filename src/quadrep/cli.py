@@ -334,7 +334,7 @@ def cmd_denoise(args, argv) -> int:
         truth = (step_ground_truth(data.positions) if args.truth == "step"
                  else read_dataset(args.truth).observed)
         tsigns = np.where(truth > STEP_MID, 1, -1)
-        report["mislabel_count"] = int(np.sum(index.dense(data.positions) != tsigns))
+        report["mislabel_count"] = int(np.sum(index.signs_at(data.positions) != tsigns))
     with open(out / "report.json", "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

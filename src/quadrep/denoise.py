@@ -588,7 +588,7 @@ def denoise_iterative(data: NoisyDataset,
         raise ValueError(f"unknown init mode {init!r}")
 
     prev_coeffs = np.array([fit.b0, fit.b1, fit.c0, fit.c1])
-    prev_signs = index.dense(data.positions)
+    prev_signs = index.signs_at(data.positions)
     trace = [tuple(prev_coeffs)]
     converged = False
     iterations = 0
@@ -612,7 +612,7 @@ def denoise_iterative(data: NoisyDataset,
         fit, index, values = new_fit, new_index, new_values
         coeffs = np.array([fit.b0, fit.b1, fit.c0, fit.c1])
         trace.append(tuple(coeffs))
-        signs = index.dense(data.positions)
+        signs = index.signs_at(data.positions)
         # coefficient movement relative to the coefficient scale
         denom = max(float(np.max(np.abs(prev_coeffs))), 1e-12)
         coeff_move = float(np.max(np.abs(coeffs - prev_coeffs)) / denom)

@@ -80,10 +80,6 @@ class SampleGrid:
         lo, hi = self.domain
         return (2.0 * np.asarray(x, dtype=float) - (lo + hi)) / (hi - lo)
 
-    def from_unit(self, t):
-        lo, hi = self.domain
-        return 0.5 * (hi - lo) * np.asarray(t, dtype=float) + 0.5 * (lo + hi)
-
     @property
     def unit_nodes(self) -> np.ndarray:
         return self.to_unit(self.nodes)
@@ -136,45 +132,17 @@ def tabulated_grid(positions, values, domain: tuple[float, float] | None = None)
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Candidate column streams, the regression target, and per-column tags.
+    """The candidate columns, the regression target, and one tag per column.
 
     Tags are (stream id, Legendre degree) pairs; they uniquely identify a
     column and are the provenance carried through selection traces.
     """
 
-    stream1: np.ndarray
-    stream2: np.ndarray
-    stream3: np.ndarray
+    columns: np.ndarray
     target: np.ndarray
     tags: tuple[tuple[int, int], ...]
     degenerate: bool = False
     warnings: tuple[str, ...] = field(default_factory=tuple)
-
-    @property
-    def n_columns(self) -> int:
-        return len(self.tags)
-
-    @property
-    def columns(self) -> np.ndarray:
-        parts = [s for s in (self.stream1, self.stream2, self.stream3) if s.shape[1]]
-        return np.hstack(parts) if parts else np.empty((self.target.size, 0))
-
-    def stream(self, stream_id: int) -> np.ndarray:
-        if stream_id == STREAM_PLAIN:
-            return self.stream1
-        if stream_id == STREAM_F:
-            return self.stream2
-        if stream_id == STREAM_F2:
-            return self.stream3
-        raise ValueError(f"unknown stream {stream_id}")
-
-    def column_for_tag(self, tag: tuple[int, int]) -> np.ndarray:
-        stream_id, degree = tag
-        block = self.stream(stream_id)
-        col = degree - 1 if stream_id == STREAM_F2 else degree
-        if not 0 <= col < block.shape[1]:
-            raise KeyError(f"tag {tag} not present")
-        return block[:, col]
 
 
 def assemble(grid: SampleGrid, n0: int, n1: int, n2: int) -> Dictionary:
@@ -192,9 +160,11 @@ def assemble(grid: SampleGrid, n0: int, n1: int, n2: int) -> Dictionary:
         warnings.append(
             f"degree {max_deg} exceeds the exactness budget of the order-{grid.size} rule"
         )
-    s1 = table[:, : n0 + 1]
-    s2 = table[:, : n1 + 1] * f[:, None]
-    s3 = table[:, 1 : n2 + 1] * (f * f)[:, None]
+    columns = np.hstack([
+        table[:, : n0 + 1],
+        table[:, : n1 + 1] * f[:, None],
+        table[:, 1 : n2 + 1] * (f * f)[:, None],
+    ])
     target = (f * f) * table[:, 0]
     tags = (
         [(STREAM_PLAIN, d) for d in range(n0 + 1)]
@@ -205,9 +175,7 @@ def assemble(grid: SampleGrid, n0: int, n1: int, n2: int) -> Dictionary:
     if degenerate:
         warnings.append("f is identically zero: streams 2 and 3 are all-zero columns")
     return Dictionary(
-        stream1=s1,
-        stream2=s2,
-        stream3=s3,
+        columns=columns,
         target=target,
         tags=tuple(tags),
         degenerate=degenerate,

@@ -235,9 +235,6 @@ class IndexFunction:
             return int(out[0])
         return out
 
-    def dense(self, positions) -> np.ndarray:
-        return self.signs_at(positions)
-
 
 @dataclass(frozen=True)
 class Degree2Rep:
@@ -589,36 +586,24 @@ def fit_degree2_uniform(grid: SampleGrid, n0: int, n1: int, n2: int) -> Degree2R
                                degeneracy=degeneracy, provenance=provenance)
 
 
-def _reference_values(grid: SampleGrid, reference) -> np.ndarray:
-    """The grid's samples (None), a callable at the grid nodes, or an array."""
-    if reference is None:
-        return grid.values
-    if callable(reference):
-        return np.asarray([reference(x) for x in grid.nodes], dtype=float)
-    return np.asarray(reference, dtype=float)
+def residual_l2(rep, grid: SampleGrid) -> float:
+    """Weighted L2 distance between the representation and the grid's samples.
 
-
-def residual_l2(rep, grid: SampleGrid, reference=None) -> float:
-    """Weighted L2 distance between the representation and a reference.
-
-    The reference defaults to the grid's stored samples; a callable is
-    evaluated at the grid nodes.  Evaluation failures (poles, complex roots)
-    count as +inf with a warning.
+    Evaluation failures (poles, complex roots) count as +inf with a warning.
     """
-    ref = _reference_values(grid, reference)
     try:
         vals = eval_rep(rep, grid.nodes)
     except (ComplexRootError, PoleError, EvaluationError) as exc:
         warnings.warn(f"evaluation failed, residual reported as inf: {exc}")
         return float("inf")
-    return float(np.sqrt(np.sum(grid.weights * (vals - ref) ** 2)))
+    return float(np.sqrt(np.sum(grid.weights * (vals - grid.values) ** 2)))
 
 
-def relative_l2(rep, grid: SampleGrid, reference=None) -> float:
-    """residual_l2 normalized by the reference norm (when nonzero)."""
-    ref = _reference_values(grid, reference)
+def relative_l2(rep, grid: SampleGrid) -> float:
+    """residual_l2 normalized by the samples' norm (when nonzero)."""
+    ref = grid.values
     denom = float(np.sqrt(np.sum(grid.weights * ref * ref)))
-    err = residual_l2(rep, grid, ref)
+    err = residual_l2(rep, grid)
     return err / denom if denom > 0 else err
 
 

@@ -118,23 +118,17 @@ class RankReport:
     n_candidates: int
 
 
-def _orthonormalize_against(q_basis: np.ndarray, block: list[np.ndarray]) -> list:
-    """CGS2-orthonormalize block columns against q_basis and one another;
-    returns the accepted orthonormal columns."""
-    accepted = []
-    for col in block:
-        u = col
-        if q_basis.shape[1]:
-            u = u - q_basis @ (q_basis.T @ u)
-            u = u - q_basis @ (q_basis.T @ u)
-        for q in accepted:
-            u = u - q * (q @ u)
-            u = u - q * (q @ u)
-        rho = np.linalg.norm(u)
-        if rho < _DEP_TOL * np.linalg.norm(col) or rho == 0.0:
-            continue
-        accepted.append(u / rho)
-    return accepted
+def _orthonormalize(basis: np.ndarray, col: np.ndarray):
+    """CGS2: ``col`` with its components along the orthonormal columns of
+    ``basis`` removed twice, normalized; None if nothing independent is left."""
+    u = col
+    if basis.shape[1]:
+        u = u - basis @ (basis.T @ u)
+        u = u - basis @ (basis.T @ u)
+    rho = np.linalg.norm(u)
+    if rho < _DEP_TOL * np.linalg.norm(col) or rho == 0.0:
+        return None
+    return u / rho
 
 
 @dataclass(frozen=True)
@@ -203,29 +197,26 @@ def greedy_run(grid: SampleGrid, config: SelectionConfig) -> GreedyRun:
     """Run the stream competition until ``config`` stops it.
 
     Each step draws the next ``batch_size`` unused columns from every stream,
-    W-normalizes them, and keeps the stream whose tentative least-squares
-    residual is smallest.  Exact ties (relative 1e-12) are broken by a seeded
-    uniform draw.  Rejected draws stay available; only the chosen stream's
-    cursor advances.
+    W-normalizes them, orthonormalizes each once against the kept basis and
+    the batch's earlier vectors, and keeps the stream whose tentative
+    least-squares residual is smallest, with the vectors it was scored by.
+    Exact ties (relative 1e-12) are broken by a seeded uniform draw.
+    Rejected draws stay available; only the chosen stream's cursor advances.
     """
     cap = config.stream_cap
     d = assemble(grid, cap, cap, cap)
     sw = np.sqrt(grid.weights)
-    scaled = {s: d.stream(s) * sw[:, None] for s in _STREAMS}
-    tags_by_stream = {
-        STREAM_PLAIN: [(STREAM_PLAIN, k) for k in range(cap + 1)],
-        STREAM_F: [(STREAM_F, k) for k in range(cap + 1)],
-        STREAM_F2: [(STREAM_F2, k) for k in range(1, cap + 1)],
-    }
+    scaled = d.columns * sw[:, None]
+    norms = [np.linalg.norm(scaled[:, j]) for j in range(len(d.tags))]
+    units = [scaled[:, j] / n if n else None for j, n in enumerate(norms)]
+    by_stream = {s: [j for j, tag in enumerate(d.tags) if tag[0] == s] for s in _STREAMS}
     y = d.target * sw
     rng = np.random.Generator(np.random.Philox(key=config.rng_seed))
 
     q_basis = np.empty((grid.size, 0))
     resid_vec = y.copy()
     cursors = {s: 0 for s in _STREAMS}
-    kept_tags: list = []
-    kept_norms: list = []
-    kept_cols: list = []
+    kept: list = []
     steps = []
     notes = []
     exhausted = False
@@ -233,81 +224,54 @@ def greedy_run(grid: SampleGrid, config: SelectionConfig) -> GreedyRun:
     step_no = 0
 
     while True:
-        if config.max_terms is not None and len(kept_tags) >= config.max_terms:
+        if config.max_terms is not None and len(kept) >= config.max_terms:
             stopped_at_max_terms = True
             break
-        budget = None
+        take = config.batch_size
         if config.max_terms is not None:
-            budget = config.max_terms - len(kept_tags)
+            take = min(take, config.max_terms - len(kept))
         step_no += 1
         candidates = {}
-        per_stream = {}
+        drawn = {}
         for s in _STREAMS:
-            total = scaled[s].shape[1]
-            avail = total - cursors[s]
-            take = min(config.batch_size, avail)
-            if budget is not None:
-                take = min(take, budget)
-            if take <= 0:
+            idx = by_stream[s][cursors[s]:cursors[s] + take]
+            if not idx:
                 candidates[s] = {"tags": [], "residual": None, "note": "exhausted"}
                 continue
-            idx = range(cursors[s], cursors[s] + take)
-            cols = []
-            norms = []
-            ctags = []
+            ctags = [list(d.tags[j]) for j in idx]
+            basis, qs = q_basis, []
             for j in idx:
-                col = scaled[s][:, j]
-                norm = np.linalg.norm(col)
-                ctags.append(tags_by_stream[s][j])
-                if norm == 0.0:
-                    cols.append(None)
-                    norms.append(0.0)
-                else:
-                    cols.append(col / norm)
-                    norms.append(norm)
-            usable = [c for c in cols if c is not None]
-            qs = _orthonormalize_against(q_basis, usable)
-            if not qs:
-                candidates[s] = {
-                    "tags": [list(t) for t in ctags],
-                    "residual": None,
-                    "note": "dependent",
-                }
+                q = None if units[j] is None else _orthonormalize(basis, units[j])
+                qs.append(q)
+                if q is not None:
+                    basis = np.column_stack([basis, q])
+            if all(q is None for q in qs):
+                candidates[s] = {"tags": ctags, "residual": None, "note": "dependent"}
                 continue
-            reduction = sum(float(q @ resid_vec) ** 2 for q in qs)
+            reduction = sum(float(q @ resid_vec) ** 2 for q in qs if q is not None)
             cand_resid = float(np.sqrt(max(float(resid_vec @ resid_vec) - reduction, 0.0)))
-            candidates[s] = {"tags": [list(t) for t in ctags], "residual": cand_resid}
-            per_stream[s] = (ctags, cols, norms, take)
-        if not per_stream:
+            candidates[s] = {"tags": ctags, "residual": cand_resid}
+            drawn[s] = (idx, qs, basis)
+        if not drawn:
             exhausted = True
             notes.append("all candidate streams exhausted or dependent")
             break
-        resids = {s: candidates[s]["residual"] for s in per_stream}
+        resids = {s: candidates[s]["residual"] for s in drawn}
         rmin = min(resids.values())
-        tied = [s for s in _STREAMS if s in per_stream
+        tied = [s for s in _STREAMS if s in drawn
                 and resids[s] - rmin <= _TIE_RTOL * max(rmin, 1e-300)]
-        if len(tied) == 1:
-            chosen = tied[0]
-        else:
-            chosen = tied[int(rng.integers(len(tied)))]
-        ctags, cols, norms, take = per_stream[chosen]
+        chosen = tied[0] if len(tied) == 1 else tied[int(rng.integers(len(tied)))]
+        idx, qs, q_basis = drawn[chosen]
         chosen_tags = []
-        for tag, col, norm in zip(ctags, cols, norms):
-            if col is None:
-                notes.append(f"skipped zero column {tag}")
+        for j, q in zip(idx, qs):
+            if q is None:
+                kind = "zero" if units[j] is None else "dependent"
+                notes.append(f"skipped {kind} column {d.tags[j]}")
                 continue
-            qs = _orthonormalize_against(q_basis, [col])
-            if not qs:
-                notes.append(f"skipped dependent column {tag}")
-                continue
-            q = qs[0]
-            q_basis = np.column_stack([q_basis, q])
             resid_vec = resid_vec - q * (q @ resid_vec)
-            kept_tags.append(tag)
-            kept_norms.append(norm)
-            kept_cols.append(col * norm)  # scaled, unnormalized column
-            chosen_tags.append(tag)
-        cursors[chosen] += take
+            kept.append(j)
+            chosen_tags.append(d.tags[j])
+        cursors[chosen] += len(idx)
         residual_after = float(np.linalg.norm(resid_vec))
         steps.append(StepRecord(step=step_no, candidates=candidates,
                                 chosen_stream=chosen, chosen_tags=tuple(chosen_tags),
@@ -315,12 +279,10 @@ def greedy_run(grid: SampleGrid, config: SelectionConfig) -> GreedyRun:
         if config.target_residual is not None and residual_after <= config.target_residual:
             break
 
-    columns = np.empty((grid.size, 0))
-    if kept_cols:
-        columns = np.column_stack([c / n for c, n in zip(kept_cols, kept_norms)])
-    return GreedyRun(grid=grid, config=config, tags=tuple(kept_tags), columns=columns,
-                     norms=np.asarray(kept_norms, dtype=float), target=y,
-                     steps=tuple(steps), notes=tuple(notes), exhausted=exhausted,
+    columns = np.column_stack([units[j] for j in kept]) if kept else np.empty((grid.size, 0))
+    return GreedyRun(grid=grid, config=config, tags=tuple(d.tags[j] for j in kept),
+                     columns=columns, norms=np.asarray([norms[j] for j in kept], dtype=float),
+                     target=y, steps=tuple(steps), notes=tuple(notes), exhausted=exhausted,
                      stopped_at_max_terms=stopped_at_max_terms)
 
 

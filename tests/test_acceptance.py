@@ -239,7 +239,7 @@ def test_criterion_08_case3_recovery():
         ls = fit_manifold_ls(data)
         ls_b0.append(abs(ls.b0 - 280.0) / 280.0)
         ls_c0.append(abs(ls.c0 + 6375.0) / 6375.0)
-        voted = res.index.dense(POS)
+        voted = res.index.signs_at(POS)
         mis.append(float(np.mean(voted[window] != TRUTH_SIGNS[window])))
     mean_db_b0, mean_db_c0 = float(np.mean(db_b0)), float(np.mean(db_c0))
     mean_ls_b0, mean_ls_c0 = float(np.mean(ls_b0)), float(np.mean(ls_c0))
@@ -342,7 +342,7 @@ def test_criterion_11_equivalences():
     chosen = []
     for step in trace.steps:
         chosen.extend(tuple(t) for t in step.chosen_tags)
-        cols = np.column_stack([d.column_for_tag(t) for t in chosen])
+        cols = np.column_stack([d.columns[:, d.tags.index(t)] for t in chosen])
         _, batch = weighted_lsq(cols, d.target, grid.weights)
         greedy_dev = max(greedy_dev, abs(step.residual_after - batch))
     elapsed = time.perf_counter() - start

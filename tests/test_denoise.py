@@ -338,7 +338,7 @@ def test_vote_uniform_signs_unchanged():
     signs = np.ones(50, dtype=int)
     idx, rounds, converged = knn_vote_index(signs, np.arange(50.0), k=4)
     assert converged and rounds == 1
-    assert np.array_equal(idx.dense(np.arange(50.0)), signs)
+    assert np.array_equal(idx.signs_at(np.arange(50.0)), signs)
 
 
 def test_vote_single_interior_flip_corrected():
@@ -346,16 +346,16 @@ def test_vote_single_interior_flip_corrected():
     signs[13] = -1
     idx, rounds, _ = knn_vote_index(signs, np.arange(30.0), k=4)
     assert rounds <= 2
-    assert np.all(idx.dense(np.arange(30.0)) == 1)
+    assert np.all(idx.signs_at(np.arange(30.0)) == 1)
 
 
 def test_vote_is_idempotent_at_fixpoint():
     data = generate_noisy(POS, TRUTH, "function", 150.0, 3)
     signs0 = np.where(np.abs(data.observed - 255.0) < np.abs(data.observed - 25.0), 1, -1)
     idx, _, _ = knn_vote_index(signs0, POS, k=10)
-    again, rounds, converged = knn_vote_index(idx.dense(POS), POS, k=10)
+    again, rounds, converged = knn_vote_index(idx.signs_at(POS), POS, k=10)
     assert converged and rounds == 1
-    assert np.array_equal(again.dense(POS), idx.dense(POS))
+    assert np.array_equal(again.signs_at(POS), idx.signs_at(POS))
 
 
 def test_vote_k_validation():
@@ -373,7 +373,7 @@ def test_vote_sigma150_true_manifold_statistics():
         data = generate_noisy(POS, TRUTH, "function", 150.0, seed)
         signs0 = np.where(np.abs(data.observed - 255.0) < np.abs(data.observed - 25.0), 1, -1)
         idx, _, _ = knn_vote_index(signs0, POS, k=10)
-        voted = idx.dense(POS)
+        voted = idx.signs_at(POS)
         rates.append(np.mean(voted[window] != TRUTH_SIGNS[window]))
         bps = idx.breakpoints
         near = bps[np.argmin(np.abs(bps - 140))]
@@ -391,7 +391,7 @@ def test_case3_small_noise_recovers_exactly():
     sigma = 1.0
     data = generate_noisy(POS, TRUTH, "function", sigma, seed=4)
     res = denoise_case3(data, sigma**2, k=10)
-    assert np.array_equal(res.index.dense(POS), TRUTH_SIGNS)
+    assert np.array_equal(res.index.signs_at(POS), TRUTH_SIGNS)
     assert np.max(np.abs(res.reconstructed - TRUTH)) < 0.01 * 230.0
     assert abs(res.fit.b0 - 280.0) / 280.0 < 0.01
     assert abs(res.fit.c0 + 6375.0) / 6375.0 < 0.01

@@ -52,7 +52,7 @@ def test_degenerate_domain_rejected():
 def test_assemble_minimal_columns():
     grid = build_grid(lambda x: x * x, (-1.0, 1.0), 50)
     d = assemble(grid, 0, 0, 0)
-    assert d.n_columns == 2
+    assert len(d.tags) == 2
     assert d.tags == ((STREAM_PLAIN, 0), (STREAM_F, 0))
     assert np.allclose(d.target, grid.values**2 / math.sqrt(2))
 
@@ -60,13 +60,13 @@ def test_assemble_minimal_columns():
 def test_assemble_fig1_configuration():
     grid = build_grid(lambda x: math.cos(x), (-1.0, 1.0), 50)
     d = assemble(grid, 4, 4, 0)
-    assert d.n_columns == 10
+    assert len(d.tags) == 10
 
 
 def test_assemble_counts_with_f2_stream():
     grid = build_grid(lambda x: math.cos(x), (-1.0, 1.0), 50)
     d = assemble(grid, 3, 3, 3)
-    assert d.n_columns == 11
+    assert len(d.tags) == 11
     f2_tags = [t for t in d.tags if t[0] == STREAM_F2]
     assert f2_tags == [(STREAM_F2, 1), (STREAM_F2, 2), (STREAM_F2, 3)]
 
@@ -74,30 +74,34 @@ def test_assemble_counts_with_f2_stream():
 def test_stream_views():
     grid = build_grid(lambda x: math.sin(x), (-1.0, 1.0), 60)
     d = assemble(grid, 4, 4, 4)
-    v1 = d.stream(STREAM_PLAIN)[:, :1]
-    assert v1.shape == (60, 1)
-    assert np.allclose(v1[:, 0], 1 / math.sqrt(2))
-    v3 = d.stream(STREAM_F2)[:, :2]
+    v1 = d.columns[:, d.tags.index((STREAM_PLAIN, 0))]
+    assert v1.shape == (60,)
+    assert np.allclose(v1, 1 / math.sqrt(2))
+    v3 = d.columns[:, [d.tags.index((STREAM_F2, k)) for k in (1, 2)]]
     assert np.allclose(v3, grid.legendre_table(2)[:, 1:] * (grid.values**2)[:, None])
-    assert d.stream(STREAM_F)[:, :0].shape == (60, 0)
-    with pytest.raises(ValueError):
-        d.stream(4)
+    assert [t for t in d.tags if t[0] == STREAM_F] == [(STREAM_F, k) for k in range(5)]
 
 
 def test_tag_column_bijection():
     grid = build_grid(lambda x: math.exp(x), (-1.0, 1.0), 40)
     d = assemble(grid, 3, 2, 4)
-    cols = d.columns
-    for j, tag in enumerate(d.tags):
-        assert np.array_equal(d.column_for_tag(tag), cols[:, j])
+    assert d.columns.shape == (40, len(d.tags))
+    assert len(set(d.tags)) == len(d.tags)
+    table = grid.legendre_table(4)
+    f = grid.values
+    for tag in d.tags:
+        stream, degree = tag
+        expected = table[:, degree] * {STREAM_PLAIN: 1.0, STREAM_F: f, STREAM_F2: f * f}[stream]
+        assert np.array_equal(d.columns[:, d.tags.index(tag)], expected)
 
 
 def test_zero_function_flags_degenerate():
     grid = build_grid(lambda x: 0.0, (-1.0, 1.0), 30)
     d = assemble(grid, 2, 2, 2)
     assert d.degenerate
-    assert np.all(d.stream2 == 0.0)
-    assert np.all(d.stream3 == 0.0)
+    for j, (stream, _) in enumerate(d.tags):
+        if stream != STREAM_PLAIN:
+            assert np.all(d.columns[:, j] == 0.0)
 
 
 def test_exactness_budget_warning():
@@ -110,7 +114,8 @@ def test_exactness_budget_warning():
 def test_affine_round_trip_working_domains(domain):
     grid = build_grid(lambda x: 0.5, domain, 2)
     for t in np.linspace(-1, 1, 41):
-        assert abs(grid.to_unit(grid.from_unit(t)) - t) < 1e-14
+        x = 0.5 * (domain[1] - domain[0]) * t + 0.5 * (domain[0] + domain[1])
+        assert abs(grid.to_unit(x) - t) < 1e-14
 
 
 @given(
@@ -124,4 +129,6 @@ def test_affine_round_trip_scale_aware(lo, width, t):
     grid = build_grid(lambda x: 0.5, (lo, lo + width), 2)
     center = lo + width / 2
     bound = 16 * np.finfo(float).eps * (1.0 + abs(center) / (width / 2))
-    assert abs(grid.to_unit(grid.from_unit(t)) - t) < bound
+    lo, hi = grid.domain
+    x = 0.5 * (hi - lo) * t + 0.5 * (lo + hi)
+    assert abs(grid.to_unit(x) - t) < bound

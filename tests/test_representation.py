@@ -372,7 +372,7 @@ def test_assign_index_relu_is_constant_plus():
 def test_index_compression_lossless(signs):
     positions = np.arange(len(signs), dtype=float)
     idx = IndexFunction.from_dense(positions, np.array(signs))
-    assert idx.dense(positions).tolist() == signs
+    assert idx.signs_at(positions).tolist() == signs
 
 
 def test_index_piecewise_constant_between_breakpoints():

@@ -1,10 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from quadrep.dictionary import STREAM_PLAIN, build_grid
-from quadrep.functions import get_builtin
+from quadrep import selection
+from quadrep.dictionary import STREAM_F, STREAM_F2, STREAM_PLAIN, assemble, build_grid
+from quadrep.functions import BUILTINS, get_builtin
 from quadrep.linalg import weighted_lsq
 from quadrep.representation import (
     BASIS_MONOMIAL,
@@ -18,8 +20,11 @@ from quadrep.representation import (
 )
 from quadrep.selection import (
     METHODS,
+    GreedyRun,
     RankReport,
     SelectionConfig,
+    SelectionTrace,
+    StepRecord,
     achievable_k,
     fit_at_k,
     greedy_run,
@@ -30,6 +35,7 @@ from quadrep.selection import (
 )
 
 
+@functools.lru_cache(maxsize=None)
 def grid_of(name, order=1000):
     fn = get_builtin(name)
     return build_grid(fn.fn, fn.domain, order)
@@ -71,13 +77,11 @@ def test_greedy_residuals_monotone_and_trace_consistent():
     residuals = [s.residual_after for s in trace.steps]
     assert all(residuals[i + 1] <= residuals[i] + 1e-13 for i in range(len(residuals) - 1))
     # trace residuals equal from-scratch weighted least squares on the same columns
-    from quadrep.dictionary import assemble
-
     d = assemble(SIG_GRID, config.stream_cap, config.stream_cap, config.stream_cap)
     chosen = []
     for step in trace.steps:
         chosen.extend(tuple(t) for t in step.chosen_tags)
-        cols = np.column_stack([d.column_for_tag(t) for t in chosen])
+        cols = np.column_stack([d.columns[:, d.tags.index(t)] for t in chosen])
         _, batch_resid = weighted_lsq(cols, d.target, SIG_GRID.weights)
         assert abs(step.residual_after - batch_resid) < 1e-11
 
@@ -163,14 +167,12 @@ def test_rrqr_prefers_the_orthonormal_plain_stream():
 
 
 def test_rrqr_mapped_coefficients_reproduce_truncated_fit():
-    from quadrep.dictionary import assemble
-
     cap, tol = 40, 1e-12
     rep, report = rrqr_select(SIG_GRID, stream_cap=cap, truncate_tol=tol)
     d = assemble(SIG_GRID, cap, cap, cap)
     sw = np.sqrt(SIG_GRID.weights)
     # prediction through the mapped-back coefficients
-    beta = np.zeros(d.n_columns)
+    beta = np.zeros(len(d.tags))
     tag_to_col = {tag: j for j, tag in enumerate(d.tags)}
     coeffs = {1: rep.c.coeffs, 2: rep.b.coeffs}
     for (stream, degree) in report.selected_tags:
@@ -318,3 +320,195 @@ def test_method_table_rejects_an_unknown_method():
                  lambda: fit_at_k(SIG_GRID, "deg3", 10)):
         with pytest.raises(ValueError, match="unknown method 'deg3'"):
             call()
+
+
+def _orthonormalize_against_reference(q_basis, block):
+    """CGS2-orthonormalize block columns against q_basis and one another;
+    returns the accepted orthonormal columns."""
+    accepted = []
+    for col in block:
+        u = col
+        if q_basis.shape[1]:
+            u = u - q_basis @ (q_basis.T @ u)
+            u = u - q_basis @ (q_basis.T @ u)
+        for q in accepted:
+            u = u - q * (q @ u)
+            u = u - q * (q @ u)
+        rho = np.linalg.norm(u)
+        if rho < selection._DEP_TOL * np.linalg.norm(col) or rho == 0.0:
+            continue
+        accepted.append(u / rho)
+    return accepted
+
+
+def greedy_run_reference(grid, config) -> GreedyRun:
+    """The stream competition as ``greedy_run`` ran it before it scored each
+    stream with the vectors it keeps: every drawn column orthonormalized once
+    to score its stream (against the basis, then the batch's earlier vectors
+    one at a time) and the chosen stream's columns again from scratch to
+    commit them.  The oracle for ``greedy_run``."""
+    cap = config.stream_cap
+    d = assemble(grid, cap, cap, cap)
+    sw = np.sqrt(grid.weights)
+    streams = (STREAM_PLAIN, STREAM_F, STREAM_F2)
+    tags_by_stream = {s: [t for t in d.tags if t[0] == s] for s in streams}
+    scaled = {s: d.columns[:, [d.tags.index(t) for t in tags_by_stream[s]]] * sw[:, None]
+              for s in streams}
+    y = d.target * sw
+    rng = np.random.Generator(np.random.Philox(key=config.rng_seed))
+
+    q_basis = np.empty((grid.size, 0))
+    resid_vec = y.copy()
+    cursors = {s: 0 for s in streams}
+    kept_tags, kept_norms, kept_cols = [], [], []
+    steps, notes = [], []
+    exhausted = False
+    stopped_at_max_terms = False
+    step_no = 0
+    while True:
+        if config.max_terms is not None and len(kept_tags) >= config.max_terms:
+            stopped_at_max_terms = True
+            break
+        budget = None
+        if config.max_terms is not None:
+            budget = config.max_terms - len(kept_tags)
+        step_no += 1
+        candidates = {}
+        per_stream = {}
+        for s in streams:
+            take = min(config.batch_size, scaled[s].shape[1] - cursors[s])
+            if budget is not None:
+                take = min(take, budget)
+            if take <= 0:
+                candidates[s] = {"tags": [], "residual": None, "note": "exhausted"}
+                continue
+            cols, norms, ctags = [], [], []
+            for j in range(cursors[s], cursors[s] + take):
+                col = scaled[s][:, j]
+                norm = np.linalg.norm(col)
+                ctags.append(tags_by_stream[s][j])
+                cols.append(None if norm == 0.0 else col / norm)
+                norms.append(norm)
+            qs = _orthonormalize_against_reference(
+                q_basis, [c for c in cols if c is not None])
+            if not qs:
+                candidates[s] = {"tags": [list(t) for t in ctags], "residual": None,
+                                 "note": "dependent"}
+                continue
+            reduction = sum(float(q @ resid_vec) ** 2 for q in qs)
+            cand_resid = float(np.sqrt(max(float(resid_vec @ resid_vec) - reduction, 0.0)))
+            candidates[s] = {"tags": [list(t) for t in ctags], "residual": cand_resid}
+            per_stream[s] = (ctags, cols, norms, take)
+        if not per_stream:
+            exhausted = True
+            notes.append("all candidate streams exhausted or dependent")
+            break
+        resids = {s: candidates[s]["residual"] for s in per_stream}
+        rmin = min(resids.values())
+        tied = [s for s in streams if s in per_stream
+                and resids[s] - rmin <= selection._TIE_RTOL * max(rmin, 1e-300)]
+        chosen = tied[0] if len(tied) == 1 else tied[int(rng.integers(len(tied)))]
+        ctags, cols, norms, take = per_stream[chosen]
+        chosen_tags = []
+        for tag, col, norm in zip(ctags, cols, norms):
+            if col is None:
+                notes.append(f"skipped zero column {tag}")
+                continue
+            qs = _orthonormalize_against_reference(q_basis, [col])
+            if not qs:
+                notes.append(f"skipped dependent column {tag}")
+                continue
+            q = qs[0]
+            q_basis = np.column_stack([q_basis, q])
+            resid_vec = resid_vec - q * (q @ resid_vec)
+            kept_tags.append(tag)
+            kept_norms.append(norm)
+            kept_cols.append(col * norm)
+            chosen_tags.append(tag)
+        cursors[chosen] += take
+        residual_after = float(np.linalg.norm(resid_vec))
+        steps.append(StepRecord(step=step_no, candidates=candidates,
+                                chosen_stream=chosen, chosen_tags=tuple(chosen_tags),
+                                residual_after=residual_after))
+        if config.target_residual is not None and residual_after <= config.target_residual:
+            break
+
+    columns = np.empty((grid.size, 0))
+    if kept_cols:
+        columns = np.column_stack([c / n for c, n in zip(kept_cols, kept_norms)])
+    return GreedyRun(grid=grid, config=config, tags=tuple(kept_tags), columns=columns,
+                     norms=np.asarray(kept_norms, dtype=float), target=y,
+                     steps=tuple(steps), notes=tuple(notes), exhausted=exhausted,
+                     stopped_at_max_terms=stopped_at_max_terms)
+
+
+def _run_docs(run):
+    """The rep at the run's own max_terms (or the error it raises) and the
+    run's trace, whose final residual is the last step's."""
+    rep = _rep_doc(lambda: (run.rep_at(run.config.max_terms), run.tags))
+    trace = SelectionTrace(steps=run.steps, final_residual=run.steps[-1].residual_after,
+                           rng_seed=run.config.rng_seed, exhausted=run.exhausted,
+                           notes=run.notes)
+    return rep, trace
+
+
+# 30 terms: every builtin's run reaches it, in whole batches of 1, 3 and 5
+ORACLE_CASES = [(name, batch) for name in sorted(BUILTINS) for batch in (1, 3, 5)]
+
+
+@pytest.mark.parametrize("name, batch", ORACLE_CASES)
+def test_greedy_run_matches_the_reference_loop(name, batch):
+    grid = grid_of(name)
+    for cap in (40, 60):
+        for seed in (0, 1, 3):
+            config = SelectionConfig(batch_size=batch, max_terms=30, rng_seed=seed,
+                                     stream_cap=cap)
+            run, ref = greedy_run(grid, config), greedy_run_reference(grid, config)
+            (rep, trace), (ref_rep, ref_trace) = _run_docs(run), _run_docs(ref)
+            where = f"{name} cap={cap} seed={seed} batch={batch}"
+            assert rep == ref_rep, where
+            if batch == 1:
+                assert trace.to_json() == ref_trace.to_json(), where
+                continue
+            # a batch's candidate vectors are now the ones its commit keeps,
+            # so only the candidate residuals may move, and by rounding
+            assert run.tags == ref.tags, where
+            assert run.notes == ref.notes and run.exhausted == ref.exhausted, where
+            tol = 1e-12 * np.linalg.norm(run.target)
+            assert len(run.steps) == len(ref.steps), where
+            for step, ref_step in zip(run.steps, ref.steps):
+                assert (step.chosen_stream, step.chosen_tags, step.residual_after) == \
+                    (ref_step.chosen_stream, ref_step.chosen_tags, ref_step.residual_after), where
+                assert step.candidates.keys() == ref_step.candidates.keys(), where
+                for s, cand in step.candidates.items():
+                    ref_cand = ref_step.candidates[s]
+                    assert cand.keys() == ref_cand.keys(), where
+                    assert cand["tags"] == ref_cand["tags"], where
+                    if cand["residual"] is None or ref_cand["residual"] is None:
+                        assert cand == ref_cand, where
+                    else:
+                        assert abs(cand["residual"] - ref_cand["residual"]) <= tol, where
+
+
+def test_greedy_run_orthonormalizes_each_drawn_column_once(monkeypatch):
+    calls = []
+    orthonormalize = selection._orthonormalize
+
+    def counted(basis, col):
+        calls.append(basis.shape[1])
+        return orthonormalize(basis, col)
+
+    monkeypatch.setattr(selection, "_orthonormalize", counted)
+    zero_grid = build_grid(lambda x: 0.0, (-1.0, 1.0), 200)
+    for grid, batch in ((SIG_GRID, 3), (SIG_GRID, 5), (zero_grid, 1)):
+        calls.clear()
+        config = SelectionConfig(batch_size=batch, max_terms=15, rng_seed=0)
+        run = greedy_run(grid, config)
+        cap = config.stream_cap
+        d = assemble(grid, cap, cap, cap)
+        nonzero = {t for j, t in enumerate(d.tags) if np.any(d.columns[:, j])}
+        drawn = sum(tuple(t) in nonzero for step in run.steps
+                    for cand in step.candidates.values() for t in cand["tags"])
+        # one call per drawn nonzero column, scored or not, and none to commit
+        assert len(calls) == drawn
+        assert len(run.tags) == 15
