@@ -1,4 +1,4 @@
-"""Dense weighted least squares and column-pivoted QR.
+"""Dense weighted least squares and column-pivoted QR, on one Householder QR.
 
 Normal equations are never formed: the candidate dictionaries this package
 fits against are near-linearly-dependent by construction, so everything goes
@@ -16,6 +16,7 @@ __all__ = [
     "PivotedQR",
     "weighted_lsq",
     "pivoted_qr",
+    "householder_qr",
 ]
 
 DEFAULT_RANK_TOL = 1e-12
@@ -56,16 +57,13 @@ class PivotedQR:
         return solve_triangular(self.r[:rank, :rank], proj, lower=False), residual
 
 
-def pivoted_qr(a) -> PivotedQR:
-    """Householder QR with greedy pivoting on remaining column norms.
+def householder_qr(a):
+    """Thin Householder QR, A = Q R: LAPACK's unblocked ``dgeqrf``/``dorgqr``.
 
-    Compress, then pivot: LAPACK's unblocked Householder QR gives
-    A = Q0 R0, and the pivot loop runs on the small triangle R0.  An
-    orthogonal Q0 leaves every column norm unchanged, so in exact arithmetic
-    the pivots are those of pivoting A itself, at a fraction of the flops.
-    The minimal workspace keeps LAPACK on its unblocked path, whose bits do
-    not depend on the BLAS thread count (the blocked path's do, above 128
-    columns).
+    The minimal workspace keeps LAPACK off its blocked path, whose bits depend
+    on the BLAS thread count above 128 columns.  Q is returned in C order, as
+    NumPy's QR gives it: ``Q.T @ y`` over dorgqr's Fortran-order Q differs in
+    the last bits, and would move stored results.
 
     Raises ValueError on a non-finite entry: LAPACK does not check.
     """
@@ -79,10 +77,20 @@ def pivoted_qr(a) -> PivotedQR:
     qr, tau, _, info = lapack.dgeqrf(a, lwork=n)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgeqrf failed (info={info})")
-    q0, _, info = lapack.dorgqr(qr[:, :steps], tau, lwork=steps)
+    q, _, info = lapack.dorgqr(qr[:, :steps], tau, lwork=steps)
     if info != 0:
         raise np.linalg.LinAlgError(f"dorgqr failed (info={info})")
-    return _pivot(q0, np.triu(qr[:steps]))
+    return np.ascontiguousarray(q), np.triu(qr[:steps])
+
+
+def pivoted_qr(a) -> PivotedQR:
+    """Householder QR with greedy pivoting on remaining column norms.
+
+    Compress, then pivot: the pivot loop runs on the triangle R0 of
+    ``householder_qr``'s A = Q0 R0.  An orthogonal Q0 keeps every column norm,
+    so in exact arithmetic the pivots are those of A, at a fraction of the flops.
+    """
+    return _pivot(*householder_qr(a))
 
 
 def _pivot(q0: np.ndarray, r0: np.ndarray) -> PivotedQR:
@@ -152,7 +160,7 @@ def weighted_lsq(v, y, w):
         raise ValueError("weights must be positive")
     sw = np.sqrt(w)
     a = v * sw[:, None]
-    q, r = np.linalg.qr(a, mode="reduced")
+    q, r = householder_qr(a)
     d = np.abs(np.diag(r))
     if d.max() == 0.0 or d.min() < DEFAULT_RANK_TOL * d.max():
         fact = _pivot(q, r)

@@ -102,6 +102,7 @@ def _check_domain(x: np.ndarray) -> None:
 # uses two point sets (the points and the a-scale probes): a few entries suffice.
 # The convergence command's pool threads share the cache, hence the lock.
 _TABLE_CAPACITY = 4
+_TABLE_MAX_BYTES = 8 << 20  # larger tables (1e5 points at degree 60: 48.8 MB) are not kept
 _tables: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _tables_lock = threading.Lock()
 
@@ -143,17 +144,18 @@ def legendre_row(max_degree: int, x):
         # a hit has the bytes of points that already passed the check
         _check_domain(arr)
         table = _legendre_table(max_degree, arr)
-        table.flags.writeable = False
-        with _tables_lock:
-            held = _tables.get(key)
-            if held is None or held.shape[1] < table.shape[1]:
-                _tables[key] = table
-            _tables.move_to_end(key)
-            while len(_tables) > _TABLE_CAPACITY:
-                _tables.popitem(last=False)
-    # a copy, not a strided view: BLAS products over a view of the wider
-    # table differ in the last bits from those over a fresh table
-    out = table[:, :max_degree + 1].copy()
+        if table.nbytes <= _TABLE_MAX_BYTES:
+            table.flags.writeable = False
+            with _tables_lock:
+                held = _tables.get(key)
+                if held is None or held.shape[1] < table.shape[1]:
+                    _tables[key] = table
+                _tables.move_to_end(key)
+                while len(_tables) > _TABLE_CAPACITY:
+                    _tables.popitem(last=False)
+    # a cached (read-only) table is answered by a copy, not a strided view: BLAS
+    # products over a view of a wider table differ in the last bits
+    out = table if table.flags.writeable else table[:, :max_degree + 1].copy()
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return out[0]
     return out

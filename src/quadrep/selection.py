@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .dictionary import SampleGrid, assemble, STREAM_PLAIN, STREAM_F, STREAM_F2
-from .linalg import PivotedQR, pivoted_qr
+from .linalg import PivotedQR, householder_qr, pivoted_qr
 from .representation import (coefficients_to_rep, fit_degree0, fit_degree1,
                              fit_degree2_uniform)
 
@@ -177,7 +177,7 @@ class GreedyRun:
         if k == 0:
             raise ValueError("greedy selection kept no columns")
         # final least-squares coefficients on the kept (normalized) columns
-        q_fin, r_fin = np.linalg.qr(self.columns[:, :k], mode="reduced")
+        q_fin, r_fin = householder_qr(self.columns[:, :k])
         proj = q_fin.T @ self.target
         eta_hat = solve_triangular(r_fin, proj, lower=False)
         final_residual = float(np.linalg.norm(self.target - q_fin @ proj))

@@ -450,20 +450,28 @@ def test_convergence_blas_thread_count_invariance(tmp_path):
     # the BLAS thread count is read when the library loads, so each count
     # needs its own process; heaviside-sine deg2-rrqr factors a 1000 x 182
     # candidate matrix, and K = 33, 34 move if that factorization's bits
-    # depend on the thread count
+    # depend on the thread count; the deg2-uniform fit solves a 1000 x 142
+    # design by weighted least squares, and its rep moves the same way
     src = str(Path(quadrep.__file__).resolve().parents[1])
-    outs = []
+    commands = {
+        "convergence.csv": ["convergence", "--fn", "heaviside-sine", "--methods",
+                            "deg2-rrqr", "--kmax", "34"],
+        "rep.json": ["fit", "--fn", "heaviside-sine", "--method", "deg2-uniform",
+                     "--n0", "50", "--n1", "50", "--n2", "40"],
+    }
+    outs = {}
     for threads in ("1", "2"):
-        out = tmp_path / threads
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        subprocess.run(
-            [sys.executable, "-c", "import sys; from quadrep.cli import main; "
-             "sys.exit(main(sys.argv[1:]))", "convergence", "--fn", "heaviside-sine",
-             "--methods", "deg2-rrqr", "--kmax", "34", "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=300)
-        outs.append((out / "convergence.csv").read_bytes())
-    assert outs[0] == outs[1]
+        for name, argv in commands.items():
+            out = tmp_path / threads / name
+            subprocess.run(
+                [sys.executable, "-c", "import sys; from quadrep.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", *argv, "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=300)
+            outs.setdefault(name, []).append((out / name).read_bytes())
+    for name, (one, two) in outs.items():
+        assert one == two, name
 
 
 def test_manifest_replay_byte_identical(tmp_path):

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 import quadrep.linalg
 from quadrep.dictionary import assemble, build_grid
 from quadrep.functions import BUILTINS
-from quadrep.linalg import PivotedQR, RankDeficiencyError, pivoted_qr, weighted_lsq
+from quadrep.linalg import (PivotedQR, RankDeficiencyError, householder_qr, pivoted_qr,
+                            weighted_lsq)
 from quadrep.representation import fit_degree2_uniform
+from quadrep.selection import SelectionConfig, greedy_run
 
 
 def pivoted_qr_reference(a) -> PivotedQR:
@@ -227,6 +229,8 @@ def test_pivoted_qr_rejects_non_finite(bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="non-finite"):
             pivoted_qr(a)
+        with pytest.raises(ValueError, match="non-finite"):
+            weighted_lsq(a, np.ones(4), np.ones(4))
 
 
 def test_rank_deficient_fallback_pivots_the_triangle_it_has(monkeypatch):
@@ -250,3 +254,45 @@ def test_rank_deficient_fallback_pivots_the_triangle_it_has(monkeypatch):
         assert {tuple(t) for t in deg["dropped_tags"]} == dropped
         assert len(deg["dropped_tags"]) == len(dropped)
     assert calls == []
+
+
+def assert_matches_numpy_qr(a):
+    """householder_qr against NumPy's QR, the oracle: below 129 columns both
+    run LAPACK's unblocked kernels, so Q and R agree bit for bit."""
+    q, r = householder_qr(a)
+    q_np, r_np = np.linalg.qr(a, mode="reduced")
+    assert q.flags.c_contiguous
+    assert np.array_equal(q, q_np)
+    assert np.array_equal(r, r_np)
+
+
+@pytest.mark.parametrize("cap", [40, 60])
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_householder_qr_matches_numpy_on_builtins(name, cap):
+    fn = BUILTINS[name]
+    grid = build_grid(fn.fn, fn.domain, 1000)
+    d = assemble(grid, cap, cap, cap)
+    assert_matches_numpy_qr((d.columns * np.sqrt(grid.weights)[:, None])[:, :128])
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 128), st.integers(0, 80))
+@settings(max_examples=40, deadline=None)
+def test_householder_qr_matches_numpy_on_random_shapes(seed, n, extra_rows):
+    assert_matches_numpy_qr(np.random.default_rng(seed).standard_normal((n + extra_rows, n)))
+
+
+def test_least_squares_solves_make_no_numpy_qr_call(monkeypatch):
+    def numpy_qr(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", numpy_qr)
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal((30, 4))
+    weighted_lsq(v, rng.standard_normal(30), rng.uniform(0.5, 2.0, 30))
+    with pytest.raises(RankDeficiencyError):
+        weighted_lsq(np.column_stack([v, v[:, 0]]), np.ones(30), np.ones(30))
+    fn = BUILTINS["sigmoid60"]
+    run = greedy_run(build_grid(fn.fn, fn.domain, 200),
+                     SelectionConfig(max_terms=8, stream_cap=10))
+    for k in (5, 8):
+        assert np.isfinite(run.rep_at(k).fit_residual)

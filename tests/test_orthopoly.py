@@ -237,3 +237,15 @@ def test_concurrent_calls_at_mixed_degrees_match_reference():
         tables = list(pool.map(lambda d: legendre_row(d, x), degrees))
     for degree, table in zip(degrees, tables):
         assert np.array_equal(table, legendre_row_reference(degree, x))
+
+
+def test_large_table_is_returned_but_not_cached():
+    x = np.linspace(-1.0, 1.0, 100_000)
+    got = legendre_row(60, x)
+    assert got.nbytes > orthopoly._TABLE_MAX_BYTES
+    assert all(t.shape != got.shape for t in orthopoly._tables.values())
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert np.array_equal(got, orthopoly._legendre_table(60, x))
+    # the largest benchmark table, 1000 points at degree 60, stays cached
+    assert legendre_row(60, RULE_1000.nodes).nbytes <= orthopoly._TABLE_MAX_BYTES
+    assert any(t.shape == (1000, 61) for t in orthopoly._tables.values())
