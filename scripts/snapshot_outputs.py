@@ -4,9 +4,10 @@
     python3 scripts/snapshot_outputs.py OUT
 
 Runs, in this process, the three command lists of `perfbench/workloads.py`
-(`sweep`, `fit-eval`, `denoise`, benchmark seed 1) and both
-`scripts/run_*_experiments.py`, each under its own directory of OUT, and
-writes every command's exit code to OUT/exit_codes.txt.  Two checkouts give
+(`sweep`, `fit-eval`, `denoise`, benchmark seed 1), the `denoise` modes the
+benchmark does not run (`DENOISE_MODES`, on every preset at `DENOISE_SEEDS`)
+and both `scripts/run_*_experiments.py`, each under its own directory of OUT,
+and writes every command's exit code to OUT/exit_codes.txt.  Two checkouts give
 the same results when
 
     diff -r -x manifest.json A B
@@ -25,6 +26,32 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
+# denoise runs beyond the benchmark's: (directory, arguments); "{sigma2}" is
+# the preset's sigma squared
+DENOISE_MODES = (
+    ("ls+vote", ["--mode", "ls+vote", "--k", "3"]),
+    ("iterative-case2", ["--mode", "iterative", "--init", "case2"]),
+    ("iterative-case3", ["--mode", "iterative", "--init", "case3", "--sigma2", "{sigma2}"]),
+    ("iterative-subset", ["--mode", "iterative", "--constraints", "1,x,f,xf"]),
+)
+DENOISE_SEEDS = (0, 5)
+
+
+def denoise_commands(out: Path) -> list[list[str]]:
+    """generate, then every `DENOISE_MODES` run with --truth step, per preset and seed."""
+    from quadrep.denoise import NOISE_PRESETS
+
+    cmds = []
+    for preset, (_, sigma) in NOISE_PRESETS.items():
+        for seed in DENOISE_SEEDS:
+            data = out / f"{preset}-{seed}"
+            cmds.append(["generate", "--preset", preset, "--seed", str(seed),
+                         "--out", str(data)])
+            for name, args in DENOISE_MODES:
+                args = [a.format(sigma2=repr(sigma * sigma)) for a in args]
+                cmds.append(["denoise", "--input", str(data / "data.csv"), *args,
+                             "--truth", "step", "--out", str(data / name)])
+    return cmds
 
 
 def main(argv: list[str]) -> int:
@@ -45,6 +72,8 @@ def main(argv: list[str]) -> int:
         for name, workload in workloads.WORKLOADS.items():
             for cmd in workload(SEED).commands(out / name):
                 codes.append((" ".join(cmd.argv).replace(str(out), "OUT"), cli_main(cmd.argv)))
+        for argv in denoise_commands(out / "denoise-modes"):
+            codes.append((" ".join(argv).replace(str(out), "OUT"), cli_main(argv)))
         for script in ("run_convergence_experiments", "run_denoise_experiments"):
             code = importlib.import_module(script).run(out / script)
             codes.append((script, code))

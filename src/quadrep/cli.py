@@ -27,13 +27,12 @@ from .denoise import (
     NOISE_PRESETS,
     ALL_CONSTRAINTS,
     SingularConstraintError,
-    clamped_reconstruct,
     denoise_case3,
     denoise_iterative,
     fit_manifold_ls,
     generate_noisy,
-    knn_vote_index,
     read_dataset,
+    reconstruct,
     step_ground_truth,
     write_dataset,
 )
@@ -42,7 +41,6 @@ from .functions import BUILTINS, STEP_MID, get_builtin
 from .representation import (
     Degree1Rep,
     Degree2Rep,
-    IndexFunction,
     branches,
     eval_rep,
     fit_degree0,
@@ -275,36 +273,28 @@ def cmd_denoise(args, argv) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data = read_dataset(args.input)
-    converged = None
-    iterations = None
-    vote_rounds = None
-    constraint_residual = None
-    if args.mode == "ls" or args.mode == "ls+vote":
-        fit = fit_manifold_ls(data)
-        table = branches(fit.as_rep(data.domain), data.positions)
-        signs = table.nearest_signs(data.observed)
-        if args.mode == "ls+vote":
-            index, vote_rounds, _ = knn_vote_index(signs, data.positions, k=args.k)
-        else:
-            index = IndexFunction.from_dense(data.positions, signs)
-        values, _ = clamped_reconstruct(table, index.signs_at(data.positions))
-    elif args.mode == "debias+vote":
+    truth = step_ground_truth(data.positions) if args.truth == "step" else None
+    if args.truth not in (None, "step"):
+        known = read_dataset(args.truth)
+        if not np.array_equal(known.positions, data.positions):
+            raise DataError(f"{args.truth}: truth positions differ from the data's")
+        truth = known.observed
+    if args.mode == "debias+vote":
         if args.sigma2 is None:
             print("--mode debias+vote requires --sigma2", file=sys.stderr)
             return 2
         res = denoise_case3(data, args.sigma2, k=args.k)
-        fit, index, values = res.fit, res.index, res.reconstructed
-        vote_rounds = res.vote_rounds
-    else:  # iterative
+    elif args.mode == "iterative":
         names = ALL_CONSTRAINTS if args.constraints == "all8" else tuple(
             c.strip() for c in args.constraints.split(","))
         res = denoise_iterative(data, constraint_names=names, init=args.init,
                                 sigma2_0=args.sigma2, k=args.k,
                                 max_iter=args.max_iter, tol=args.tol)
-        fit, index, values = res.fit, res.index, res.reconstructed
-        converged, iterations = res.converged, res.iterations
-        constraint_residual = res.max_constraint_residual
+    else:  # ls keeps each sample's nearest root; ls+vote votes on them
+        res = reconstruct(fit_manifold_ls(data), data,
+                          args.k if args.mode == "ls+vote" else None)
 
+    fit, values = res.fit, res.reconstructed
     eps_hat = data.observed - values
     with open(out / "reconstruction.csv", "w", newline="") as fh:
         writer = _csv_writer(fh)
@@ -325,16 +315,14 @@ def cmd_denoise(args, argv) -> int:
     report = {
         "noise_mean": float(eps_hat.mean()),
         "noise_x_correlation": float((xc @ (eps_hat - eps_hat.mean())) / denom) if denom > 0 else 0.0,
-        "converged": converged,
-        "iterations": iterations,
-        "vote_rounds": vote_rounds,
-        "max_constraint_residual": constraint_residual,
+        "converged": res.converged,
+        "iterations": res.iterations,
+        "vote_rounds": res.vote_rounds,
+        "max_constraint_residual": res.max_constraint_residual,
     }
-    if args.truth is not None:
-        truth = (step_ground_truth(data.positions) if args.truth == "step"
-                 else read_dataset(args.truth).observed)
+    if truth is not None:
         tsigns = np.where(truth > STEP_MID, 1, -1)
-        report["mislabel_count"] = int(np.sum(index.signs_at(data.positions) != tsigns))
+        report["mislabel_count"] = int(np.sum(res.index.signs_at(data.positions) != tsigns))
     with open(out / "report.json", "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -17,12 +17,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .dictionary import DataError
 from .functions import STEP_HIGH, STEP_JUMP_AT, STEP_LOW, STEP_MID
 from .linalg import RankDeficiencyError, pivoted_qr, weighted_lsq
 from .orthopoly import legendre_row
 from .representation import (
     BASIS_MONOMIAL,
-    BranchTable,
     Degree2Rep,
     IndexFunction,
     PolyCoeffs,
@@ -44,15 +44,13 @@ __all__ = [
     "debias_moments",
     "solve_moment_system",
     "knn_vote_index",
-    "clamped_reconstruct",
-    "ls_vote_baseline",
+    "Reconstruction",
+    "reconstruct",
     "denoise_case3",
-    "Case3Result",
     "noise_constraints",
     "project_noise",
     "constraint_residuals",
     "denoise_iterative",
-    "IterativeResult",
     "write_dataset",
     "read_dataset",
     "ALL_CONSTRAINTS",
@@ -338,7 +336,7 @@ def solve_moment_system(m: MomentSet) -> ManifoldFit4:
 
 
 # --------------------------------------------------------------------------
-# index voting and the Case-3 pipeline
+# index voting, reconstruction and the Case-3 pipeline
 # --------------------------------------------------------------------------
 
 
@@ -393,50 +391,46 @@ def knn_vote_index(signs, positions, k: int = 10):
 
 
 @dataclass(frozen=True)
-class Case3Result:
+class Reconstruction:
+    """A denoising result: the manifold fit, the index that picks a root at
+    each sample, and the picked values, ``clamped_points`` of them at the
+    vertex.  ``vote_rounds`` is None when no vote ran; only
+    ``denoise_iterative`` sets the iteration fields."""
+
     fit: ManifoldFit4
     index: IndexFunction
     reconstructed: np.ndarray
-    noise_estimate: np.ndarray
-    vote_rounds: int
-    vote_converged: bool
-    clamped_points: int = 0
+    clamped_points: int
+    vote_rounds: int | None
+    converged: bool | None = None
+    iterations: int | None = None
+    max_constraint_residual: float | None = None
+    coefficient_trace: tuple = ()
 
 
-def clamped_reconstruct(table: BranchTable, signs):
-    """Root values of a ``branches`` table selected by ``signs`` (an index's
-    signs at the table's points); points whose discriminant is negative get
-    the manifold vertex b/(2a) instead of failing.  Returns (values, clamp
-    count).
-
-    Mirrors the clamp-to-vertex convention of manifold-noise generation.
-    """
-    values = np.where(table.complex, table.vertex, table.select(signs))
-    return values, int(np.sum(table.complex))
-
-
-def _vote_and_rebuild(rep: Degree2Rep, positions, observed, k: int):
-    """Nearest-root signs of ``observed``, their k-NN vote, and the root
-    values the voted index selects, all read from one branch table.
-    Returns (index, vote rounds, vote converged, values, clamp count)."""
-    table = branches(rep, positions)
-    index, rounds, converged = knn_vote_index(table.nearest_signs(observed), positions, k=k)
-    values, n_clamped = clamped_reconstruct(table, index.signs_at(positions))
-    return index, rounds, converged, values, n_clamped
+def reconstruct(fit: ManifoldFit4, data: NoisyDataset, k: int | None) -> Reconstruction:
+    """Each sample's nearest root on ``fit``'s manifold, their k-NN vote (none
+    when ``k`` is None), and the roots the index selects, all read from one
+    branch table.  A sample with complex roots gets the vertex b/(2a), the
+    clamp-to-vertex convention of manifold-noise generation."""
+    table = branches(fit.as_rep(data.domain), data.positions)
+    signs = table.nearest_signs(data.observed)
+    if k is None:
+        index, rounds = IndexFunction.from_dense(data.positions, signs), None
+    else:
+        index, rounds, _ = knn_vote_index(signs, data.positions, k=k)
+    values = np.where(table.complex, table.vertex,
+                      table.select(index.signs_at(data.positions)))
+    return Reconstruction(fit=fit, index=index, reconstructed=values,
+                          clamped_points=int(np.sum(table.complex)), vote_rounds=rounds)
 
 
-def denoise_case3(data: NoisyDataset, sigma2: float, k: int = 10) -> Case3Result:
+def denoise_case3(data: NoisyDataset, sigma2: float, k: int = 10) -> Reconstruction:
     """Known-variance pipeline: moments -> de-bias -> 4x4 solve -> vote -> rebuild."""
     if sigma2 <= 0:
         raise ValueError("case 3 needs a known sigma2 > 0")
-    moments = compute_noisy_moments(data)
-    fit = solve_moment_system(debias_moments(moments, sigma2))
-    index, rounds, converged, values, n_clamped = _vote_and_rebuild(
-        fit.as_rep(data.domain), data.positions, data.observed, k)
-    return Case3Result(fit=fit, index=index, reconstructed=values,
-                       noise_estimate=data.observed - values,
-                       vote_rounds=rounds, vote_converged=converged,
-                       clamped_points=n_clamped)
+    fit = solve_moment_system(debias_moments(compute_noisy_moments(data), sigma2))
+    return reconstruct(fit, data, k)
 
 
 # --------------------------------------------------------------------------
@@ -539,32 +533,13 @@ def constraint_residuals(residual, constraints: NoiseConstraintSet) -> np.ndarra
     return np.abs(g.T @ np.asarray(residual, dtype=float)) / norms
 
 
-@dataclass(frozen=True)
-class IterativeResult:
-    fit: ManifoldFit4
-    index: IndexFunction
-    reconstructed: np.ndarray
-    coefficient_trace: tuple
-    converged: bool
-    iterations: int
-    max_constraint_residual: float
-
-
-def ls_vote_baseline(data: NoisyDataset, k: int = 10):
-    """Case-1 style least squares plus voting; returns (fit, index, values, clamps)."""
-    fit = fit_manifold_ls(data)
-    index, _, _, values, n_clamped = _vote_and_rebuild(
-        fit.as_rep(data.domain), data.positions, data.observed, k)
-    return fit, index, values, n_clamped
-
-
 def denoise_iterative(data: NoisyDataset,
                       constraint_names: tuple[str, ...] = ALL_CONSTRAINTS,
                       init: str = "case1",
                       sigma2_0: float | None = None,
                       k: int = 10,
                       max_iter: int = 50,
-                      tol: float = 1e-6) -> IterativeResult:
+                      tol: float = 1e-6) -> Reconstruction:
     """Iterative noise projection (Case 4).
 
     Per iteration: estimate the noise as data minus the current on-manifold
@@ -572,31 +547,31 @@ def denoise_iterative(data: NoisyDataset,
     subtract the smooth excess from the data, refit the manifold and re-vote
     the index.  Converged when the coefficients move by < tol (relative) and
     no index sign flips.  Constraint vectors that involve f use the current
-    iterate, rebuilt every iteration.
+    iterate, rebuilt every iteration.  Returns the last reconstruction with
+    its iteration fields set and no vote rounds.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     t = data.unit_positions()
     if init in ("case1", "case2"):
-        fit, index, values, _ = ls_vote_baseline(data, k)
+        res = reconstruct(fit_manifold_ls(data), data, k)
     elif init == "case3":
         if sigma2_0 is None:
             raise ValueError("case3 initialization needs sigma2_0")
         res = denoise_case3(data, sigma2_0, k)
-        fit, index, values = res.fit, res.index, res.reconstructed
     else:
         raise ValueError(f"unknown init mode {init!r}")
 
-    prev_coeffs = np.array([fit.b0, fit.b1, fit.c0, fit.c1])
-    prev_signs = index.signs_at(data.positions)
+    prev_coeffs = np.array([res.fit.b0, res.fit.b1, res.fit.c0, res.fit.c1])
+    prev_signs = res.index.signs_at(data.positions)
     trace = [tuple(prev_coeffs)]
     converged = False
     iterations = 0
     max_constraint_residual = 0.0
     for iterations in range(1, max_iter + 1):
-        est_noise = data.observed - values
+        est_noise = data.observed - res.reconstructed
         try:
-            constraints = noise_constraints(t, values, constraint_names)
+            constraints = noise_constraints(t, res.reconstructed, constraint_names)
             corrected, _ = project_noise(est_noise, constraints)
             scale = np.linalg.norm(est_noise)
             if scale > 0:
@@ -605,14 +580,13 @@ def denoise_iterative(data: NoisyDataset,
             improved = NoisyDataset(positions=data.positions,
                                     observed=data.observed - corrected,
                                     metadata=data.metadata)
-            new_fit, new_index, new_values, _ = ls_vote_baseline(improved, k)
+            res = reconstruct(fit_manifold_ls(improved), improved, k)
         except (ArithmeticError, np.linalg.LinAlgError, SingularConstraintError):
             # iterate left the representable region: keep the last good one
             break
-        fit, index, values = new_fit, new_index, new_values
-        coeffs = np.array([fit.b0, fit.b1, fit.c0, fit.c1])
+        coeffs = np.array([res.fit.b0, res.fit.b1, res.fit.c0, res.fit.c1])
         trace.append(tuple(coeffs))
-        signs = index.signs_at(data.positions)
+        signs = res.index.signs_at(data.positions)
         # coefficient movement relative to the coefficient scale
         denom = max(float(np.max(np.abs(prev_coeffs))), 1e-12)
         coeff_move = float(np.max(np.abs(coeffs - prev_coeffs)) / denom)
@@ -621,11 +595,10 @@ def denoise_iterative(data: NoisyDataset,
         if coeff_move < tol and flips == 0:
             converged = True
             break
-    fit = replace(fit, method="iterative")
-    return IterativeResult(fit=fit, index=index, reconstructed=values,
-                           coefficient_trace=tuple(trace), converged=converged,
-                           iterations=iterations,
-                           max_constraint_residual=max_constraint_residual)
+    return replace(res, fit=replace(res.fit, method="iterative"), vote_rounds=None,
+                   converged=converged, iterations=iterations,
+                   max_constraint_residual=max_constraint_residual,
+                   coefficient_trace=tuple(trace))
 
 
 # --------------------------------------------------------------------------
@@ -651,14 +624,18 @@ def write_dataset(path, data: NoisyDataset) -> None:
 
 
 def read_dataset(path) -> NoisyDataset:
+    """The CSV ``write_dataset`` writes; DataError, naming the file, when it
+    has no ``x,f`` header (an empty file included) or a row without both."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [h.strip() for h in header[:2]] != ["x", "f"]:
-            raise ValueError(f"expected 'x,f' header, got {header}")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-    positions = np.array([r[0] for r in rows])
-    observed = np.array([r[1] for r in rows])
+            raise DataError(f"{path}: expected 'x,f' header, got {header}")
+        rows = [r for r in reader if r]
+    if any(len(r) < 2 for r in rows):
+        raise DataError(f"{path}: every row needs an x and an f value")
+    positions = np.array([float(r[0]) for r in rows])
+    observed = np.array([float(r[1]) for r in rows])
     metadata = {}
     try:
         with open(_sidecar_path(str(path))) as fh:

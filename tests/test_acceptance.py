@@ -22,7 +22,7 @@ from quadrep.denoise import (
     denoise_iterative,
     fit_manifold_ls,
     generate_noisy,
-    ls_vote_baseline,
+    reconstruct,
     solve_moment_system,
     step_ground_truth,
 )
@@ -270,7 +270,7 @@ def test_criterion_09_case4_iterative_improvement():
         worst_constraint = max(worst_constraint, res.max_constraint_residual)
         if res.converged:
             n_converged += 1
-            _, _, init_vals, _ = ls_vote_baseline(data, k=10)
+            init_vals = reconstruct(fit_manifold_ls(data), data, 10).reconstructed
             rmse_init = float(np.sqrt(np.mean((init_vals - TRUTH) ** 2)))
             rmse_fin = float(np.sqrt(np.mean((res.reconstructed - TRUTH) ** 2)))
             if not rmse_fin < rmse_init:

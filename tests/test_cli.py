@@ -286,6 +286,47 @@ def test_denoise_clean_data_any_mode_is_exact(tmp_path):
         assert np.max(np.abs(hat - obs)) < 1e-6
         report = json.loads((out / "report.json").read_text())
         assert report["mislabel_count"] == 0
+        iteration_fields = [report[f] for f in
+                            ("converged", "iterations", "max_constraint_residual")]
+        if mode == "iterative":
+            assert report["vote_rounds"] is None
+            assert None not in iteration_fields
+        else:
+            assert iteration_fields == [None, None, None]
+            if mode == "ls":
+                assert report["vote_rounds"] is None
+            else:
+                assert isinstance(report["vote_rounds"], int)
+
+
+@pytest.mark.parametrize("text", ["", "x,f\n0.0,25.0\n1.0\n"], ids=["empty", "one-field-row"])
+def test_malformed_data_csv_is_a_usage_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    gen = tmp_path / "gen"
+    assert run(["generate", "--preset", "case1", "--seed", "0", "--out", str(gen)]) == 0
+    for argv in (["fit", "--input", str(bad), "--method", "deg0", "--n", "2"],
+                 ["denoise", "--input", str(bad), "--mode", "ls"],
+                 ["denoise", "--input", str(gen / "data.csv"), "--mode", "ls",
+                  "--truth", str(bad)]):
+        capsys.readouterr()
+        assert run([*argv, "--out", str(tmp_path / "o")]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("count, shift", [(100, 0.0), (401, 0.5)], ids=["100-rows", "shifted"])
+def test_denoise_truth_at_other_positions_writes_nothing(tmp_path, capsys, count, shift):
+    gen = tmp_path / "gen"
+    assert run(["generate", "--preset", "case1", "--seed", "0", "--out", str(gen)]) == 0
+    rows = read_csv(gen / "data.csv")[1:count + 1]
+    truth = tmp_path / "truth.csv"
+    truth.write_text("x,f\n" + "".join(f"{float(x) + shift!r},{f}\n" for x, f in rows))
+    out = tmp_path / "den"
+    assert run(["denoise", "--input", str(gen / "data.csv"), "--mode", "ls",
+                "--truth", str(truth), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {truth}:")
+    assert list(out.iterdir()) == []
 
 
 def test_denoise_debias_requires_sigma2(tmp_path):

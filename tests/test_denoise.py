@@ -12,8 +12,8 @@ from quadrep.denoise import (
     ALL_CONSTRAINTS,
     MomentSet,
     MomentSystemError,
+    ManifoldFit4,
     NoisyDataset,
-    clamped_reconstruct,
     compute_noisy_moments,
     constraint_residuals,
     debias_moments,
@@ -22,11 +22,11 @@ from quadrep.denoise import (
     fit_manifold_ls,
     generate_noisy,
     knn_vote_index,
-    ls_vote_baseline,
     noise_constraints,
     normal_stream,
     project_noise,
     read_dataset,
+    reconstruct,
     solve_moment_system,
     step_ground_truth,
     write_dataset,
@@ -146,15 +146,13 @@ def test_case2_manifold_noise_recovery_frozen_oracle():
     data = generate_noisy(POS, TRUTH, "manifold", 5000.0, seed=0)
     fit = fit_manifold_ls(data)
     rep = fit.as_rep(data.domain)
-    from quadrep.representation import branches, roots_at
+    from quadrep.representation import roots_at
 
     r0 = roots_at(rep, 0.0)
     assert r0.lo == pytest.approx(0.0545, abs=2e-3)
     assert r0.hi == pytest.approx(247.65, abs=0.1)
     # the reconstruction still tracks the two branches to ~15% of the jump
-    table = branches(rep, POS)
-    idx, _, _ = knn_vote_index(table.nearest_signs(data.observed), POS, k=10)
-    values, _ = clamped_reconstruct(table, idx.signs_at(POS))
+    values = reconstruct(fit, data, 10).reconstructed
     rmse = float(np.sqrt(np.mean((values - TRUTH) ** 2)))
     assert rmse < 0.15 * 230.0
 
@@ -384,6 +382,23 @@ def test_vote_sigma150_true_manifold_statistics():
     assert within10 == 20
 
 
+@pytest.mark.parametrize("k", [None, 2])
+def test_reconstruct_clamps_complex_roots_to_the_vertex(k):
+    # b = 280, c = -6375 - 2000 x: the discriminant b^2 + 4c = 52900 - 8000 x
+    # is negative at x = 7, 8, 9, where the rebuild takes the vertex b/2
+    pos = np.arange(10.0)
+    fit = ManifoldFit4(b0=280.0, b1=0.0, c0=-6375.0, c1=-2000.0, method="hand")
+    data = NoisyDataset(pos, np.where(pos < 5, 25.0, 255.0))
+    res = reconstruct(fit, data, k)
+    complex_roots = 52900.0 - 8000.0 * pos < 0
+    assert res.clamped_points == int(np.sum(complex_roots)) == 3
+    assert np.all(res.reconstructed[complex_roots] == 140.0)
+    real = res.reconstructed[~complex_roots]
+    c = -6375.0 - 2000.0 * pos[~complex_roots]
+    assert np.all(np.abs(real**2 - 280.0 * real - c) < 1e-9 * 6375.0)
+    assert (res.vote_rounds is None) == (k is None)
+
+
 # ------------------------------------------------------------- case 3
 
 
@@ -397,7 +412,7 @@ def test_case3_small_noise_recovers_exactly():
     assert abs(res.fit.c0 + 6375.0) / 6375.0 < 0.01
     assert res.clamped_points == 0
     # noise estimate is centred
-    assert abs(res.noise_estimate.mean()) < 4 * sigma / math.sqrt(401)
+    assert abs((data.observed - res.reconstructed).mean()) < 4 * sigma / math.sqrt(401)
 
 
 def test_case3_values_lie_on_fitted_manifold():
@@ -500,7 +515,7 @@ def test_iterative_sigma30_converges_and_improves():
     for seed in range(5):
         data = generate_noisy(POS, TRUTH, "function", 30.0, seed)
         res = denoise_iterative(data, max_iter=50)
-        _, _, init_values, _ = ls_vote_baseline(data, k=10)
+        init_values = reconstruct(fit_manifold_ls(data), data, 10).reconstructed
         rmse_init = float(np.sqrt(np.mean((init_values - TRUTH) ** 2)))
         rmse_fin = float(np.sqrt(np.mean((res.reconstructed - TRUTH) ** 2)))
         assert res.converged, seed
