@@ -88,7 +88,7 @@ def _csv_writer(fh):
 
 def _grid_for_function(name: str, order: int):
     fn = get_builtin(name)
-    return build_grid(fn.fn, fn.domain, order), fn
+    return build_grid(fn.fn, fn.domain, order)
 
 
 def _fit_with_method(grid, args):
@@ -121,13 +121,13 @@ def _fit_with_method(grid, args):
 
 def cmd_fit(args, argv) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.fn is not None:
-        grid, _ = _grid_for_function(args.fn, args.order)
+        grid = _grid_for_function(args.fn, args.order)
     else:
         data = read_dataset(args.input)
         grid = tabulated_grid(data.positions, data.observed)
     rep, k, trace = _fit_with_method(grid, args)
+    out.mkdir(parents=True, exist_ok=True)
     save_rep(rep, out / "rep.json")
     if trace is not None and args.trace:
         with open(out / "trace.json", "w") as fh:
@@ -164,7 +164,6 @@ def _cell(v: float) -> str:
 
 def cmd_eval(args, argv) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         rep = load_rep(args.rep)
     except (ValueError, KeyError) as exc:
@@ -189,6 +188,7 @@ def cmd_eval(args, argv) -> int:
     tables = [("eval.csv", ["x", "value"], [values])]
     if args.branches:
         tables.append(("branches.csv", ["x", "root_lo", "root_hi"], roots))
+    out.mkdir(parents=True, exist_ok=True)
     blank = 0
     for name, header, columns in tables:
         with open(out / name, "w", newline="") as fh:
@@ -212,8 +212,7 @@ def _failed_cell(method: str, k: int, exc: Exception) -> float:
 
 def cmd_convergence(args, argv) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    grid, _ = _grid_for_function(args.fn, args.order)
+    grid = _grid_for_function(args.fn, args.order)
     methods = [m.strip() for m in args.methods.split(",")]
     cells = [(m, k) for m in methods for k in achievable_k(m, args.kmin, args.kmax)]
     # one selection run per adaptive method, to its largest K; a run that
@@ -237,6 +236,7 @@ def cmd_convergence(args, argv) -> int:
 
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
         errors = list(pool.map(run_cell, cells))
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "convergence.csv", "w", newline="") as fh:
         fh.write("# error = relative L2 against the sampled reference"
                  " (absolute when the reference norm is 0);"
@@ -252,7 +252,6 @@ def cmd_convergence(args, argv) -> int:
 
 def cmd_generate(args, argv) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.preset is not None:
         model, sigma = NOISE_PRESETS[args.preset]
     else:
@@ -263,15 +262,30 @@ def cmd_generate(args, argv) -> int:
     positions = np.arange(0.0, 401.0)
     truth = step_ground_truth(positions)
     data = generate_noisy(positions, truth, model, sigma, args.seed)
+    out.mkdir(parents=True, exist_ok=True)
     write_dataset(out / "data.csv", data)
     _write_manifest(out, "generate", argv, args.seed)
     print(f"wrote {data.size} samples (model={model}, sigma={sigma})")
     return 0
 
 
+def _check_denoise_flags(args) -> None:
+    """ValueError naming a flag that the mode needs and lacks, or never reads."""
+    needs_sigma2 = args.mode == "debias+vote" or (args.mode, args.init) == ("iterative", "case3")
+    if needs_sigma2 and args.sigma2 is None:
+        flag = "--init case3" if args.mode == "iterative" else "--mode debias+vote"
+        raise ValueError(f"{flag} requires --sigma2")
+    if not needs_sigma2 and args.sigma2 is not None:
+        unless = " without --init case3" if args.mode == "iterative" else ""
+        raise ValueError(f"--sigma2 is not read by --mode {args.mode}{unless}")
+    if args.k is not None and args.mode == "ls":
+        raise ValueError("--k is not read by --mode ls")
+
+
 def cmd_denoise(args, argv) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _check_denoise_flags(args)
+    k = 10 if args.k is None else args.k
     data = read_dataset(args.input)
     truth = step_ground_truth(data.positions) if args.truth == "step" else None
     if args.truth not in (None, "step"):
@@ -280,20 +294,18 @@ def cmd_denoise(args, argv) -> int:
             raise DataError(f"{args.truth}: truth positions differ from the data's")
         truth = known.observed
     if args.mode == "debias+vote":
-        if args.sigma2 is None:
-            print("--mode debias+vote requires --sigma2", file=sys.stderr)
-            return 2
-        res = denoise_case3(data, args.sigma2, k=args.k)
+        res = denoise_case3(data, args.sigma2, k=k)
     elif args.mode == "iterative":
         names = ALL_CONSTRAINTS if args.constraints == "all8" else tuple(
             c.strip() for c in args.constraints.split(","))
         res = denoise_iterative(data, constraint_names=names, init=args.init,
-                                sigma2_0=args.sigma2, k=args.k,
+                                sigma2_0=args.sigma2, k=k,
                                 max_iter=args.max_iter, tol=args.tol)
     else:  # ls keeps each sample's nearest root; ls+vote votes on them
         res = reconstruct(fit_manifold_ls(data), data,
-                          args.k if args.mode == "ls+vote" else None)
+                          k if args.mode == "ls+vote" else None)
 
+    out.mkdir(parents=True, exist_ok=True)
     fit, values = res.fit, res.reconstructed
     eps_hat = data.observed - values
     with open(out / "reconstruction.csv", "w", newline="") as fh:
@@ -401,7 +413,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_den.add_argument("--mode", choices=("ls", "ls+vote", "debias+vote", "iterative"),
                        required=True)
     p_den.add_argument("--sigma2", type=float, default=None)
-    p_den.add_argument("--k", type=int, default=10)
+    p_den.add_argument("--k", type=int, default=None,
+                       help="neighbors per k-NN vote (default 10); not read by --mode ls")
     p_den.add_argument("--constraints", default="all8")
     p_den.add_argument("--init", choices=("case1", "case2", "case3"), default="case1")
     p_den.add_argument("--max-iter", type=int, default=50)

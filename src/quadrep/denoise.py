@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -442,35 +442,14 @@ def denoise_case3(data: NoisyDataset, sigma2: float, k: int = 10) -> Reconstruct
 class NoiseConstraintSet:
     """Sampled constraint functionals g_j with <g_j, eps> = 0 expected.
 
-    ``gram_rank`` is the numerical rank of the vectors and ``dependent`` names
-    the constraints past it; both come from one pivoted QR of the unit-norm
-    vectors, computed on first access (the projection itself never reads
-    them).  Constraint sets built from values lying exactly on a quadratic
-    manifold are structurally dependent (f^2 is then a combination of
-    {1, x, f, xf}), which is legal as long as the dependent constraints stay
-    consistent.
+    Constraint sets built from values lying exactly on a quadratic manifold
+    are structurally dependent (f^2 is then a combination of {1, x, f, xf}),
+    which is legal as long as the dependent constraints stay consistent.
     """
 
     names: tuple[str, ...]
     vectors: np.ndarray
     unit_positions: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return len(self.names)
-
-    @cached_property
-    def _rank_factor(self):
-        scaled = self.vectors / np.linalg.norm(self.vectors, axis=0, keepdims=True)
-        return pivoted_qr(scaled)
-
-    @property
-    def gram_rank(self) -> int:
-        return self._rank_factor.rank(1e-10)
-
-    @property
-    def dependent(self) -> tuple[str, ...]:
-        return tuple(self.names[j] for j in self._rank_factor.perm[self.gram_rank:])
 
 
 def noise_constraints(unit_positions, f_values,
@@ -501,12 +480,13 @@ def project_noise(residual, constraints: NoiseConstraintSet):
 
     Solves <g_j, sum_n c_n L_n> = <g_j, residual> for the mode coefficients
     (minimum-norm when the constraint set is dependent but consistent) and
-    returns (corrected residual, mode coefficients).  The corrected residual
-    satisfies every constraint to 1e-9 * ||residual||; if it cannot (the
-    dependent constraints disagree), SingularConstraintError is raised.
+    returns (corrected residual, its ``constraint_residuals``).  The corrected
+    residual satisfies every constraint to 1e-9 * ||residual||; if it cannot
+    (the dependent constraints disagree), SingularConstraintError is raised,
+    naming the constraints past the numerical rank of the vectors.
     """
     eps = np.asarray(residual, dtype=float)
-    modes = legendre_row(constraints.count - 1,
+    modes = legendre_row(len(constraints.names) - 1,
                          np.clip(constraints.unit_positions, -1.0, 1.0))
     # row-normalize: the constraints are homogeneous and their vectors span
     # wildly different scales (f^2 vs 1), so solve in unit-norm rows
@@ -519,11 +499,12 @@ def project_noise(residual, constraints: NoiseConstraintSet):
     # constraints are homogeneous: check them per unit constraint-vector norm
     leftover = constraint_residuals(corrected, constraints)
     if scale > 0 and np.any(leftover > 1e-9 * scale):
+        factor = pivoted_qr(g)
+        dependent = tuple(constraints.names[j] for j in factor.perm[factor.rank(1e-10):])
         raise SingularConstraintError(
             "constraint system is inconsistent; dependent constraints "
-            f"{constraints.dependent} disagree", constraints.dependent)
-    assert scale == 0 or np.all(leftover <= 1e-9 * scale)
-    return corrected, coeffs
+            f"{dependent} disagree", dependent)
+    return corrected, leftover
 
 
 def constraint_residuals(residual, constraints: NoiseConstraintSet) -> np.ndarray:
@@ -572,10 +553,10 @@ def denoise_iterative(data: NoisyDataset,
         est_noise = data.observed - res.reconstructed
         try:
             constraints = noise_constraints(t, res.reconstructed, constraint_names)
-            corrected, _ = project_noise(est_noise, constraints)
+            corrected, leftover = project_noise(est_noise, constraints)
             scale = np.linalg.norm(est_noise)
             if scale > 0:
-                res_now = float(np.max(constraint_residuals(corrected, constraints)) / scale)
+                res_now = float(np.max(leftover) / scale)
                 max_constraint_residual = max(max_constraint_residual, res_now)
             improved = NoisyDataset(positions=data.positions,
                                     observed=data.observed - corrected,

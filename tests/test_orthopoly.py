@@ -65,7 +65,7 @@ def test_order_zero_rejected():
 
 def test_large_rule_weight_sum_and_node_bounds():
     r = RULE_1000
-    assert r.order == 1000
+    assert r.nodes.size == 1000
     assert abs(r.weights.sum() - 2.0) < 1e-13
     assert np.all(np.diff(r.nodes) > 0)
     assert r.nodes[0] > -1.0 and r.nodes[-1] < 1.0

@@ -467,14 +467,6 @@ def test_compose_legendre_branches_exact_identity():
     assert residual_l2(withidx, grid) < 1e-12
 
 
-def test_compose_truncation_drops_small_terms():
-    pm = basis_convert(PolyCoeffs(BASIS_MONOMIAL, [0.0, 1.0], (-1.0, 1.0)), BASIS_LEGENDRE)
-    pp = basis_convert(PolyCoeffs(BASIS_MONOMIAL, [1e-14, 1.0], (-1.0, 1.0)), BASIS_LEGENDRE)
-    rep = compose_piecewise_manifold(pm, pp, truncate_tol=1e-10)
-    # c = -p- * p+ is ~x^2; the 1e-14 contamination is dropped
-    assert rep.c.coeffs.size <= 3
-
-
 # ---------------------------------------------------------------- conversion
 
 
