@@ -12,9 +12,9 @@ the same results when
 
     diff -r -x manifest.json A B
 
-is empty (`manifest.json` holds timings and timestamps).  The thread counts
-come from the environment (`OPENBLAS_NUM_THREADS`, `QUADREP_THREADS`), so a
-snapshot per setting checks thread invariance too.
+is empty (`manifest.json` holds timings and timestamps).  The BLAS thread
+count comes from the environment (`OPENBLAS_NUM_THREADS`), so a snapshot per
+BLAS thread setting checks thread invariance too.
 """
 from __future__ import annotations
 

@@ -15,9 +15,9 @@ import datetime
 import functools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# no pool runs here: the name stays because perfbench/spans.py reads and rebinds it
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from pathlib import Path
 
 import numpy as np
@@ -58,15 +58,6 @@ from .selection import (METHODS, SelectionConfig, achievable_k, fit_at_k, greedy
 # ArithmeticError covers the representation errors (complex roots, poles, no
 # root) and MomentSystemError; LinAlgError covers RankDeficiencyError
 NUMERICAL_ERRORS = (ArithmeticError, np.linalg.LinAlgError, SingularConstraintError)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("QUADREP_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else (os.cpu_count() or 1)
 
 
 def _write_manifest(out: Path, command: str, argv: list[str], seed) -> None:
@@ -171,8 +162,7 @@ def cmd_eval(args, argv) -> int:
               file=sys.stderr)
         return 3
     if args.branches and not isinstance(rep, Degree2Rep):
-        print("branch table requires a degree-2 representation", file=sys.stderr)
-        return 2
+        raise ValueError("branch table requires a degree-2 representation")
     if args.points is not None:
         with open(args.points, newline="") as fh:
             rows = [r for r in csv.reader(fh) if r]
@@ -225,17 +215,15 @@ def cmd_convergence(args, argv) -> int:
         except (*NUMERICAL_ERRORS, ValueError) as exc:
             runs[m] = exc
 
-    def run_cell(cell):
-        m, k = cell
+    errors = []
+    for m, k in cells:
         if isinstance(runs[m], Exception):
-            return _failed_cell(m, k, runs[m])
+            errors.append(_failed_cell(m, k, runs[m]))
+            continue
         try:
-            return relative_l2(fit_at_k(grid, m, k, runs[m]), grid)
+            errors.append(relative_l2(fit_at_k(grid, m, k, runs[m]), grid))
         except (*NUMERICAL_ERRORS, ValueError) as exc:
-            return _failed_cell(m, k, exc)
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        errors = list(pool.map(run_cell, cells))
+            errors.append(_failed_cell(m, k, exc))
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "convergence.csv", "w", newline="") as fh:
         fh.write("# error = relative L2 against the sampled reference"
@@ -256,8 +244,7 @@ def cmd_generate(args, argv) -> int:
         model, sigma = NOISE_PRESETS[args.preset]
     else:
         if args.target is None or args.sigma is None:
-            print("need --preset or both --target and --sigma", file=sys.stderr)
-            return 2
+            raise ValueError("need --preset or both --target and --sigma")
         model, sigma = args.target, args.sigma
     positions = np.arange(0.0, 401.0)
     truth = step_ground_truth(positions)
@@ -278,8 +265,12 @@ def _check_denoise_flags(args) -> None:
     if not needs_sigma2 and args.sigma2 is not None:
         unless = " without --init case3" if args.mode == "iterative" else ""
         raise ValueError(f"--sigma2 is not read by --mode {args.mode}{unless}")
-    if args.k is not None and args.mode == "ls":
-        raise ValueError("--k is not read by --mode ls")
+    unread = ["k"] if args.mode == "ls" else []
+    if args.mode != "iterative":
+        unread += ["constraints", "init", "max_iter", "tol"]
+    for dest in unread:
+        if getattr(args, dest) is not None:
+            raise ValueError(f"--{dest.replace('_', '-')} is not read by --mode {args.mode}")
 
 
 def cmd_denoise(args, argv) -> int:
@@ -296,11 +287,12 @@ def cmd_denoise(args, argv) -> int:
     if args.mode == "debias+vote":
         res = denoise_case3(data, args.sigma2, k=k)
     elif args.mode == "iterative":
-        names = ALL_CONSTRAINTS if args.constraints == "all8" else tuple(
+        names = ALL_CONSTRAINTS if args.constraints in (None, "all8") else tuple(
             c.strip() for c in args.constraints.split(","))
-        res = denoise_iterative(data, constraint_names=names, init=args.init,
+        res = denoise_iterative(data, constraint_names=names, init=args.init or "case1",
                                 sigma2_0=args.sigma2, k=k,
-                                max_iter=args.max_iter, tol=args.tol)
+                                max_iter=50 if args.max_iter is None else args.max_iter,
+                                tol=1e-6 if args.tol is None else args.tol)
     else:  # ls keeps each sample's nearest root; ls+vote votes on them
         res = reconstruct(fit_manifold_ls(data), data,
                           k if args.mode == "ls+vote" else None)
@@ -415,10 +407,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_den.add_argument("--sigma2", type=float, default=None)
     p_den.add_argument("--k", type=int, default=None,
                        help="neighbors per k-NN vote (default 10); not read by --mode ls")
-    p_den.add_argument("--constraints", default="all8")
-    p_den.add_argument("--init", choices=("case1", "case2", "case3"), default="case1")
-    p_den.add_argument("--max-iter", type=int, default=50)
-    p_den.add_argument("--tol", type=float, default=1e-6)
+    # no parser defaults, so that a flag given to another mode is seen
+    p_den.add_argument("--constraints", help="iterative only: all8 (default) or a comma list")
+    p_den.add_argument("--init", choices=("case1", "case2", "case3"),
+                       help="iterative only (default case1)")
+    p_den.add_argument("--max-iter", type=int, help="iterative only (default 50)")
+    p_den.add_argument("--tol", type=float, help="iterative only (default 1e-6)")
     p_den.add_argument("--truth", default=None,
                        help="'step' or a CSV of ground-truth values, for mislabel counts")
     p_den.add_argument("--out", default=".")

@@ -79,7 +79,7 @@ class MomentSystemError(ArithmeticError):
 
 
 class SingularConstraintError(ValueError):
-    """The noise-constraint system is inconsistent (dependent constraints disagree)."""
+    """The noise-constraint system is inconsistent: some constraints stay unmet."""
 
     def __init__(self, message: str, dependent: tuple[str, ...]):
         super().__init__(message)
@@ -482,8 +482,9 @@ def project_noise(residual, constraints: NoiseConstraintSet):
     (minimum-norm when the constraint set is dependent but consistent) and
     returns (corrected residual, its ``constraint_residuals``).  The corrected
     residual satisfies every constraint to 1e-9 * ||residual||; if it cannot
-    (the dependent constraints disagree), SingularConstraintError is raised,
-    naming the constraints past the numerical rank of the vectors.
+    (the dependent constraints disagree, or a constraint vector is orthogonal
+    to every mode), SingularConstraintError is raised, naming the constraints
+    left unmet and those past the numerical rank of the vectors.
     """
     eps = np.asarray(residual, dtype=float)
     modes = legendre_row(len(constraints.names) - 1,
@@ -498,12 +499,14 @@ def project_noise(residual, constraints: NoiseConstraintSet):
     scale = float(np.linalg.norm(eps))
     # constraints are homogeneous: check them per unit constraint-vector norm
     leftover = constraint_residuals(corrected, constraints)
-    if scale > 0 and np.any(leftover > 1e-9 * scale):
+    unmet = leftover > 1e-9 * scale
+    if scale > 0 and np.any(unmet):
         factor = pivoted_qr(g)
         dependent = tuple(constraints.names[j] for j in factor.perm[factor.rank(1e-10):])
+        unmet_names = tuple(n for n, bad in zip(constraints.names, unmet) if bad)
         raise SingularConstraintError(
-            "constraint system is inconsistent; dependent constraints "
-            f"{dependent} disagree", dependent)
+            f"constraint system is inconsistent: constraints {unmet_names} stay unmet;"
+            f" dependent constraints: {dependent}", dependent)
     return corrected, leftover
 
 

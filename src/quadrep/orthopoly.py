@@ -96,7 +96,8 @@ def _check_domain(x: np.ndarray) -> None:
 # and float64 bytes, each at the highest degree requested for those points.
 # A convergence sweep evaluates every rep at the same nodes; one `branches` call
 # uses two point sets (the points and the a-scale probes): a few entries suffice.
-# The convergence command's pool threads share the cache, hence the lock.
+# `legendre_row` is public, so callers may share the cache across threads,
+# hence the lock.
 _TABLE_CAPACITY = 4
 _TABLE_MAX_BYTES = 8 << 20  # larger tables (1e5 points at degree 60: 48.8 MB) are not kept
 _tables: OrderedDict[tuple, np.ndarray] = OrderedDict()

@@ -357,9 +357,11 @@ def inputs(tmp_path_factory):
     ["denoise", "--input", "{missing}.csv", "--mode", "ls"],
 ], ids=["debias-no-sigma2", "case3-no-sigma2", "generate-no-noise", "eval-branches-deg0",
         "eval-missing-rep", "fit-missing-input", "denoise-missing-input"])
-def test_rejected_command_writes_nothing(tmp_path, inputs, argv):
+def test_rejected_command_writes_nothing(tmp_path, capsys, inputs, argv):
     out = tmp_path / "out"
     assert run([a.format(**inputs) for a in argv] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
 
 
@@ -373,8 +375,16 @@ def test_rejected_command_writes_nothing(tmp_path, inputs, argv):
     (["--mode", "iterative", "--init", "case2", "--sigma2", "5"],
      "--sigma2 is not read by --mode iterative without --init case3"),
     (["--mode", "ls", "--k", "7"], "--k is not read by --mode ls"),
+    (["--mode", "ls", "--constraints", "1,x"], "--constraints is not read by --mode ls"),
+    (["--mode", "ls+vote", "--init", "case2"], "--init is not read by --mode ls+vote"),
+    (["--mode", "ls", "--max-iter", "3"], "--max-iter is not read by --mode ls"),
+    (["--mode", "debias+vote", "--sigma2", "5", "--tol", "5"],
+     "--tol is not read by --mode debias+vote"),
+    (["--mode", "ls", "--max-iter", "3", "--constraints", "1,x", "--init", "case2",
+      "--tol", "5"], "--constraints is not read by --mode ls"),
 ], ids=["debias-no-sigma2", "case3-no-sigma2", "ls-sigma2", "ls+vote-sigma2",
-        "iterative-sigma2", "iterative-case2-sigma2", "ls-k"])
+        "iterative-sigma2", "iterative-case2-sigma2", "ls-k", "ls-constraints",
+        "ls+vote-init", "ls-max-iter", "debias+vote-tol", "ls-all-four"])
 def test_denoise_flag_its_mode_does_not_take_is_a_usage_error(tmp_path, capsys, inputs,
                                                               flags, message):
     out = tmp_path / "out"
@@ -468,40 +478,31 @@ def test_convergence_failures_stay_in_their_cells(tmp_path, capsys):
     rows = read_csv(capped / "convergence.csv")[1:]
     assert [math.isnan(float(r[2])) for r in rows] == [False, False, True, True, True, True]
     lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("cell ")]
-    assert sorted(lines) == sorted(
+    # in table order: method by method, K rising
+    assert lines == (
         [f"cell (deg2-greedy, K={k}) failed: both a(x) and b(x) vanish: no root" for k in (8, 9)]
         + [f"cell ({m}, K={k}) skipped: stream_cap must be >= 1"
            for m in ("deg2-greedy", "deg2-rrqr") for k in (2, 3)])
 
 
-def test_convergence_thread_count_invariance(tmp_path):
-    # each run starts from an empty Legendre table cache, so the pool's
-    # workers build and read the shared tables concurrently
-    outs = []
-    for tag, threads in (("a", "1"), ("b", "4")):
-        out = tmp_path / tag
-        env_before = os.environ.get("QUADREP_THREADS")
-        os.environ["QUADREP_THREADS"] = threads
-        with orthopoly._tables_lock:
-            orthopoly._tables.clear()
-        try:
-            assert run(["convergence", "--fn", "sin10pi", "--methods",
-                        "deg0,deg1,deg2-uniform,deg2-greedy,deg2-rrqr",
-                        "--kmin", "2", "--kmax", "6",
-                        "--order", "150", "--out", str(out)]) == 0
-        finally:
-            if env_before is None:
-                os.environ.pop("QUADREP_THREADS", None)
-            else:
-                os.environ["QUADREP_THREADS"] = env_before
-        outs.append((out / "convergence.csv").read_bytes())
-    assert outs[0] == outs[1]
+def test_convergence_starts_no_thread_pool(tmp_path, monkeypatch):
+    argv = ["convergence", "--fn", "sin10pi", "--methods", "deg0,deg1,deg2-greedy,deg2-rrqr",
+            "--kmin", "2", "--kmax", "6", "--order", "150"]
+    assert run([*argv, "--out", str(tmp_path / "a")]) == 0
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("convergence started a thread pool")
+
+    monkeypatch.setattr("quadrep.cli.ThreadPoolExecutor", NoPool)
+    assert run([*argv, "--out", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "convergence.csv").read_bytes()
+            == (tmp_path / "b" / "convergence.csv").read_bytes())
 
 
 def test_convergence_builds_one_legendre_table_per_degree_rise(tmp_path, monkeypatch):
     # the recurrence runs at the grid nodes once, and again only when a
     # degree above every earlier request at those nodes is asked for
-    monkeypatch.setenv("QUADREP_THREADS", "1")
     requests, builds = [], []
 
     def recorded(module):

@@ -502,8 +502,10 @@ def test_inconsistent_constraint_raises_after_one_factorization(monkeypatch):
     with pytest.raises(SingularConstraintError) as info:
         project_noise(t + 0.5, constraints)
     assert calls == [(401, 1)]
-    # the single vector has full rank: no constraint is dependent
+    # the single vector has full rank: no constraint is dependent, but the
+    # message still names the one left unmet
     assert info.value.dependent == ()
+    assert "'f'" in str(info.value)
 
 
 def test_constraints_on_manifold_values_are_rank_six():

@@ -3,7 +3,8 @@
 cells of each convergence table with its own copy of the method table
 (``perfbench/workloads.py``).  A refactor that drops or renames a wrapped
 function, or changes which K a method reaches, must fail here, not only in a
-benchmark run."""
+benchmark run.  The same holds for ``quadrep.cli.ThreadPoolExecutor``, which
+the CLI imports only for the traced pass to read and rebind."""
 import importlib
 import importlib.util
 import sys
@@ -55,3 +56,11 @@ def test_sweep_cell_counts_match_the_method_table():
                 f"{fn} {method} kmax={kmax}"
             cells += len(ks)
     assert cells == 417
+
+
+def test_the_traced_pass_installs_its_wrappers():
+    # `installed` rebinds every target and quadrep.cli.ThreadPoolExecutor
+    import quadrep.cli  # noqa: F401  (the traced pass wraps names in it)
+    spans = _load("spans")
+    with spans.installed(spans.Tracer()):
+        pass
