@@ -36,7 +36,7 @@ from .denoise import (
     step_ground_truth,
     write_dataset,
 )
-from .dictionary import DataError, build_grid, tabulated_grid
+from .dictionary import DataError, build_grid
 from .functions import BUILTINS, STEP_MID, get_builtin
 from .representation import (
     Degree1Rep,
@@ -115,8 +115,7 @@ def cmd_fit(args, argv) -> int:
     if args.fn is not None:
         grid = _grid_for_function(args.fn, args.order)
     else:
-        data = read_dataset(args.input)
-        grid = tabulated_grid(data.positions, data.observed)
+        grid = read_dataset(args.input)
     rep, k, trace = _fit_with_method(grid, args)
     out.mkdir(parents=True, exist_ok=True)
     save_rep(rep, out / "rep.json")
@@ -157,7 +156,7 @@ def cmd_eval(args, argv) -> int:
     out = Path(args.out)
     try:
         rep = load_rep(args.rep)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"numerical failure in eval: bad representation document: {exc}",
               file=sys.stderr)
         return 3
@@ -168,6 +167,10 @@ def cmd_eval(args, argv) -> int:
             rows = [r for r in csv.reader(fh) if r]
         if rows and rows[0][0].strip().lower() in ("x",):
             rows = rows[1:]
+        for row in rows:
+            if len(row) != 1:
+                raise DataError(f"{args.points}: row {','.join(row)!r} has {len(row)}"
+                                " fields; expected one x value")
         xs = np.array([float(r[0]) for r in rows])
         if not np.all(np.isfinite(xs)):
             raise ValueError(f"{args.points}: every x must be finite")
@@ -248,9 +251,9 @@ def cmd_generate(args, argv) -> int:
         model, sigma = args.target, args.sigma
     positions = np.arange(0.0, 401.0)
     truth = step_ground_truth(positions)
-    data = generate_noisy(positions, truth, model, sigma, args.seed)
+    data, metadata = generate_noisy(positions, truth, model, sigma, args.seed)
     out.mkdir(parents=True, exist_ok=True)
-    write_dataset(out / "data.csv", data)
+    write_dataset(out / "data.csv", data, metadata)
     _write_manifest(out, "generate", argv, args.seed)
     print(f"wrote {data.size} samples (model={model}, sigma={sigma})")
     return 0
@@ -278,12 +281,12 @@ def cmd_denoise(args, argv) -> int:
     _check_denoise_flags(args)
     k = 10 if args.k is None else args.k
     data = read_dataset(args.input)
-    truth = step_ground_truth(data.positions) if args.truth == "step" else None
+    truth = step_ground_truth(data.nodes) if args.truth == "step" else None
     if args.truth not in (None, "step"):
         known = read_dataset(args.truth)
-        if not np.array_equal(known.positions, data.positions):
+        if not np.array_equal(known.nodes, data.nodes):
             raise DataError(f"{args.truth}: truth positions differ from the data's")
-        truth = known.observed
+        truth = known.values
     if args.mode == "debias+vote":
         res = denoise_case3(data, args.sigma2, k=k)
     elif args.mode == "iterative":
@@ -299,11 +302,11 @@ def cmd_denoise(args, argv) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     fit, values = res.fit, res.reconstructed
-    eps_hat = data.observed - values
+    eps_hat = data.values - values
     with open(out / "reconstruction.csv", "w", newline="") as fh:
         writer = _csv_writer(fh)
         writer.writerow(["x", "f_obs", "f_hat", "eps_hat"])
-        columns = (data.positions, data.observed, values, eps_hat)
+        columns = (data.nodes, data.values, values, eps_hat)
         writer.writerows(map(repr, row) for row in zip(*(c.tolist() for c in columns)))
     doc = {
         "b0": fit.b0, "b1": fit.b1, "c0": fit.c0, "c1": fit.c1,
@@ -313,7 +316,7 @@ def cmd_denoise(args, argv) -> int:
     with open(out / "fit.json", "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    x = data.positions
+    x = data.nodes
     xc = x - x.mean()
     denom = float(np.linalg.norm(xc) * np.linalg.norm(eps_hat - eps_hat.mean()))
     report = {
@@ -326,7 +329,7 @@ def cmd_denoise(args, argv) -> int:
     }
     if truth is not None:
         tsigns = np.where(truth > STEP_MID, 1, -1)
-        report["mislabel_count"] = int(np.sum(res.index.signs_at(data.positions) != tsigns))
+        report["mislabel_count"] = int(np.sum(res.index.signs_at(data.nodes) != tsigns))
     with open(out / "report.json", "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
@@ -338,12 +341,12 @@ def cmd_denoise(args, argv) -> int:
 def cmd_replay(args, argv) -> int:
     with open(args.manifest) as fh:
         doc = json.load(fh)
-    stored = list(doc["argv"])
-    if "--out" in stored:
-        i = stored.index("--out")
-        stored[i + 1] = args.out
-    else:
-        stored += ["--out", args.out]
+    stored = doc.get("argv") if isinstance(doc, dict) else None
+    if not (isinstance(stored, list) and all(isinstance(a, str) for a in stored)):
+        raise DataError(f"{args.manifest}: no 'argv' list of strings")
+    # the new --out takes the place of the stored one and its value, if any
+    i = stored.index("--out") if "--out" in stored else len(stored)
+    stored[i:i + 2] = ["--out", args.out]
     return main(stored)
 
 

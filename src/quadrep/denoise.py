@@ -5,19 +5,21 @@ manifold-attached noise), known-variance moment de-biasing, k-NN index
 voting, and an iterative scheme that projects the estimated noise onto the
 subspace allowed by a set of moment constraints.
 
-All x-coordinates are rescaled to [-1, 1] internally for conditioning; the
-four manifold coefficients are reported in raw coordinates.
+Every function here takes the samples as the unit-weight ``SampleGrid`` of
+``dictionary.tabulated_grid``; x-coordinates are rescaled to [-1, 1] by its
+``to_unit`` for conditioning, and the four manifold coefficients are
+reported in raw coordinates.
 """
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .dictionary import DataError
+from .dictionary import DataError, SampleGrid, tabulated_grid
 from .functions import STEP_HIGH, STEP_JUMP_AT, STEP_LOW, STEP_MID
 from .linalg import RankDeficiencyError, pivoted_qr, weighted_lsq
 from .orthopoly import legendre_row
@@ -30,7 +32,6 @@ from .representation import (
 )
 
 __all__ = [
-    "NoisyDataset",
     "MomentSet",
     "ManifoldFit4",
     "NoiseConstraintSet",
@@ -105,47 +106,16 @@ def normal_stream(seed: int, n: int) -> np.ndarray:
     return z[:n]
 
 
-@dataclass(frozen=True)
-class NoisyDataset:
-    """Observed samples at strictly increasing positions, plus noise metadata."""
-
-    positions: np.ndarray
-    observed: np.ndarray
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        positions = np.asarray(self.positions, dtype=float)
-        observed = np.asarray(self.observed, dtype=float)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "observed", observed)
-        if positions.ndim != 1 or positions.shape != observed.shape or positions.size < 2:
-            raise ValueError("positions/observed must be matching 1-D arrays")
-        if np.any(np.diff(positions) <= 0):
-            raise ValueError("positions must be strictly increasing")
-        if not np.all(np.isfinite(observed)):
-            raise ValueError("observed values must be finite")
-
-    @property
-    def size(self) -> int:
-        return self.positions.size
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (float(self.positions[0]), float(self.positions[-1]))
-
-    def unit_positions(self) -> np.ndarray:
-        lo, hi = self.domain
-        return (2.0 * self.positions - (lo + hi)) / (hi - lo)
-
-
 def step_ground_truth(positions) -> np.ndarray:
     """The two-level reference signal: 25 up to x=140 inclusive, 255 after."""
     positions = np.asarray(positions, dtype=float)
     return np.where(positions <= STEP_JUMP_AT, STEP_LOW, STEP_HIGH)
 
 
-def generate_noisy(positions, truth, model: str, sigma: float, seed: int) -> NoisyDataset:
-    """Synthesize noisy observations of ``truth`` at ``positions``.
+def generate_noisy(positions, truth, model: str, sigma: float,
+                   seed: int) -> tuple[SampleGrid, dict]:
+    """Synthesize noisy observations of ``truth`` at ``positions``: the
+    tabulated grid of the observations and the noise metadata.
 
     ``function`` noise adds sigma * z pointwise.  ``manifold`` noise perturbs
     the step's quadratic relation (f-25)(f-255) = eps and re-solves for the
@@ -174,7 +144,7 @@ def generate_noisy(positions, truth, model: str, sigma: float, seed: int) -> Noi
         meta["clamped_points"] = int(np.sum(clamped))
     else:
         raise ValueError(f"unknown noise model {model!r}")
-    return NoisyDataset(positions=positions, observed=observed, metadata=meta)
+    return tabulated_grid(positions, observed), meta
 
 
 # --------------------------------------------------------------------------
@@ -214,15 +184,15 @@ def _unit_to_raw(b0, b1, c0, c1, lo, hi):
             c0 - c1 * center / half, c1 / half)
 
 
-def fit_manifold_ls(data: NoisyDataset) -> ManifoldFit4:
+def fit_manifold_ls(data: SampleGrid) -> ManifoldFit4:
     """Plain least squares of f~^2 against {f~, x f~, 1, x} (Cases 1 and 2)."""
     if data.size < 4:
         raise ValueError("need at least 4 samples")
-    t = data.unit_positions()
-    f = data.observed
+    t = data.unit_nodes
+    f = data.values
     design = np.column_stack([f, t * f, np.ones_like(t), t])
     try:
-        beta, resid = weighted_lsq(design, f * f, np.ones_like(t))
+        beta, resid = weighted_lsq(design, f * f, data.weights)
     except RankDeficiencyError as exc:
         worst = _LS_COLUMN_NAMES[exc.factorization.perm[-1]]
         raise RankDeficiencyError(
@@ -271,10 +241,10 @@ class MomentSet:
             raise ValueError("moment set violates Cauchy-Schwarz")
 
 
-def compute_noisy_moments(data: NoisyDataset) -> MomentSet:
+def compute_noisy_moments(data: SampleGrid) -> MomentSet:
     """All eleven moments of the observed data (sums over samples)."""
-    t = data.unit_positions()
-    f = data.observed
+    t = data.unit_nodes
+    f = data.values
     lo, hi = data.domain
     return MomentSet(
         s0=float(data.size),
@@ -408,24 +378,24 @@ class Reconstruction:
     coefficient_trace: tuple = ()
 
 
-def reconstruct(fit: ManifoldFit4, data: NoisyDataset, k: int | None) -> Reconstruction:
+def reconstruct(fit: ManifoldFit4, data: SampleGrid, k: int | None) -> Reconstruction:
     """Each sample's nearest root on ``fit``'s manifold, their k-NN vote (none
     when ``k`` is None), and the roots the index selects, all read from one
     branch table.  A sample with complex roots gets the vertex b/(2a), the
     clamp-to-vertex convention of manifold-noise generation."""
-    table = branches(fit.as_rep(data.domain), data.positions)
-    signs = table.nearest_signs(data.observed)
+    table = branches(fit.as_rep(data.domain), data.nodes)
+    signs = table.nearest_signs(data.values)
     if k is None:
-        index, rounds = IndexFunction.from_dense(data.positions, signs), None
+        index, rounds = IndexFunction.from_dense(data.nodes, signs), None
     else:
-        index, rounds, _ = knn_vote_index(signs, data.positions, k=k)
+        index, rounds, _ = knn_vote_index(signs, data.nodes, k=k)
     values = np.where(table.complex, table.vertex,
-                      table.select(index.signs_at(data.positions)))
+                      table.select(index.signs_at(data.nodes)))
     return Reconstruction(fit=fit, index=index, reconstructed=values,
                           clamped_points=int(np.sum(table.complex)), vote_rounds=rounds)
 
 
-def denoise_case3(data: NoisyDataset, sigma2: float, k: int = 10) -> Reconstruction:
+def denoise_case3(data: SampleGrid, sigma2: float, k: int = 10) -> Reconstruction:
     """Known-variance pipeline: moments -> de-bias -> 4x4 solve -> vote -> rebuild."""
     if sigma2 <= 0:
         raise ValueError("case 3 needs a known sigma2 > 0")
@@ -517,7 +487,7 @@ def constraint_residuals(residual, constraints: NoiseConstraintSet) -> np.ndarra
     return np.abs(g.T @ np.asarray(residual, dtype=float)) / norms
 
 
-def denoise_iterative(data: NoisyDataset,
+def denoise_iterative(data: SampleGrid,
                       constraint_names: tuple[str, ...] = ALL_CONSTRAINTS,
                       init: str = "case1",
                       sigma2_0: float | None = None,
@@ -536,7 +506,7 @@ def denoise_iterative(data: NoisyDataset,
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    t = data.unit_positions()
+    t = data.unit_nodes
     if init in ("case1", "case2"):
         res = reconstruct(fit_manifold_ls(data), data, k)
     elif init == "case3":
@@ -547,13 +517,13 @@ def denoise_iterative(data: NoisyDataset,
         raise ValueError(f"unknown init mode {init!r}")
 
     prev_coeffs = np.array([res.fit.b0, res.fit.b1, res.fit.c0, res.fit.c1])
-    prev_signs = res.index.signs_at(data.positions)
+    prev_signs = res.index.signs_at(data.nodes)
     trace = [tuple(prev_coeffs)]
     converged = False
     iterations = 0
     max_constraint_residual = 0.0
     for iterations in range(1, max_iter + 1):
-        est_noise = data.observed - res.reconstructed
+        est_noise = data.values - res.reconstructed
         try:
             constraints = noise_constraints(t, res.reconstructed, constraint_names)
             corrected, leftover = project_noise(est_noise, constraints)
@@ -561,16 +531,14 @@ def denoise_iterative(data: NoisyDataset,
             if scale > 0:
                 res_now = float(np.max(leftover) / scale)
                 max_constraint_residual = max(max_constraint_residual, res_now)
-            improved = NoisyDataset(positions=data.positions,
-                                    observed=data.observed - corrected,
-                                    metadata=data.metadata)
+            improved = tabulated_grid(data.nodes, data.values - corrected)
             res = reconstruct(fit_manifold_ls(improved), improved, k)
         except (ArithmeticError, np.linalg.LinAlgError, SingularConstraintError):
             # iterate left the representable region: keep the last good one
             break
         coeffs = np.array([res.fit.b0, res.fit.b1, res.fit.c0, res.fit.c1])
         trace.append(tuple(coeffs))
-        signs = res.index.signs_at(data.positions)
+        signs = res.index.signs_at(data.nodes)
         # coefficient movement relative to the coefficient scale
         denom = max(float(np.max(np.abs(prev_coeffs))), 1e-12)
         coeff_move = float(np.max(np.abs(coeffs - prev_coeffs)) / denom)
@@ -595,21 +563,23 @@ def _sidecar_path(path: str) -> str:
     return f"{stem}.meta.json"
 
 
-def write_dataset(path, data: NoisyDataset) -> None:
-    """CSV with header ``x,f`` plus a metadata sidecar JSON."""
+def write_dataset(path, data: SampleGrid, metadata: dict) -> None:
+    """CSV with header ``x,f`` plus the metadata as a sidecar JSON, written
+    for readers of the data; no command reads the sidecar back."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x", "f"])
         writer.writerows(map(repr, row)
-                         for row in zip(data.positions.tolist(), data.observed.tolist()))
+                         for row in zip(data.nodes.tolist(), data.values.tolist()))
     with open(_sidecar_path(str(path)), "w") as fh:
-        json.dump(data.metadata, fh, indent=2)
+        json.dump(metadata, fh, indent=2)
         fh.write("\n")
 
 
-def read_dataset(path) -> NoisyDataset:
-    """The CSV ``write_dataset`` writes; DataError, naming the file, when it
-    has no ``x,f`` header (an empty file included) or a row without both."""
+def read_dataset(path) -> SampleGrid:
+    """The tabulated grid of the CSV ``write_dataset`` writes; DataError,
+    naming the file, when it has no ``x,f`` header (an empty file included),
+    a row without both values, or samples ``tabulated_grid`` rejects."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -618,12 +588,7 @@ def read_dataset(path) -> NoisyDataset:
         rows = [r for r in reader if r]
     if any(len(r) < 2 for r in rows):
         raise DataError(f"{path}: every row needs an x and an f value")
-    positions = np.array([float(r[0]) for r in rows])
-    observed = np.array([float(r[1]) for r in rows])
-    metadata = {}
     try:
-        with open(_sidecar_path(str(path))) as fh:
-            metadata = json.load(fh)
-    except FileNotFoundError:
-        pass
-    return NoisyDataset(positions=positions, observed=observed, metadata=metadata)
+        return tabulated_grid([float(r[0]) for r in rows], [float(r[1]) for r in rows])
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc

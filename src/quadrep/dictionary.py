@@ -50,10 +50,6 @@ class SampleGrid:
     rule: QuadratureRule | None = None
 
     def __post_init__(self):
-        lo, hi = self.domain
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError(f"degenerate domain {self.domain}")
-        object.__setattr__(self, "domain", (float(lo), float(hi)))
         nodes = np.asarray(self.nodes, dtype=float)
         values = np.asarray(self.values, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
@@ -62,6 +58,13 @@ class SampleGrid:
         object.__setattr__(self, "weights", weights)
         if nodes.ndim != 1 or nodes.shape != values.shape or nodes.shape != weights.shape:
             raise ValueError("nodes, values, weights must be 1-D and equally long")
+        # before the domain check: a tabulated grid's domain is its end nodes
+        if not np.all(np.isfinite(nodes)):
+            raise DataError("non-finite sample positions")
+        lo, hi = self.domain
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ValueError(f"degenerate domain {self.domain}")
+        object.__setattr__(self, "domain", (float(lo), float(hi)))
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
         if not np.all(np.isfinite(values)):

@@ -461,9 +461,9 @@ def compose_piecewise_manifold(p_minus: PolyCoeffs, p_plus: PolyCoeffs) -> Degre
 def fit_degree0(grid: SampleGrid, n: int) -> Degree0Rep:
     """Least-squares Legendre expansion of f on the grid.
 
-    On quadrature grids with enough exactness the coefficients are plain
-    inner products (the orthonormal shortcut); otherwise a weighted QR solve
-    is used.
+    On quadrature grids the coefficients are plain inner products (the
+    orthonormal shortcut: n + 1 <= order makes the rule exact to degree
+    2n); otherwise a weighted QR solve is used.
     """
     if n + 1 > grid.size:
         raise ValueError("more coefficients than samples")
@@ -471,7 +471,7 @@ def fit_degree0(grid: SampleGrid, n: int) -> Degree0Rep:
     lo, hi = grid.domain
     # the mapped basis is orthonormal under 2/(hi-lo) * weights
     wscale = 2.0 / (hi - lo)
-    if grid.is_quadrature and 2 * n <= 2 * grid.size - 1:
+    if grid.is_quadrature:
         coeffs = table.T @ (grid.weights * grid.values) * wscale
         resid = float(np.sqrt(np.sum(grid.weights * (grid.values - table @ coeffs) ** 2)))
     else:

@@ -15,7 +15,6 @@ import numpy as np
 
 from quadrep.cli import main as cli_main
 from quadrep.denoise import (
-    NoisyDataset,
     compute_noisy_moments,
     debias_moments,
     denoise_case3,
@@ -26,7 +25,7 @@ from quadrep.denoise import (
     solve_moment_system,
     step_ground_truth,
 )
-from quadrep.dictionary import assemble, build_grid
+from quadrep.dictionary import assemble, build_grid, tabulated_grid
 from quadrep.functions import get_builtin
 from quadrep.linalg import weighted_lsq
 from quadrep.orthopoly import gauss_legendre, legendre_row
@@ -206,12 +205,12 @@ def test_criterion_06_sigmoid_method_ordering():
 def test_criterion_07_debias_unbiasedness():
     start = time.perf_counter()
     sigma = 150.0
-    clean = compute_noisy_moments(NoisyDataset(POS, TRUTH))
+    clean = compute_noisy_moments(tabulated_grid(POS, TRUTH))
     identity_ok = debias_moments(clean, 0.0) == clean
     fields = ["m_f", "m_xf", "m_x2f", "m_f2", "m_xf2", "m_x2f2", "m_f3", "m_xf3"]
     samples = {f: [] for f in fields}
     for seed in range(50):
-        data = generate_noisy(POS, TRUTH, "function", sigma, seed)
+        data, _ = generate_noisy(POS, TRUTH, "function", sigma, seed)
         deb = debias_moments(compute_noisy_moments(data), sigma**2)
         for f in fields:
             samples[f].append(getattr(deb, f))
@@ -232,7 +231,7 @@ def test_criterion_08_case3_recovery():
     window = np.abs(POS - 140) > 3
     db_b0, db_c0, ls_b0, ls_c0, mis = [], [], [], [], []
     for seed in range(20):
-        data = generate_noisy(POS, TRUTH, "function", sigma, seed)
+        data, _ = generate_noisy(POS, TRUTH, "function", sigma, seed)
         res = denoise_case3(data, sigma**2, k=k)
         db_b0.append(abs(res.fit.b0 - 280.0) / 280.0)
         db_c0.append(abs(res.fit.c0 + 6375.0) / 6375.0)
@@ -265,7 +264,7 @@ def test_criterion_09_case4_iterative_improvement():
     improved_on_converged = True
     worst_constraint = 0.0
     for seed in range(10):
-        data = generate_noisy(POS, TRUTH, "function", sigma, seed)
+        data, _ = generate_noisy(POS, TRUTH, "function", sigma, seed)
         res = denoise_iterative(data, max_iter=50)
         worst_constraint = max(worst_constraint, res.max_constraint_residual)
         if res.converged:
@@ -330,7 +329,7 @@ def test_criterion_11_equivalences():
     d1 = fit_degree1(grid, 8, 0)
     d0 = fit_degree0(grid, 8)
     gauge_dev = float(np.max(np.abs(d1.numerator.coeffs - d0.coeffs.coeffs)))
-    data = NoisyDataset(POS, TRUTH)
+    data = tabulated_grid(POS, TRUTH)
     ls = fit_manifold_ls(data)
     mm = solve_moment_system(compute_noisy_moments(data))
     moment_dev = max(abs(ls.b0 - mm.b0) / 280.0, abs(ls.c0 - mm.c0) / 6375.0,

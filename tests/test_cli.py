@@ -234,6 +234,30 @@ def test_eval_schema_mismatch_exit_code(tmp_path):
     assert run(["eval", "--rep", str(bad), "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("doc", [[1, 2], {"type": "degree2", "domain": 5}],
+                         ids=["list", "scalar-domain"])
+def test_eval_rep_of_the_wrong_shape_is_a_bad_document(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert run(["eval", "--rep", str(bad), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure in eval: bad representation document: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_eval_points_row_with_two_fields_is_rejected(tmp_path, capsys):
+    rep = _write_rep(tmp_path / "rep.json", {"type": "degree0", "c": [1.0]})
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x\n0.25\n0.5,1\n")
+    out = tmp_path / "ev"
+    assert run(["eval", "--rep", rep, "--points", str(pts), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {pts}: row '0.5,1'") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_generate_requires_seed(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["generate", "--preset", "case1", "--out", str(tmp_path)])
@@ -338,13 +362,20 @@ def test_denoise_debias_requires_sigma2(tmp_path):
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A case3 data.csv and a degree-0 rep.json, for the rejected commands."""
+    """A case3 data.csv, copies of it with a NaN x in a middle row and an
+    infinite last x, and a degree-0 rep.json, for the rejected commands."""
     root = tmp_path_factory.mktemp("inputs")
     assert run(["generate", "--preset", "case3", "--seed", "0", "--out", str(root / "gen")]) == 0
     assert run(["fit", "--fn", "relu", "--method", "deg0", "--n", "5",
                 "--out", str(root / "deg0")]) == 0
+    lines = (root / "gen" / "data.csv").read_text().splitlines(keepends=True)
+    for name, row, x in (("nan_x", 200, "nan"), ("inf_x", -1, "inf")):
+        bad = list(lines)
+        bad[row] = x + bad[row][bad[row].index(","):]
+        (root / f"{name}.csv").write_text("".join(bad))
     return {"data": str(root / "gen" / "data.csv"), "deg0": str(root / "deg0" / "rep.json"),
-            "missing": str(root / "missing")}
+            "missing": str(root / "missing"), "nan_x": str(root / "nan_x.csv"),
+            "inf_x": str(root / "inf_x.csv")}
 
 
 @pytest.mark.parametrize("argv", [
@@ -355,14 +386,47 @@ def inputs(tmp_path_factory):
     ["eval", "--rep", "{missing}.json"],
     ["fit", "--input", "{missing}.csv", "--method", "deg0", "--n", "2"],
     ["denoise", "--input", "{missing}.csv", "--mode", "ls"],
+    ["denoise", "--input", "{nan_x}", "--mode", "debias+vote", "--sigma2", "22500"],
+    ["denoise", "--input", "{nan_x}", "--mode", "ls"],
+    ["fit", "--input", "{nan_x}", "--method", "deg0", "--n", "2"],
+    ["denoise", "--input", "{inf_x}", "--mode", "ls"],
 ], ids=["debias-no-sigma2", "case3-no-sigma2", "generate-no-noise", "eval-branches-deg0",
-        "eval-missing-rep", "fit-missing-input", "denoise-missing-input"])
+        "eval-missing-rep", "fit-missing-input", "denoise-missing-input",
+        "debias-nan-x", "ls-nan-x", "fit-nan-x", "ls-inf-x"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rejected_command_writes_nothing(tmp_path, capsys, inputs, argv):
     out = tmp_path / "out"
     assert run([a.format(**inputs) for a in argv] + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
+    for bad in ("nan_x", "inf_x"):
+        if f"{{{bad}}}" in argv:
+            assert err.startswith(f"error: {inputs[bad]}: non-finite sample positions"), err
+
+
+def _dir_files(path):
+    """The bytes of every file in ``path`` but its manifest, which records paths."""
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir()) if p.name != "manifest.json"}
+
+
+def test_sidecar_is_never_read(tmp_path):
+    gen = tmp_path / "gen"
+    assert run(["generate", "--preset", "case1", "--seed", "0", "--out", str(gen)]) == 0
+    csv_text = (gen / "data.csv").read_text()
+    outputs = []
+    for name, sidecar in (("plain", None), ("broken", "{not json")):
+        data = tmp_path / name / "data.csv"
+        data.parent.mkdir()
+        data.write_text(csv_text)
+        if sidecar is not None:
+            (tmp_path / name / "data.meta.json").write_text(sidecar)
+        for argv in (["denoise", "--input", str(data), "--mode", "ls+vote", "--truth", "step"],
+                     ["fit", "--input", str(data), "--method", "deg0", "--n", "4"]):
+            out = tmp_path / name / argv[0]
+            assert run([*argv, "--out", str(out)]) == 0, (name, argv)
+            outputs.append(_dir_files(out))
+    assert outputs[:2] == outputs[2:]
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -572,6 +636,26 @@ def test_manifest_replay_byte_identical(tmp_path):
                 "--out", str(second)]) == 0
     assert (first / "data.csv").read_bytes() == (second / "data.csv").read_bytes()
     assert (first / "data.meta.json").read_bytes() == (second / "data.meta.json").read_bytes()
+
+
+@pytest.mark.parametrize("doc", [[], {}], ids=["list", "no-argv"])
+def test_replay_manifest_without_argv_is_a_usage_error(tmp_path, capsys, doc):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(["replay", "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {manifest}: no 'argv' list of strings\n"
+    assert not out.exists()
+
+
+def test_replay_manifest_ending_in_out_writes_to_the_new_out(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"argv": ["generate", "--preset", "case1", "--seed", "0",
+                                             "--out"]}))
+    out = tmp_path / "out"
+    assert run(["replay", "--manifest", str(manifest), "--out", str(out)]) == 0
+    assert (out / "data.csv").exists()
 
 
 def test_manifest_contents(tmp_path):

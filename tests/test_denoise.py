@@ -13,7 +13,6 @@ from quadrep.denoise import (
     MomentSet,
     MomentSystemError,
     ManifoldFit4,
-    NoisyDataset,
     SingularConstraintError,
     compute_noisy_moments,
     constraint_residuals,
@@ -32,6 +31,7 @@ from quadrep.denoise import (
     step_ground_truth,
     write_dataset,
 )
+from quadrep.dictionary import tabulated_grid
 from quadrep.linalg import RankDeficiencyError, pivoted_qr
 
 POS = np.arange(0.0, 401.0)
@@ -55,23 +55,23 @@ def test_normal_stream_is_reproducible_and_standard():
 
 
 def test_generate_sigma_zero_is_exact():
-    data = generate_noisy(POS, TRUTH, "function", 0.0, seed=5)
-    assert np.array_equal(data.observed, TRUTH)
-    data_m = generate_noisy(POS, TRUTH, "manifold", 0.0, seed=5)
-    assert np.allclose(data_m.observed, TRUTH, atol=1e-12)
+    data, _ = generate_noisy(POS, TRUTH, "function", 0.0, seed=5)
+    assert np.array_equal(data.values, TRUTH)
+    data_m, _ = generate_noisy(POS, TRUTH, "manifold", 0.0, seed=5)
+    assert np.allclose(data_m.values, TRUTH, atol=1e-12)
 
 
 def test_generate_function_noise_mean_bound():
-    data = generate_noisy(POS, TRUTH, "function", 30.0, seed=11)
-    resid = data.observed - TRUTH
+    data, _ = generate_noisy(POS, TRUTH, "function", 30.0, seed=11)
+    resid = data.values - TRUTH
     assert abs(resid.mean()) < 4 * 30.0 / math.sqrt(401)
 
 
 def test_generate_manifold_noise_linearization():
     # small perturbations follow eps / (2 f~ - 280) to second order
     sigma = 50.0
-    data = generate_noisy(POS, TRUTH, "manifold", sigma, seed=2)
-    fobs = data.observed
+    data, _ = generate_noisy(POS, TRUTH, "manifold", sigma, seed=2)
+    fobs = data.values
     eps = (fobs - 25.0) * (fobs - 255.0)
     delta = fobs - TRUTH
     lin = eps / (2 * fobs - 280.0)
@@ -80,9 +80,9 @@ def test_generate_manifold_noise_linearization():
 
 
 def test_generate_manifold_clamp_counted():
-    data = generate_noisy(POS, TRUTH, "manifold", 5000.0, seed=0)
-    assert data.metadata["clamped_points"] >= 0
-    assert np.all(np.isfinite(data.observed))
+    data, meta = generate_noisy(POS, TRUTH, "manifold", 5000.0, seed=0)
+    assert meta["clamped_points"] >= 0
+    assert np.all(np.isfinite(data.values))
 
 
 def test_ground_truth_counts():
@@ -94,7 +94,7 @@ def test_ground_truth_counts():
 
 
 def test_ls_fit_clean_step_matches_extended_precision_oracle():
-    data = NoisyDataset(POS, TRUTH)
+    data = tabulated_grid(POS, TRUTH)
     fit = fit_manifold_ls(data)
     # oracle: exact-integer orthogonality system solved at 50 digits
     mp.mp.dps = 50
@@ -126,7 +126,7 @@ def test_ls_fit_clean_step_matches_extended_precision_oracle():
 
 def test_ls_fit_exact_relu_samples():
     xs = np.linspace(-1.0, 1.0, 81)
-    data = NoisyDataset(xs, np.maximum(0.0, xs))
+    data = tabulated_grid(xs, np.maximum(0.0, xs))
     fit = fit_manifold_ls(data)
     assert abs(fit.b0) < 1e-10
     assert abs(fit.b1 - 1.0) < 1e-10
@@ -135,7 +135,7 @@ def test_ls_fit_exact_relu_samples():
 
 
 def test_ls_fit_constant_data_raises_named_rank_error():
-    data = NoisyDataset(POS, np.full(401, 7.0))
+    data = tabulated_grid(POS, np.full(401, 7.0))
     with pytest.raises(RankDeficiencyError):
         fit_manifold_ls(data)
 
@@ -144,7 +144,7 @@ def test_case2_manifold_noise_recovery_frozen_oracle():
     # errors-in-variables bias: the observed roots sit near the Jensen-shifted
     # cluster means, and the free x-terms tilt the fitted branches.  Frozen
     # from the oracle run of this implementation (seed 0).
-    data = generate_noisy(POS, TRUTH, "manifold", 5000.0, seed=0)
+    data, _ = generate_noisy(POS, TRUTH, "manifold", 5000.0, seed=0)
     fit = fit_manifold_ls(data)
     rep = fit.as_rep(data.domain)
     from quadrep.representation import roots_at
@@ -162,7 +162,7 @@ def test_case2_manifold_noise_recovery_frozen_oracle():
 
 
 def test_moments_constant_data():
-    data = NoisyDataset(POS, np.ones(401))
+    data = tabulated_grid(POS, np.ones(401))
     m = compute_noisy_moments(data)
     assert m.m_f == pytest.approx(401.0)
     assert m.m_f2 == pytest.approx(401.0)
@@ -172,14 +172,14 @@ def test_moments_constant_data():
 
 def test_moments_odd_symmetry():
     xs = np.linspace(-1.0, 1.0, 51)
-    data = NoisyDataset(xs, xs.copy())
+    data = tabulated_grid(xs, xs.copy())
     m = compute_noisy_moments(data)
     assert abs(m.m_f) < 1e-12
     assert m.m_xf == pytest.approx(m.sx2, rel=1e-12)
 
 
 def test_moments_clean_step_raw_sum():
-    m = compute_noisy_moments(NoisyDataset(POS, TRUTH))
+    m = compute_noisy_moments(tabulated_grid(POS, TRUTH))
     assert m.m_f == pytest.approx(141 * 25 + 260 * 255)  # = 69825
 
 
@@ -190,7 +190,7 @@ def test_moment_set_cauchy_schwarz_guard():
 
 
 def test_debias_zero_variance_is_identity():
-    m = compute_noisy_moments(NoisyDataset(POS, TRUTH))
+    m = compute_noisy_moments(tabulated_grid(POS, TRUTH))
     assert debias_moments(m, 0.0) == m
 
 
@@ -204,11 +204,11 @@ def test_debias_quadratic_identity():
 
 def test_debias_monte_carlo_unbiasedness():
     sigma = 150.0
-    clean = compute_noisy_moments(NoisyDataset(POS, TRUTH))
+    clean = compute_noisy_moments(tabulated_grid(POS, TRUTH))
     fields = ["m_f", "m_xf", "m_x2f", "m_f2", "m_xf2", "m_x2f2", "m_f3", "m_xf3"]
     samples = {f: [] for f in fields}
     for seed in range(50):
-        data = generate_noisy(POS, TRUTH, "function", sigma, seed)
+        data, _ = generate_noisy(POS, TRUTH, "function", sigma, seed)
         deb = debias_moments(compute_noisy_moments(data), sigma**2)
         for f in fields:
             samples[f].append(getattr(deb, f))
@@ -219,7 +219,7 @@ def test_debias_monte_carlo_unbiasedness():
 
 
 def test_solve_moment_system_clean_step():
-    m = compute_noisy_moments(NoisyDataset(POS, TRUTH))
+    m = compute_noisy_moments(tabulated_grid(POS, TRUTH))
     fit = solve_moment_system(m)
     assert fit.b0 == pytest.approx(280.0, rel=1e-8)
     assert fit.c0 == pytest.approx(-6375.0, rel=1e-8)
@@ -229,14 +229,14 @@ def test_solve_moment_system_clean_step():
 
 def test_solve_moment_system_relu():
     xs = np.linspace(-1.0, 1.0, 81)
-    m = compute_noisy_moments(NoisyDataset(xs, np.maximum(0.0, xs)))
+    m = compute_noisy_moments(tabulated_grid(xs, np.maximum(0.0, xs)))
     fit = solve_moment_system(m)
     assert abs(fit.b0) < 1e-9 and abs(fit.b1 - 1.0) < 1e-9
     assert abs(fit.c0) < 1e-9 and abs(fit.c1) < 1e-9
 
 
 def test_moment_system_equals_direct_ls_on_clean_data():
-    data = NoisyDataset(POS, TRUTH)
+    data = tabulated_grid(POS, TRUTH)
     ls = fit_manifold_ls(data)
     mm = solve_moment_system(compute_noisy_moments(data))
     for attr in ("b0", "b1", "c0", "c1"):
@@ -245,7 +245,7 @@ def test_moment_system_equals_direct_ls_on_clean_data():
 
 
 def test_moment_system_singular_raises():
-    m = compute_noisy_moments(NoisyDataset(POS, np.full(401, 3.0)))
+    m = compute_noisy_moments(tabulated_grid(POS, np.full(401, 3.0)))
     with pytest.raises(MomentSystemError) as err:
         solve_moment_system(m)
     assert err.value.condition > 1e10
@@ -308,7 +308,7 @@ def test_iterative_builds_windows_once(monkeypatch, init):
 
     monkeypatch.setattr(denoise_mod, "knn_vote_index", counted_vote)
     denoise_mod._knn_windows.cache_clear()
-    data = generate_noisy(POS, TRUTH, "function", 30.0, 2)
+    data, _ = generate_noisy(POS, TRUTH, "function", 30.0, 2)
     res = denoise_iterative(data, init=init, sigma2_0=900.0, k=10)
     info = denoise_mod._knn_windows.cache_info()
     assert res.iterations > 1
@@ -327,7 +327,7 @@ def test_iterative_builds_one_branch_table_per_vote(monkeypatch, init):
         return real_branches(*args, **kwargs)
 
     monkeypatch.setattr(denoise_mod, "branches", counted_branches)
-    data = generate_noisy(POS, TRUTH, "function", 200.0, 3)
+    data, _ = generate_noisy(POS, TRUTH, "function", 200.0, 3)
     res = denoise_iterative(data, init=init, sigma2_0=40000.0, k=10)
     assert not res.converged and res.iterations == 50
     assert len(tables) == 51
@@ -349,8 +349,8 @@ def test_vote_single_interior_flip_corrected():
 
 
 def test_vote_is_idempotent_at_fixpoint():
-    data = generate_noisy(POS, TRUTH, "function", 150.0, 3)
-    signs0 = np.where(np.abs(data.observed - 255.0) < np.abs(data.observed - 25.0), 1, -1)
+    data, _ = generate_noisy(POS, TRUTH, "function", 150.0, 3)
+    signs0 = np.where(np.abs(data.values - 255.0) < np.abs(data.values - 25.0), 1, -1)
     idx, _, _ = knn_vote_index(signs0, POS, k=10)
     again, rounds, converged = knn_vote_index(idx.signs_at(POS), POS, k=10)
     assert converged and rounds == 1
@@ -369,8 +369,8 @@ def test_vote_sigma150_true_manifold_statistics():
     window = np.abs(POS - 140) > 3
     rates, within3, within10 = [], 0, 0
     for seed in range(20):
-        data = generate_noisy(POS, TRUTH, "function", 150.0, seed)
-        signs0 = np.where(np.abs(data.observed - 255.0) < np.abs(data.observed - 25.0), 1, -1)
+        data, _ = generate_noisy(POS, TRUTH, "function", 150.0, seed)
+        signs0 = np.where(np.abs(data.values - 255.0) < np.abs(data.values - 25.0), 1, -1)
         idx, _, _ = knn_vote_index(signs0, POS, k=10)
         voted = idx.signs_at(POS)
         rates.append(np.mean(voted[window] != TRUTH_SIGNS[window]))
@@ -389,7 +389,7 @@ def test_reconstruct_clamps_complex_roots_to_the_vertex(k):
     # is negative at x = 7, 8, 9, where the rebuild takes the vertex b/2
     pos = np.arange(10.0)
     fit = ManifoldFit4(b0=280.0, b1=0.0, c0=-6375.0, c1=-2000.0, method="hand")
-    data = NoisyDataset(pos, np.where(pos < 5, 25.0, 255.0))
+    data = tabulated_grid(pos, np.where(pos < 5, 25.0, 255.0))
     res = reconstruct(fit, data, k)
     complex_roots = 52900.0 - 8000.0 * pos < 0
     assert res.clamped_points == int(np.sum(complex_roots)) == 3
@@ -405,7 +405,7 @@ def test_reconstruct_clamps_complex_roots_to_the_vertex(k):
 
 def test_case3_small_noise_recovers_exactly():
     sigma = 1.0
-    data = generate_noisy(POS, TRUTH, "function", sigma, seed=4)
+    data, _ = generate_noisy(POS, TRUTH, "function", sigma, seed=4)
     res = denoise_case3(data, sigma**2, k=10)
     assert np.array_equal(res.index.signs_at(POS), TRUTH_SIGNS)
     assert np.max(np.abs(res.reconstructed - TRUTH)) < 0.01 * 230.0
@@ -413,11 +413,11 @@ def test_case3_small_noise_recovers_exactly():
     assert abs(res.fit.c0 + 6375.0) / 6375.0 < 0.01
     assert res.clamped_points == 0
     # noise estimate is centred
-    assert abs((data.observed - res.reconstructed).mean()) < 4 * sigma / math.sqrt(401)
+    assert abs((data.values - res.reconstructed).mean()) < 4 * sigma / math.sqrt(401)
 
 
 def test_case3_values_lie_on_fitted_manifold():
-    data = generate_noisy(POS, TRUTH, "function", 150.0, seed=1)
+    data, _ = generate_noisy(POS, TRUTH, "function", 150.0, seed=1)
     res = denoise_case3(data, 150.0**2, k=10)
     b = res.fit.b0 + res.fit.b1 * POS
     c = res.fit.c0 + res.fit.c1 * POS
@@ -430,7 +430,7 @@ def test_case3_values_lie_on_fitted_manifold():
 
 
 def test_case3_requires_positive_variance():
-    data = generate_noisy(POS, TRUTH, "function", 20.0, seed=0)
+    data, _ = generate_noisy(POS, TRUTH, "function", 20.0, seed=0)
     with pytest.raises(ValueError):
         denoise_case3(data, 0.0)
 
@@ -440,7 +440,7 @@ def test_case3_requires_positive_variance():
 
 def test_project_noise_no_op_when_already_satisfied():
     rng_noise = normal_stream(77, 401)
-    t = NoisyDataset(POS, TRUTH).unit_positions()
+    t = tabulated_grid(POS, TRUTH).unit_nodes
     constraints = noise_constraints(t, TRUTH, ALL_CONSTRAINTS)
     # manufacture a residual orthogonal to every constraint
     g = constraints.vectors
@@ -452,7 +452,7 @@ def test_project_noise_no_op_when_already_satisfied():
 
 
 def test_project_noise_removes_constant_bias_with_single_constraint():
-    t = NoisyDataset(POS, TRUTH).unit_positions()
+    t = tabulated_grid(POS, TRUTH).unit_nodes
     constraints = noise_constraints(t, TRUTH, ("1",))
     eps = np.full(401, 2.5)  # pure constant-mode bias
     corrected, _ = project_noise(eps, constraints)
@@ -460,10 +460,10 @@ def test_project_noise_removes_constant_bias_with_single_constraint():
 
 
 def test_project_noise_eight_constraints_residuals_vanish():
-    data = generate_noisy(POS, TRUTH, "function", 200.0, seed=9)
-    t = data.unit_positions()
+    data, _ = generate_noisy(POS, TRUTH, "function", 200.0, seed=9)
+    t = data.unit_nodes
     constraints = noise_constraints(t, TRUTH, ALL_CONSTRAINTS)
-    eps = data.observed - TRUTH
+    eps = data.values - TRUTH
     corrected, _ = project_noise(eps, constraints)
     res = constraint_residuals(corrected, constraints)
     assert np.all(res < 1e-9 * np.linalg.norm(eps))
@@ -486,9 +486,9 @@ def _count_pivoted_qr(monkeypatch):
 def test_projection_does_not_factor_the_constraints(monkeypatch):
     # the rank and the dependent names are computed only on the error path
     calls = _count_pivoted_qr(monkeypatch)
-    data = generate_noisy(POS, TRUTH, "function", 200.0, seed=9)
-    constraints = noise_constraints(data.unit_positions(), TRUTH, ALL_CONSTRAINTS)
-    corrected, _ = project_noise(data.observed - TRUTH, constraints)
+    data, _ = generate_noisy(POS, TRUTH, "function", 200.0, seed=9)
+    constraints = noise_constraints(data.unit_nodes, TRUTH, ALL_CONSTRAINTS)
+    corrected, _ = project_noise(data.values - TRUTH, constraints)
     assert np.all(np.isfinite(corrected))
     assert calls == []
 
@@ -510,7 +510,7 @@ def test_inconsistent_constraint_raises_after_one_factorization(monkeypatch):
 
 def test_constraints_on_manifold_values_are_rank_six():
     # on-manifold f makes f^2 and xf^2 exact combinations of the others
-    t = NoisyDataset(POS, TRUTH).unit_positions()
+    t = tabulated_grid(POS, TRUTH).unit_nodes
     g = noise_constraints(t, TRUTH, ALL_CONSTRAINTS).vectors
     assert pivoted_qr(g / np.linalg.norm(g, axis=0, keepdims=True)).rank(1e-10) == 6
 
@@ -519,7 +519,7 @@ def test_constraints_on_manifold_values_are_rank_six():
 
 
 def test_iterative_noise_free_converges_first_iteration():
-    data = NoisyDataset(POS, TRUTH)
+    data = tabulated_grid(POS, TRUTH)
     res = denoise_iterative(data, max_iter=10)
     assert res.converged
     assert res.iterations == 1
@@ -531,7 +531,7 @@ def test_iterative_sigma30_converges_and_improves():
     # frozen oracle: at sigma=30 every seed converges in <= 10 iterations and
     # beats the plain LS+vote initialization
     for seed in range(5):
-        data = generate_noisy(POS, TRUTH, "function", 30.0, seed)
+        data, _ = generate_noisy(POS, TRUTH, "function", 30.0, seed)
         res = denoise_iterative(data, max_iter=50)
         init_values = reconstruct(fit_manifold_ls(data), data, 10).reconstructed
         rmse_init = float(np.sqrt(np.mean((init_values - TRUTH) ** 2)))
@@ -543,14 +543,14 @@ def test_iterative_sigma30_converges_and_improves():
 
 
 def test_iterative_records_trace():
-    data = generate_noisy(POS, TRUTH, "function", 30.0, 1)
+    data, _ = generate_noisy(POS, TRUTH, "function", 30.0, 1)
     res = denoise_iterative(data, max_iter=50)
     assert len(res.coefficient_trace) == res.iterations + 1
     assert all(len(c) == 4 for c in res.coefficient_trace)
 
 
 def test_iterative_case3_initialization():
-    data = generate_noisy(POS, TRUTH, "function", 30.0, 2)
+    data, _ = generate_noisy(POS, TRUTH, "function", 30.0, 2)
     res = denoise_iterative(data, init="case3", sigma2_0=900.0, max_iter=50)
     assert res.converged
     with pytest.raises(ValueError):
@@ -561,12 +561,11 @@ def test_iterative_case3_initialization():
 
 
 def test_dataset_csv_round_trip(tmp_path):
-    data = generate_noisy(POS, TRUTH, "function", 30.0, seed=6)
+    data, meta = generate_noisy(POS, TRUTH, "function", 30.0, seed=6)
     path = tmp_path / "data.csv"
-    write_dataset(path, data)
+    write_dataset(path, data, meta)
     again = read_dataset(path)
-    assert np.array_equal(again.positions, data.positions)
-    assert np.array_equal(again.observed, data.observed)
-    assert again.metadata == data.metadata
+    assert np.array_equal(again.nodes, data.nodes)
+    assert np.array_equal(again.values, data.values)
     header = path.read_text().splitlines()[0]
     assert header == "x,f"

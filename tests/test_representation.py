@@ -350,9 +350,9 @@ def test_assign_index_noisy_step_matches_clean():
 
     positions = np.arange(0.0, 401.0)
     truth = step_ground_truth(positions)
-    noisy = generate_noisy(positions, truth, "function", 30.0, 7)
+    noisy, _ = generate_noisy(positions, truth, "function", 30.0, 7)
     rep = monomial_rep([1.0], [280.0], [-6375.0], domain=(0.0, 400.0))
-    idx = assign_index(rep, tabulated_grid(positions, noisy.observed))
+    idx = assign_index(rep, noisy)
     assert idx.first_sign == -1
     assert np.allclose(idx.breakpoints, [140.5])
 
