@@ -5,9 +5,11 @@
 
 Runs, in this process, the three command lists of `perfbench/workloads.py`
 (`sweep`, `fit-eval`, `denoise`, benchmark seed 1), the `denoise` modes the
-benchmark does not run (`DENOISE_MODES`, on every preset at `DENOISE_SEEDS`)
-and both `scripts/run_*_experiments.py`, each under its own directory of OUT,
-and writes every command's exit code to OUT/exit_codes.txt.  Two checkouts give
+benchmark does not run (`DENOISE_MODES`, on every preset at `DENOISE_SEEDS`),
+the `fit` runs it does not run (`FIT_RUNS`: greedy traces and an rrqr
+tolerance, each with its printed lines in `stdout.txt`) and both
+`scripts/run_*_experiments.py`, each under its own directory of OUT, and
+writes every command's exit code to OUT/exit_codes.txt.  Two checkouts give
 the same results when
 
     diff -r -x manifest.json A B
@@ -35,6 +37,17 @@ DENOISE_MODES = (
     ("iterative-subset", ["--mode", "iterative", "--constraints", "1,x,f,xf"]),
 )
 DENOISE_SEEDS = (0, 5)
+# fit runs beyond the benchmark's, whose fits write no trace.json and keep the
+# default --tol: (directory, arguments)
+_GREEDY = ["--fn", "sigmoid60", "--method", "deg2-greedy", "--trace"]
+FIT_RUNS = (
+    ("greedy-batch1", [*_GREEDY, "--max-terms", "20"]),
+    ("greedy-batch3", [*_GREEDY, "--max-terms", "20", "--batch", "3"]),
+    ("greedy-batch5", [*_GREEDY, "--max-terms", "20", "--batch", "5"]),
+    ("greedy-target", [*_GREEDY, "--target-residual", "1e-6"]),
+    ("greedy-cap8", [*_GREEDY, "--max-terms", "30", "--cap", "8"]),
+    ("rrqr-tol", ["--fn", "sigmoid60", "--method", "deg2-rrqr", "--tol", "1e-10"]),
+)
 
 
 def denoise_commands(out: Path) -> list[list[str]]:
@@ -74,6 +87,14 @@ def main(argv: list[str]) -> int:
                 codes.append((" ".join(cmd.argv).replace(str(out), "OUT"), cli_main(cmd.argv)))
         for argv in denoise_commands(out / "denoise-modes"):
             codes.append((" ".join(argv).replace(str(out), "OUT"), cli_main(argv)))
+        for name, args in FIT_RUNS:
+            run_out = out / "fit-runs" / name
+            argv = ["fit", *args, "--out", str(run_out)]
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                codes.append((" ".join(argv).replace(str(out), "OUT"), cli_main(argv)))
+            run_out.mkdir(parents=True, exist_ok=True)
+            (run_out / "stdout.txt").write_text(printed.getvalue())
         for script in ("run_convergence_experiments", "run_denoise_experiments"):
             code = importlib.import_module(script).run(out / script)
             codes.append((script, code))

@@ -26,7 +26,7 @@ from . import __version__
 from .denoise import (
     NOISE_PRESETS,
     ALL_CONSTRAINTS,
-    SingularConstraintError,
+    NUMERICAL_ERRORS,
     denoise_case3,
     denoise_iterative,
     fit_manifold_ls,
@@ -54,10 +54,6 @@ from .representation import (
 )
 from .selection import (METHODS, SelectionConfig, achievable_k, fit_at_k, greedy_select,
                         method_run, rrqr_select)
-
-# ArithmeticError covers the representation errors (complex roots, poles, no
-# root) and MomentSystemError; LinAlgError covers RankDeficiencyError
-NUMERICAL_ERRORS = (ArithmeticError, np.linalg.LinAlgError, SingularConstraintError)
 
 
 def _write_manifest(out: Path, command: str, argv: list[str], seed) -> None:
@@ -101,12 +97,10 @@ def _fit_with_method(grid, args):
             stream_cap=args.cap,
             rng_seed=args.seed,
         )
-        rep, trace = greedy_select(grid, config)
-        k = sum(len(s.chosen_tags) for s in trace.steps)
-        return rep, k, trace
+        run = greedy_select(grid, config)
+        return run.rep_at(config.max_terms), len(run.tags), run
     # deg2-rrqr: argparse choices guard the method
-    rep, report = rrqr_select(grid, stream_cap=args.cap,
-                              truncate_tol=args.tol, max_terms=args.max_terms)
+    rep, report = rrqr_select(grid, stream_cap=args.cap).rep_at(args.max_terms, args.tol)
     return rep, report.rank, None
 
 
@@ -116,12 +110,12 @@ def cmd_fit(args, argv) -> int:
         grid = _grid_for_function(args.fn, args.order)
     else:
         grid = read_dataset(args.input)
-    rep, k, trace = _fit_with_method(grid, args)
+    rep, k, run = _fit_with_method(grid, args)
     out.mkdir(parents=True, exist_ok=True)
     save_rep(rep, out / "rep.json")
-    if trace is not None and args.trace:
+    if run is not None and args.trace:
         with open(out / "trace.json", "w") as fh:
-            fh.write(trace.to_json())
+            fh.write(run.trace_json(rep.fit_residual))
             fh.write("\n")
     _write_manifest(out, "fit", argv, args.seed)
     print(f"K={k} residual={rep.fit_residual:.6e}")
@@ -167,11 +161,16 @@ def cmd_eval(args, argv) -> int:
             rows = [r for r in csv.reader(fh) if r]
         if rows and rows[0][0].strip().lower() in ("x",):
             rows = rows[1:]
+        xs = []
         for row in rows:
             if len(row) != 1:
                 raise DataError(f"{args.points}: row {','.join(row)!r} has {len(row)}"
                                 " fields; expected one x value")
-        xs = np.array([float(r[0]) for r in rows])
+            try:
+                xs.append(float(row[0]))
+            except ValueError as exc:
+                raise DataError(f"{args.points}: row {row[0]!r} is not a number") from exc
+        xs = np.array(xs)
         if not np.all(np.isfinite(xs)):
             raise ValueError(f"{args.points}: every x must be finite")
     else:
@@ -340,7 +339,10 @@ def cmd_denoise(args, argv) -> int:
 
 def cmd_replay(args, argv) -> int:
     with open(args.manifest) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{args.manifest}: {exc}") from exc
     stored = doc.get("argv") if isinstance(doc, dict) else None
     if not (isinstance(stored, list) and all(isinstance(a, str) for a in stored)):
         raise DataError(f"{args.manifest}: no 'argv' list of strings")

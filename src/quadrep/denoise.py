@@ -37,6 +37,7 @@ __all__ = [
     "NoiseConstraintSet",
     "MomentSystemError",
     "SingularConstraintError",
+    "NUMERICAL_ERRORS",
     "normal_stream",
     "step_ground_truth",
     "generate_noisy",
@@ -85,6 +86,12 @@ class SingularConstraintError(ValueError):
     def __init__(self, message: str, dependent: tuple[str, ...]):
         super().__init__(message)
         self.dependent = dependent
+
+
+# A numerical failure, as opposed to bad input.  ArithmeticError covers the
+# representation errors (complex roots, poles, no root) and MomentSystemError;
+# LinAlgError covers RankDeficiencyError.
+NUMERICAL_ERRORS = (ArithmeticError, np.linalg.LinAlgError, SingularConstraintError)
 
 
 def normal_stream(seed: int, n: int) -> np.ndarray:
@@ -533,7 +540,7 @@ def denoise_iterative(data: SampleGrid,
                 max_constraint_residual = max(max_constraint_residual, res_now)
             improved = tabulated_grid(data.nodes, data.values - corrected)
             res = reconstruct(fit_manifold_ls(improved), improved, k)
-        except (ArithmeticError, np.linalg.LinAlgError, SingularConstraintError):
+        except NUMERICAL_ERRORS:
             # iterate left the representable region: keep the last good one
             break
         coeffs = np.array([res.fit.b0, res.fit.b1, res.fit.c0, res.fit.c1])

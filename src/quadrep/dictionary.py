@@ -94,11 +94,7 @@ class SampleGrid:
 
 
 def build_grid(f, domain: tuple[float, float] = (-1.0, 1.0), order: int = 1000) -> SampleGrid:
-    """Quadrature grid of the given order with f evaluated at the mapped nodes.
-
-    ``f`` is either a callable or an array of the ``order`` sample values
-    already taken at the mapped Gauss nodes.
-    """
+    """Quadrature grid of the given order with f evaluated at the mapped nodes."""
     if order < 2:
         raise ValueError("quadrature grid needs order >= 2")
     lo, hi = float(domain[0]), float(domain[1])
@@ -106,12 +102,7 @@ def build_grid(f, domain: tuple[float, float] = (-1.0, 1.0), order: int = 1000) 
         raise ValueError(f"degenerate domain {domain}")
     rule = gauss_legendre(order)
     nodes = 0.5 * (hi - lo) * rule.nodes + 0.5 * (lo + hi)
-    if callable(f):
-        values = np.asarray([f(x) for x in nodes], dtype=float)
-    else:
-        values = np.asarray(f, dtype=float)
-        if values.shape != nodes.shape:
-            raise DataError("tabulated values must match the quadrature nodes")
+    values = np.asarray([f(x) for x in nodes], dtype=float)
     weights = rule.weights * 0.5 * (hi - lo)
     return SampleGrid(domain=(lo, hi), nodes=nodes, values=values, weights=weights, rule=rule)
 

@@ -673,5 +673,10 @@ def save_rep(rep, path) -> None:
 
 
 def load_rep(path):
+    """The rep stored at ``path``; ValueError naming the file if it is not JSON."""
     with open(path) as fh:
-        return rep_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return rep_from_dict(doc)

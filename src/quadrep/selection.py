@@ -5,15 +5,16 @@ each of the three candidate streams, keep whichever batch lowers the
 least-squares residual most) and rank-revealing pivoted-QR truncation of the
 full candidate matrix.
 
-Each runs in two stages: a selection run that does not depend on the number
-of terms kept (``greedy_run``, ``rrqr_factor``), then the rep at a given
-``max_terms`` (``rep_at``).  ``greedy_select`` and ``rrqr_select`` are one
-run and one rep; a convergence sweep does one run and many reps.
+Each runs in two stages: ``greedy_select`` and ``rrqr_select`` make the
+selection run, which does not depend on the number of terms kept (a
+``GreedyRun``, an ``RRQRFactor``), and its ``rep_at`` gives the rep at a
+given ``max_terms``.  ``quadrep fit`` takes one rep from a run; a
+convergence sweep takes one rep per K from one run.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -26,13 +27,10 @@ from .representation import (coefficients_to_rep, fit_degree0, fit_degree1,
 __all__ = [
     "SelectionConfig",
     "StepRecord",
-    "SelectionTrace",
     "RankReport",
     "GreedyRun",
     "RRQRFactor",
-    "greedy_run",
     "greedy_select",
-    "rrqr_factor",
     "rrqr_select",
     "METHODS",
     "achievable_k",
@@ -75,38 +73,6 @@ class StepRecord:
     chosen_stream: int
     chosen_tags: tuple
     residual_after: float
-
-
-@dataclass(frozen=True)
-class SelectionTrace:
-    steps: tuple
-    final_residual: float
-    rng_seed: int
-    exhausted: bool = False
-    notes: tuple = field(default_factory=tuple)
-
-    def to_dict(self) -> dict:
-        return {
-            "rng_seed": self.rng_seed,
-            "final_residual": self.final_residual,
-            "exhausted": self.exhausted,
-            "notes": list(self.notes),
-            "steps": [
-                {
-                    "step": s.step,
-                    "candidates": {
-                        str(stream): info for stream, info in s.candidates.items()
-                    },
-                    "chosen_stream": s.chosen_stream,
-                    "chosen_tags": [list(t) for t in s.chosen_tags],
-                    "residual_after": s.residual_after,
-                }
-                for s in self.steps
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 @dataclass(frozen=True)
@@ -154,7 +120,7 @@ class GreedyRun:
     stopped_at_max_terms: bool
 
     def rep_at(self, max_terms: int | None):
-        """The rep ``greedy_select`` returns for this run's config with ``max_terms``.
+        """The rep of the run with this run's config and ``max_terms``.
 
         Raises ValueError where this run does not determine that rep: another
         ``max_terms`` with ``batch_size`` 3 or 5, whose last batch would be cut
@@ -192,9 +158,31 @@ class GreedyRun:
                         "stream_cap": config.stream_cap},
         )
 
+    def trace_json(self, final_residual: float) -> str:
+        """The steps, notes and stop of this run as ``quadrep fit --trace``
+        writes them, with the rep's ``final_residual``."""
+        return json.dumps({
+            "rng_seed": self.config.rng_seed,
+            "final_residual": final_residual,
+            "exhausted": self.exhausted,
+            "notes": list(self.notes),
+            "steps": [
+                {
+                    "step": s.step,
+                    "candidates": {
+                        str(stream): info for stream, info in s.candidates.items()
+                    },
+                    "chosen_stream": s.chosen_stream,
+                    "chosen_tags": [list(t) for t in s.chosen_tags],
+                    "residual_after": s.residual_after,
+                }
+                for s in self.steps
+            ],
+        }, indent=2)
 
-def greedy_run(grid: SampleGrid, config: SelectionConfig) -> GreedyRun:
-    """Run the stream competition until ``config`` stops it.
+
+def greedy_select(grid: SampleGrid, config: SelectionConfig) -> GreedyRun:
+    """Stream-competition greedy selection, run until ``config`` stops it.
 
     Each step draws the next ``batch_size`` unused columns from every stream,
     W-normalizes them, orthonormalizes each once against the kept basis and
@@ -286,19 +274,6 @@ def greedy_run(grid: SampleGrid, config: SelectionConfig) -> GreedyRun:
                      stopped_at_max_terms=stopped_at_max_terms)
 
 
-def greedy_select(grid: SampleGrid, config: SelectionConfig):
-    """Stream-competition greedy selection; returns (Degree2Rep, SelectionTrace).
-
-    One ``greedy_run`` and its rep at ``config.max_terms``.
-    """
-    run = greedy_run(grid, config)
-    rep = run.rep_at(config.max_terms)
-    trace = SelectionTrace(steps=run.steps, final_residual=rep.fit_residual,
-                           rng_seed=config.rng_seed, exhausted=run.exhausted,
-                           notes=run.notes)
-    return rep, trace
-
-
 @dataclass(frozen=True)
 class RRQRFactor:
     """The pivoted QR of one grid's weighted candidate matrix.
@@ -316,7 +291,10 @@ class RRQRFactor:
 
     def rep_at(self, max_terms: int | None = None, truncate_tol: float = 1e-12):
         """Truncate at the first |R_kk| < truncate_tol * |R_11| (and at most
-        ``max_terms`` columns) and fit; returns (Degree2Rep, RankReport)."""
+        ``max_terms`` columns) and fit the target in the truncated orthogonal
+        basis; returns (Degree2Rep, RankReport).  Coefficients are mapped back
+        through R and the permutation; columns pivoted out of the truncation
+        get zero coefficients."""
         fact = self.fact
         rank = fact.rank(truncate_tol)
         if max_terms is not None:
@@ -336,8 +314,9 @@ class RRQRFactor:
         return rep, report
 
 
-def rrqr_factor(grid: SampleGrid, stream_cap: int = 60) -> RRQRFactor:
-    """Assemble the candidate matrix, W-scale it and factor it with column pivoting."""
+def rrqr_select(grid: SampleGrid, stream_cap: int = 60) -> RRQRFactor:
+    """Pivoted-QR basis ranking: assemble the candidate matrix, W-scale it and
+    factor it with column pivoting."""
     if stream_cap < 1:
         raise ValueError("stream_cap must be >= 1")
     d = assemble(grid, stream_cap, stream_cap, stream_cap)
@@ -347,33 +326,22 @@ def rrqr_factor(grid: SampleGrid, stream_cap: int = 60) -> RRQRFactor:
                       target=d.target * sw)
 
 
-def rrqr_select(grid: SampleGrid, stream_cap: int = 60, truncate_tol: float = 1e-12,
-                max_terms: int | None = None):
-    """Pivoted-QR basis ranking; returns (Degree2Rep, RankReport).
-
-    The weighted candidate matrix is factorized with column pivoting,
-    truncated at the first |R_kk| < truncate_tol * |R_11| (and optionally at
-    ``max_terms`` columns), and the target is fit in the truncated orthogonal
-    basis.  Coefficients are mapped back through R and the permutation;
-    columns pivoted out of the truncation get zero coefficients.
-    """
-    return rrqr_factor(grid, stream_cap).rep_at(max_terms, truncate_tol)
-
-
 # The method table: the five methods that the convergence comparison fits at
 # equal K, the number of fitted coefficients.  Per method: K = step * n +
 # offset; the rep at n from the method's run; the run builder, or None.  deg0
 # fits degree n = K - 1, deg1 two polynomials of degree n, deg2-uniform three;
-# an adaptive method keeps the first n = K columns of its run.
+# an adaptive method keeps the first n = K columns of its run.  The builders
+# look greedy_select and rrqr_select up when called, so a rebinding of either
+# module name reaches them.
 _TABLE = {
     "deg0": (1, 1, lambda grid, n, run: fit_degree0(grid, n), None),
     "deg1": (2, 1, lambda grid, n, run: fit_degree1(grid, n, n), None),
     "deg2-uniform": (3, 2, lambda grid, n, run: fit_degree2_uniform(grid, n, n, n), None),
     "deg2-greedy": (1, 0, lambda grid, n, run: run.rep_at(n),
-                    lambda grid, kmax, seed, cap: greedy_run(grid, SelectionConfig(
+                    lambda grid, kmax, seed, cap: greedy_select(grid, SelectionConfig(
                         max_terms=kmax, rng_seed=seed, stream_cap=cap))),
     "deg2-rrqr": (1, 0, lambda grid, n, run: run.rep_at(n)[0],
-                  lambda grid, kmax, seed, cap: rrqr_factor(grid, stream_cap=cap)),
+                  lambda grid, kmax, seed, cap: rrqr_select(grid, stream_cap=cap)),
 }
 METHODS = tuple(_TABLE)
 

@@ -159,7 +159,7 @@ def test_criterion_04_oscillatory_threshold():
 def test_criterion_05_two_term_oscillatory():
     start = time.perf_counter()
     grid = grid_of("sin10pi")
-    rep, _ = greedy_select(grid, SelectionConfig(max_terms=2, rng_seed=1))
+    rep = greedy_select(grid, SelectionConfig(max_terms=2, rng_seed=1)).rep_at(2)
     from quadrep.representation import roots_at
 
     root_dev = 0.0
@@ -335,11 +335,11 @@ def test_criterion_11_equivalences():
     moment_dev = max(abs(ls.b0 - mm.b0) / 280.0, abs(ls.c0 - mm.c0) / 6375.0,
                      abs(ls.b1 - mm.b1), abs(ls.c1 - mm.c1))
     config = SelectionConfig(max_terms=10, rng_seed=0)
-    _, trace = greedy_select(grid, config)
+    run = greedy_select(grid, config)
     d = assemble(grid, config.stream_cap, config.stream_cap, config.stream_cap)
     greedy_dev = 0.0
     chosen = []
-    for step in trace.steps:
+    for step in run.steps:
         chosen.extend(tuple(t) for t in step.chosen_tags)
         cols = np.column_stack([d.columns[:, d.tags.index(t)] for t in chosen])
         _, batch = weighted_lsq(cols, d.target, grid.weights)

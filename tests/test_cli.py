@@ -247,6 +247,27 @@ def test_eval_rep_of_the_wrong_shape_is_a_bad_document(tmp_path, capsys, doc):
     assert not out.exists()
 
 
+def test_eval_rep_that_is_not_json_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json\n")
+    out = tmp_path / "o"
+    assert run(["eval", "--rep", str(bad), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure in eval: bad representation document: {bad}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_eval_points_with_a_non_numeric_x_is_rejected(tmp_path, capsys):
+    rep = _write_rep(tmp_path / "rep.json", {"type": "degree0", "c": [1.0]})
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x\nabc\n")
+    out = tmp_path / "ev"
+    assert run(["eval", "--rep", rep, "--points", str(pts), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {pts}: row 'abc' is not a number\n"
+    assert not out.exists()
+
+
 def test_eval_points_row_with_two_fields_is_rejected(tmp_path, capsys):
     rep = _write_rep(tmp_path / "rep.json", {"type": "degree0", "c": [1.0]})
     pts = tmp_path / "pts.csv"
@@ -646,6 +667,16 @@ def test_replay_manifest_without_argv_is_a_usage_error(tmp_path, capsys, doc):
     assert run(["replay", "--manifest", str(manifest), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {manifest}: no 'argv' list of strings\n"
+    assert not out.exists()
+
+
+def test_replay_manifest_that_is_not_json_names_the_file(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("{")
+    out = tmp_path / "out"
+    assert run(["replay", "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: ") and err.count("\n") == 1, err
     assert not out.exists()
 
 

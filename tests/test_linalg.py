@@ -11,7 +11,7 @@ from quadrep.functions import BUILTINS
 from quadrep.linalg import (PivotedQR, RankDeficiencyError, householder_qr, pivoted_qr,
                             weighted_lsq)
 from quadrep.representation import fit_degree2_uniform
-from quadrep.selection import SelectionConfig, greedy_run
+from quadrep.selection import SelectionConfig, greedy_select
 
 
 def pivoted_qr_reference(a) -> PivotedQR:
@@ -292,7 +292,7 @@ def test_least_squares_solves_make_no_numpy_qr_call(monkeypatch):
     with pytest.raises(RankDeficiencyError):
         weighted_lsq(np.column_stack([v, v[:, 0]]), np.ones(30), np.ones(30))
     fn = BUILTINS["sigmoid60"]
-    run = greedy_run(build_grid(fn.fn, fn.domain, 200),
+    run = greedy_select(build_grid(fn.fn, fn.domain, 200),
                      SelectionConfig(max_terms=8, stream_cap=10))
     for k in (5, 8):
         assert np.isfinite(run.rep_at(k).fit_residual)

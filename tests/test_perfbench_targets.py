@@ -4,13 +4,16 @@ cells of each convergence table with its own copy of the method table
 (``perfbench/workloads.py``).  A refactor that drops or renames a wrapped
 function, or changes which K a method reaches, must fail here, not only in a
 benchmark run.  The same holds for ``quadrep.cli.ThreadPoolExecutor``, which
-the CLI imports only for the traced pass to read and rebind."""
+the CLI imports only for the traced pass to read and rebind, and for the
+selection layers: every adaptive rep comes from one ``greedy_select`` or
+``rrqr_select`` run, so the traced pass counts the selection work."""
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
 from quadrep import selection
+from quadrep.cli import main as cli_main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -64,3 +67,27 @@ def test_the_traced_pass_installs_its_wrappers():
     spans = _load("spans")
     with spans.installed(spans.Tracer()):
         pass
+
+
+def _selection_calls(argv):
+    """(greedy_select calls, rrqr_select calls) of one command under the
+    traced pass's wrappers."""
+    spans = _load("spans")
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        assert cli_main(argv) == 0
+    return (tracer.counts["selection.greedy_select.calls"],
+            tracer.counts["selection.rrqr_select.calls"])
+
+
+def test_convergence_makes_one_selection_run_per_adaptive_method(tmp_path):
+    argv = ["convergence", "--fn", "sin10pi", "--methods", "deg0,deg2-greedy,deg2-rrqr",
+            "--kmin", "2", "--kmax", "6", "--order", "200", "--cap", "10",
+            "--out", str(tmp_path)]
+    assert _selection_calls(argv) == (1, 1)
+
+
+def test_fit_makes_one_greedy_selection_run(tmp_path):
+    argv = ["fit", "--fn", "sigmoid60", "--method", "deg2-greedy", "--max-terms", "4",
+            "--order", "200", "--trace", "--out", str(tmp_path)]
+    assert _selection_calls(argv) == (1, 0)

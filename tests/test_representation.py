@@ -527,7 +527,8 @@ def test_gauge_reduction_degree2_to_degree0_of_fsquared():
     # plain columns carry the whole fit: sqrt(2) * c equals the expansion of f^2
     grid = grid_of("sin10pi")
     rep = fit_degree2_uniform(grid, 12, 0, 0)
-    fsq_grid = build_grid(grid.values**2, (-1.0, 1.0), 1000)
+    sin10pi = get_builtin("sin10pi").fn
+    fsq_grid = build_grid(lambda x: sin10pi(x) ** 2, (-1.0, 1.0), 1000)
     d0 = fit_degree0(fsq_grid, 12)
     assert np.max(np.abs(math.sqrt(2.0) * rep.c.coeffs - d0.coeffs.coeffs)) < 1e-11
     assert np.max(np.abs(rep.b.coeffs)) < 1e-13

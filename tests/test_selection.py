@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 
 import numpy as np
@@ -23,14 +24,11 @@ from quadrep.selection import (
     GreedyRun,
     RankReport,
     SelectionConfig,
-    SelectionTrace,
     StepRecord,
     achievable_k,
     fit_at_k,
-    greedy_run,
     greedy_select,
     method_run,
-    rrqr_factor,
     rrqr_select,
 )
 
@@ -55,8 +53,9 @@ def test_config_validation():
 
 
 def test_two_term_oscillatory_manifold():
-    rep, trace = greedy_select(SIN_GRID, SelectionConfig(max_terms=2, rng_seed=1))
-    assert sum(len(s.chosen_tags) for s in trace.steps) == 2
+    run = greedy_select(SIN_GRID, SelectionConfig(max_terms=2, rng_seed=1))
+    rep = run.rep_at(2)
+    assert sum(len(s.chosen_tags) for s in run.steps) == 2
     # the winning manifold is f^2 = 1/2: both roots are +-1/sqrt(2)
     for x in np.linspace(-1, 1, 11):
         r = roots_at(rep, x)
@@ -73,13 +72,13 @@ def test_two_term_degree0_linear_coefficients_monomial():
 
 def test_greedy_residuals_monotone_and_trace_consistent():
     config = SelectionConfig(max_terms=10, rng_seed=0)
-    rep, trace = greedy_select(SIG_GRID, config)
-    residuals = [s.residual_after for s in trace.steps]
+    run = greedy_select(SIG_GRID, config)
+    residuals = [s.residual_after for s in run.steps]
     assert all(residuals[i + 1] <= residuals[i] + 1e-13 for i in range(len(residuals) - 1))
     # trace residuals equal from-scratch weighted least squares on the same columns
     d = assemble(SIG_GRID, config.stream_cap, config.stream_cap, config.stream_cap)
     chosen = []
-    for step in trace.steps:
+    for step in run.steps:
         chosen.extend(tuple(t) for t in step.chosen_tags)
         cols = np.column_stack([d.columns[:, d.tags.index(t)] for t in chosen])
         _, batch_resid = weighted_lsq(cols, d.target, SIG_GRID.weights)
@@ -87,49 +86,49 @@ def test_greedy_residuals_monotone_and_trace_consistent():
 
 
 def test_greedy_tags_unique_and_final_residual_matches():
-    rep, trace = greedy_select(SIG_GRID, SelectionConfig(max_terms=12, rng_seed=3))
-    tags = [tuple(t) for s in trace.steps for t in s.chosen_tags]
+    run = greedy_select(SIG_GRID, SelectionConfig(max_terms=12, rng_seed=3))
+    rep = run.rep_at(12)
+    tags = [tuple(t) for s in run.steps for t in s.chosen_tags]
     assert len(tags) == len(set(tags))
-    assert trace.final_residual == pytest.approx(trace.steps[-1].residual_after, abs=1e-12)
-    assert rep.fit_residual == trace.final_residual
+    assert rep.fit_residual == pytest.approx(run.steps[-1].residual_after, abs=1e-12)
+    assert json.loads(run.trace_json(rep.fit_residual))["final_residual"] == rep.fit_residual
 
 
 def test_greedy_is_deterministic():
     config = SelectionConfig(max_terms=8, rng_seed=7)
-    rep1, trace1 = greedy_select(SIG_GRID, config)
-    rep2, trace2 = greedy_select(SIG_GRID, config)
+    run1, run2 = greedy_select(SIG_GRID, config), greedy_select(SIG_GRID, config)
+    rep1, rep2 = run1.rep_at(8), run2.rep_at(8)
     assert np.array_equal(rep1.b.coeffs, rep2.b.coeffs)
     assert np.array_equal(rep1.c.coeffs, rep2.c.coeffs)
-    assert trace1.to_json() == trace2.to_json()
+    assert run1.trace_json(rep1.fit_residual) == run2.trace_json(rep2.fit_residual)
 
 
 def test_greedy_batch_modes_run():
     for batch in (3, 5):
-        rep, trace = greedy_select(SIG_GRID, SelectionConfig(batch_size=batch,
-                                                             max_terms=batch * 2,
-                                                             rng_seed=0))
-        assert sum(len(s.chosen_tags) for s in trace.steps) == batch * 2
+        run = greedy_select(SIG_GRID, SelectionConfig(batch_size=batch, max_terms=batch * 2,
+                                                      rng_seed=0))
+        run.rep_at(batch * 2)
+        assert sum(len(s.chosen_tags) for s in run.steps) == batch * 2
 
 
 def test_greedy_stops_at_target_residual():
-    rep, trace = greedy_select(SIG_GRID, SelectionConfig(target_residual=1e-6,
-                                                         rng_seed=0))
-    assert trace.final_residual <= 1e-6
-    assert not trace.exhausted
+    run = greedy_select(SIG_GRID, SelectionConfig(target_residual=1e-6, rng_seed=0))
+    assert run.rep_at(None).fit_residual <= 1e-6
+    assert not run.exhausted
     # it stops as soon as the target is met, not at the stream cap
-    assert len(trace.steps) < 30
+    assert len(run.steps) < 30
 
 
 def test_greedy_exhaustion_flag():
     config = SelectionConfig(target_residual=1e-30, stream_cap=2, rng_seed=0)
-    rep, trace = greedy_select(SIG_GRID, config)
-    assert trace.exhausted
-    assert trace.final_residual > 1e-30
+    run = greedy_select(SIG_GRID, config)
+    assert run.exhausted
+    assert run.rep_at(None).fit_residual > 1e-30
 
 
 def test_greedy_exponential_decay_on_sigmoid():
-    rep, trace = greedy_select(SIG_GRID, SelectionConfig(max_terms=20, rng_seed=1))
-    residuals = np.array([s.residual_after for s in trace.steps])
+    run = greedy_select(SIG_GRID, SelectionConfig(max_terms=20, rng_seed=1))
+    residuals = np.array([s.residual_after for s in run.steps])
     ks = np.arange(1, residuals.size + 1)
     tail = (residuals > 1e-13) & (residuals < 1e-1)
     slope = np.polyfit(ks[tail], np.log(residuals[tail]), 1)[0]
@@ -137,8 +136,8 @@ def test_greedy_exponential_decay_on_sigmoid():
 
 
 def test_greedy_trace_serializes():
-    rep, trace = greedy_select(SIN_GRID, SelectionConfig(max_terms=3, rng_seed=2))
-    doc = trace.to_dict()
+    run = greedy_select(SIN_GRID, SelectionConfig(max_terms=3, rng_seed=2))
+    doc = json.loads(run.trace_json(run.rep_at(3).fit_residual))
     assert doc["rng_seed"] == 2
     assert len(doc["steps"]) == 3
     assert all("candidates" in s for s in doc["steps"])
@@ -146,13 +145,13 @@ def test_greedy_trace_serializes():
 
 def test_rrqr_polynomial_target_is_exact():
     grid = build_grid(lambda x: 0.3 - 0.8 * x + 0.5 * x**3, (-1.0, 1.0), 400)
-    rep, report = rrqr_select(grid, stream_cap=10, truncate_tol=1e-12)
+    rep, report = rrqr_select(grid, stream_cap=10).rep_at(truncate_tol=1e-12)
     assert rep.fit_residual < 1e-12
 
 
 def test_rrqr_rank_report_on_dependent_dictionary():
     grid = build_grid(lambda x: x, (-1.0, 1.0), 400)
-    rep, report = rrqr_select(grid, stream_cap=6, truncate_tol=1e-10)
+    rep, report = rrqr_select(grid, stream_cap=6).rep_at(truncate_tol=1e-10)
     assert isinstance(report, RankReport)
     assert report.rank < report.n_candidates
     assert np.all(np.diff(report.diag_magnitudes) <= 1e-14)
@@ -161,14 +160,14 @@ def test_rrqr_rank_report_on_dependent_dictionary():
 def test_rrqr_prefers_the_orthonormal_plain_stream():
     # the plain Legendre columns are exactly W-orthonormal, so column-norm
     # pivoting provably selects all of them before any f-weighted column
-    rep, report = rrqr_select(SIG_GRID, stream_cap=40, max_terms=18)
+    rep, report = rrqr_select(SIG_GRID, stream_cap=40).rep_at(18)
     assert all(tag[0] == STREAM_PLAIN for tag in report.selected_tags)
     assert [tag[1] for tag in report.selected_tags] == list(range(18))
 
 
 def test_rrqr_mapped_coefficients_reproduce_truncated_fit():
     cap, tol = 40, 1e-12
-    rep, report = rrqr_select(SIG_GRID, stream_cap=cap, truncate_tol=tol)
+    rep, report = rrqr_select(SIG_GRID, stream_cap=cap).rep_at(truncate_tol=tol)
     d = assemble(SIG_GRID, cap, cap, cap)
     sw = np.sqrt(SIG_GRID.weights)
     # prediction through the mapped-back coefficients
@@ -192,15 +191,15 @@ def test_rrqr_rank_zero_raises():
     grid = build_grid(lambda x: 0.0, (-1.0, 1.0), 100)
     with pytest.raises(ValueError):
         # all-zero f wipes streams 2-3; tol=2 kills even the plain stream
-        rrqr_select(grid, stream_cap=3, truncate_tol=2.0)
+        rrqr_select(grid, stream_cap=3).rep_at(truncate_tol=2.0)
 
 
 def test_rrqr_beats_nothing_smaller_than_greedy_documented():
     # measured behavior: column-norm pivoting cannot outperform the greedy
     # stream competition on the sigmoid at small K (the plain stream wins
     # every pivot), so its reconstruction error stays far above greedy's
-    rep_g, _ = greedy_select(SIG_GRID, SelectionConfig(max_terms=14, rng_seed=1))
-    rep_r, _ = rrqr_select(SIG_GRID, stream_cap=40, max_terms=14)
+    rep_g = greedy_select(SIG_GRID, SelectionConfig(max_terms=14, rng_seed=1)).rep_at(14)
+    rep_r, _ = rrqr_select(SIG_GRID, stream_cap=40).rep_at(14)
     err_g = relative_l2(rep_g, SIG_GRID)
     err_r = relative_l2(rep_r, SIG_GRID)
     assert err_g < 1e-2
@@ -225,13 +224,13 @@ def _rep_doc(make):
 def test_greedy_run_prefix_is_greedy_select_at_every_k(name):
     grid = grid_of(name)
     kmax = PREFIX_KMAX[name]
-    run = greedy_run(grid, SelectionConfig(max_terms=kmax, rng_seed=0, stream_cap=60))
+    run = greedy_select(grid, SelectionConfig(max_terms=kmax, rng_seed=0, stream_cap=60))
     for k in range(2, kmax + 1):
         config = SelectionConfig(max_terms=k, rng_seed=0, stream_cap=60)
 
         def reference():
-            rep, trace = greedy_select(grid, config)
-            return rep, [tuple(t) for s in trace.steps for t in s.chosen_tags]
+            fresh = greedy_select(grid, config)
+            return fresh.rep_at(k), [tuple(t) for s in fresh.steps for t in s.chosen_tags]
 
         shared = _rep_doc(lambda: (run.rep_at(k), run.tags[:k]))
         assert shared == _rep_doc(reference), f"{name} K={k}"
@@ -243,7 +242,7 @@ def test_rrqr_factor_truncation_is_rrqr_select_at_every_k(name):
     # reference cheap; the pivots do not depend on the truncation at any order
     grid = grid_of(name, order=200)
     kmax = PREFIX_KMAX[name]
-    factor = rrqr_factor(grid, stream_cap=60)
+    factor = rrqr_select(grid, stream_cap=60)
 
     def doc(rep_and_report):
         rep, report = rep_and_report
@@ -251,18 +250,18 @@ def test_rrqr_factor_truncation_is_rrqr_select_at_every_k(name):
 
     for k in range(2, kmax + 1):
         shared = _rep_doc(lambda: doc(factor.rep_at(k)))
-        assert shared == _rep_doc(lambda: doc(rrqr_select(grid, stream_cap=60, max_terms=k))), \
+        assert shared == _rep_doc(lambda: doc(rrqr_select(grid, stream_cap=60).rep_at(k))), \
             f"{name} K={k}"
 
 
 def test_greedy_run_refuses_reps_it_does_not_determine():
-    run = greedy_run(SIG_GRID, SelectionConfig(batch_size=3, max_terms=9, rng_seed=0))
+    run = greedy_select(SIG_GRID, SelectionConfig(batch_size=3, max_terms=9, rng_seed=0))
     assert run.rep_at(9).fit_residual == greedy_select(
-        SIG_GRID, SelectionConfig(batch_size=3, max_terms=9, rng_seed=0))[0].fit_residual
+        SIG_GRID, SelectionConfig(batch_size=3, max_terms=9, rng_seed=0)).rep_at(9).fit_residual
     # a run cut at 5 terms draws a batch of 2 where the longer run drew 3
     with pytest.raises(ValueError, match="prefix-consistent"):
         run.rep_at(5)
-    run = greedy_run(SIG_GRID, SelectionConfig(max_terms=6, rng_seed=0))
+    run = greedy_select(SIG_GRID, SelectionConfig(max_terms=6, rng_seed=0))
     with pytest.raises(ValueError, match="stopped at 6 terms"):
         run.rep_at(7)
     with pytest.raises(ValueError, match="stopped at 6 terms"):
@@ -271,11 +270,11 @@ def test_greedy_run_refuses_reps_it_does_not_determine():
 
 def test_greedy_run_stopped_by_target_gives_every_larger_budget():
     config = SelectionConfig(target_residual=1e-6, rng_seed=0)
-    run = greedy_run(SIG_GRID, config)
+    run = greedy_select(SIG_GRID, config)
     n = len(run.tags)
     for budget in (n, n + 5):
-        rep, _ = greedy_select(SIG_GRID, SelectionConfig(target_residual=1e-6,
-                                                         max_terms=budget, rng_seed=0))
+        rep = greedy_select(SIG_GRID, SelectionConfig(target_residual=1e-6, max_terms=budget,
+                                                      rng_seed=0)).rep_at(budget)
         assert rep_to_dict(run.rep_at(budget)) == rep_to_dict(rep)
 
 
@@ -307,9 +306,10 @@ def test_method_run_gives_the_select_reps():
     greedy = method_run(SIG_GRID, "deg2-greedy", 12, 3, 40)
     rrqr = method_run(SIG_GRID, "deg2-rrqr", 12, 3, 40)
     for k in (5, 12):
-        rep, _ = greedy_select(SIG_GRID, SelectionConfig(max_terms=k, rng_seed=3, stream_cap=40))
+        rep = greedy_select(SIG_GRID, SelectionConfig(max_terms=k, rng_seed=3,
+                                                      stream_cap=40)).rep_at(k)
         assert rep_to_dict(fit_at_k(SIG_GRID, "deg2-greedy", k, greedy)) == rep_to_dict(rep)
-        rep, _ = rrqr_select(SIG_GRID, stream_cap=40, max_terms=k)
+        rep, _ = rrqr_select(SIG_GRID, stream_cap=40).rep_at(k)
         assert rep_to_dict(fit_at_k(SIG_GRID, "deg2-rrqr", k, rrqr)) == rep_to_dict(rep)
 
 
@@ -342,11 +342,11 @@ def _orthonormalize_against_reference(q_basis, block):
 
 
 def greedy_run_reference(grid, config) -> GreedyRun:
-    """The stream competition as ``greedy_run`` ran it before it scored each
-    stream with the vectors it keeps: every drawn column orthonormalized once
-    to score its stream (against the basis, then the batch's earlier vectors
-    one at a time) and the chosen stream's columns again from scratch to
-    commit them.  The oracle for ``greedy_run``."""
+    """The stream competition as ``greedy_select`` ran it before it scored
+    each stream with the vectors it keeps: every drawn column orthonormalized
+    once to score its stream (against the basis, then the batch's earlier
+    vectors one at a time) and the chosen stream's columns again from scratch
+    to commit them.  The oracle for ``greedy_select``."""
     cap = config.stream_cap
     d = assemble(grid, cap, cap, cap)
     sw = np.sqrt(grid.weights)
@@ -444,12 +444,9 @@ def greedy_run_reference(grid, config) -> GreedyRun:
 
 def _run_docs(run):
     """The rep at the run's own max_terms (or the error it raises) and the
-    run's trace, whose final residual is the last step's."""
+    run's trace JSON, whose final residual is the last step's."""
     rep = _rep_doc(lambda: (run.rep_at(run.config.max_terms), run.tags))
-    trace = SelectionTrace(steps=run.steps, final_residual=run.steps[-1].residual_after,
-                           rng_seed=run.config.rng_seed, exhausted=run.exhausted,
-                           notes=run.notes)
-    return rep, trace
+    return rep, run.trace_json(run.steps[-1].residual_after)
 
 
 # 30 terms: every builtin's run reaches it, in whole batches of 1, 3 and 5
@@ -463,12 +460,12 @@ def test_greedy_run_matches_the_reference_loop(name, batch):
         for seed in (0, 1, 3):
             config = SelectionConfig(batch_size=batch, max_terms=30, rng_seed=seed,
                                      stream_cap=cap)
-            run, ref = greedy_run(grid, config), greedy_run_reference(grid, config)
+            run, ref = greedy_select(grid, config), greedy_run_reference(grid, config)
             (rep, trace), (ref_rep, ref_trace) = _run_docs(run), _run_docs(ref)
             where = f"{name} cap={cap} seed={seed} batch={batch}"
             assert rep == ref_rep, where
             if batch == 1:
-                assert trace.to_json() == ref_trace.to_json(), where
+                assert trace == ref_trace, where
                 continue
             # a batch's candidate vectors are now the ones its commit keeps,
             # so only the candidate residuals may move, and by rounding
@@ -503,7 +500,7 @@ def test_greedy_run_orthonormalizes_each_drawn_column_once(monkeypatch):
     for grid, batch in ((SIG_GRID, 3), (SIG_GRID, 5), (zero_grid, 1)):
         calls.clear()
         config = SelectionConfig(batch_size=batch, max_terms=15, rng_seed=0)
-        run = greedy_run(grid, config)
+        run = greedy_select(grid, config)
         cap = config.stream_cap
         d = assemble(grid, cap, cap, cap)
         nonzero = {t for j, t in enumerate(d.tags) if np.any(d.columns[:, j])}
