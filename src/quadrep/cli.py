@@ -39,8 +39,6 @@ from .denoise import (
 from .dictionary import DataError, build_grid
 from .functions import BUILTINS, STEP_MID, get_builtin
 from .representation import (
-    Degree1Rep,
-    Degree2Rep,
     branches,
     eval_rep,
     fit_degree0,
@@ -78,46 +76,72 @@ def _grid_for_function(name: str, order: int):
     return build_grid(fn.fn, fn.domain, order)
 
 
+# the flags that each fit method reads.  deg2-rrqr accepts --seed, which it
+# does not use, so that one argument list fits either adaptive method, as
+# `convergence --seed` does.
+_FIT_FLAGS = {
+    "deg0": ("n",),
+    "deg1": ("n0", "n1"),
+    "deg2-uniform": ("n0", "n1", "n2"),
+    "deg2-greedy": ("max_terms", "target_residual", "batch", "cap", "seed", "trace"),
+    "deg2-rrqr": ("max_terms", "cap", "tol", "seed"),
+}
+_ALL_FIT_FLAGS = tuple(dict.fromkeys(f for flags in _FIT_FLAGS.values() for f in flags))
+
+
+def _reject_unread(args, dests, where: str) -> None:
+    """ValueError naming the first of ``dests`` that was given: it is not
+    read ``where`` (``by --mode ls``, say)."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise ValueError(f"--{dest.replace('_', '-')} is not read {where}")
+
+
 def _fit_with_method(grid, args):
     method = args.method
+    n0, n1, n2 = (0 if n is None else n for n in (args.n0, args.n1, args.n2))
+    cap = 60 if args.cap is None else args.cap
     if method == "deg0":
-        rep = fit_degree0(grid, args.n if args.n is not None else args.n0)
-        return rep, rep.coeffs.coeffs.size, None
+        rep = fit_degree0(grid, 0 if args.n is None else args.n)
+        return rep, rep.c.coeffs.size, None
     if method == "deg1":
-        rep = fit_degree1(grid, args.n0, args.n1)
-        return rep, args.n0 + args.n1 + 1, None
+        return fit_degree1(grid, n0, n1), n0 + n1 + 1, None
     if method == "deg2-uniform":
-        rep = fit_degree2_uniform(grid, args.n0, args.n1, args.n2)
-        return rep, args.n0 + args.n1 + args.n2 + 2, None
+        return fit_degree2_uniform(grid, n0, n1, n2), n0 + n1 + n2 + 2, None
     if method == "deg2-greedy":
         config = SelectionConfig(
-            batch_size=args.batch,
+            batch_size=1 if args.batch is None else args.batch,
             target_residual=args.target_residual,
             max_terms=args.max_terms,
-            stream_cap=args.cap,
-            rng_seed=args.seed,
+            stream_cap=cap,
+            rng_seed=0 if args.seed is None else args.seed,
         )
         run = greedy_select(grid, config)
         return run.rep_at(config.max_terms), len(run.tags), run
     # deg2-rrqr: argparse choices guard the method
-    rep, report = rrqr_select(grid, stream_cap=args.cap).rep_at(args.max_terms, args.tol)
+    tol = 1e-12 if args.tol is None else args.tol
+    rep, report = rrqr_select(grid, stream_cap=cap).rep_at(args.max_terms, tol)
     return rep, report.rank, None
 
 
 def cmd_fit(args, argv) -> int:
     out = Path(args.out)
+    _reject_unread(args, [f for f in _ALL_FIT_FLAGS if f not in _FIT_FLAGS[args.method]],
+                   f"by --method {args.method}")
+    if args.input is not None:
+        _reject_unread(args, ["order"], "with --input")
     if args.fn is not None:
-        grid = _grid_for_function(args.fn, args.order)
+        grid = _grid_for_function(args.fn, 1000 if args.order is None else args.order)
     else:
         grid = read_dataset(args.input)
     rep, k, run = _fit_with_method(grid, args)
     out.mkdir(parents=True, exist_ok=True)
     save_rep(rep, out / "rep.json")
-    if run is not None and args.trace:
+    if args.trace:
         with open(out / "trace.json", "w") as fh:
             fh.write(run.trace_json(rep.fit_residual))
             fh.write("\n")
-    _write_manifest(out, "fit", argv, args.seed)
+    _write_manifest(out, "fit", argv, run.config.rng_seed if run is not None else args.seed)
     print(f"K={k} residual={rep.fit_residual:.6e}")
     if args.method in ("deg2-greedy", "deg2-rrqr") and k - 1 < grid.size:
         baseline = fit_at_k(grid, "deg0", k)
@@ -130,13 +154,13 @@ def _eval_table(rep, xs):
     batched evaluation; NaN where a point has no real value (a pole, complex
     or missing roots, no index)."""
     values = np.full(xs.shape, np.nan)
-    if isinstance(rep, Degree2Rep):
+    if rep.degree == 2:
         br = branches(rep, xs)
         if rep.index is not None:
             values = br.select(rep.index.signs_at(xs))
         lo = np.where(br.plus < br.minus, br.plus, br.minus)
         return values, [lo, np.where(br.plus > br.minus, br.plus, br.minus)]
-    real = ~poles(rep, xs) if isinstance(rep, Degree1Rep) else np.ones(xs.shape, bool)
+    real = ~poles(rep, xs) if rep.degree == 1 else np.ones(xs.shape, bool)
     values[real] = eval_rep(rep, xs[real])
     return values, None
 
@@ -154,7 +178,7 @@ def cmd_eval(args, argv) -> int:
         print(f"numerical failure in eval: bad representation document: {exc}",
               file=sys.stderr)
         return 3
-    if args.branches and not isinstance(rep, Degree2Rep):
+    if args.branches and rep.degree != 2:
         raise ValueError("branch table requires a degree-2 representation")
     if args.points is not None:
         with open(args.points, newline="") as fh:
@@ -174,8 +198,7 @@ def cmd_eval(args, argv) -> int:
         if not np.all(np.isfinite(xs)):
             raise ValueError(f"{args.points}: every x must be finite")
     else:
-        lo, hi = rep_to_dict(rep)["domain"]
-        xs = np.linspace(lo, hi, args.grid)
+        xs = np.linspace(*rep.domain, args.grid)
     values, roots = _eval_table(rep, xs)
     tables = [("eval.csv", ["x", "value"], [values])]
     if args.branches:
@@ -270,9 +293,7 @@ def _check_denoise_flags(args) -> None:
     unread = ["k"] if args.mode == "ls" else []
     if args.mode != "iterative":
         unread += ["constraints", "init", "max_iter", "tol"]
-    for dest in unread:
-        if getattr(args, dest) is not None:
-            raise ValueError(f"--{dest.replace('_', '-')} is not read by --mode {args.mode}")
+    _reject_unread(args, unread, f"by --mode {args.mode}")
 
 
 def cmd_denoise(args, argv) -> int:
@@ -366,18 +387,23 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--fn", choices=sorted(BUILTINS))
     src.add_argument("--input", help="CSV with x,f columns (tabulated grid)")
     p_fit.add_argument("--method", choices=METHODS, required=True)
-    p_fit.add_argument("--n", type=int, default=None, help="degree for deg0")
-    p_fit.add_argument("--n0", type=int, default=0)
-    p_fit.add_argument("--n1", type=int, default=0)
-    p_fit.add_argument("--n2", type=int, default=0)
-    p_fit.add_argument("--max-terms", type=int, default=None)
-    p_fit.add_argument("--target-residual", type=float, default=None)
-    p_fit.add_argument("--batch", type=int, choices=(1, 3, 5), default=1)
-    p_fit.add_argument("--cap", type=int, default=60)
-    p_fit.add_argument("--tol", type=float, default=1e-12)
-    p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--order", type=int, default=1000)
-    p_fit.add_argument("--trace", action="store_true")
+    # no parser defaults, so that a flag given to a method that does not read
+    # it is seen (_FIT_FLAGS lists what each method reads)
+    p_fit.add_argument("--n", type=int, help="deg0: degree (default 0)")
+    p_fit.add_argument("--n0", type=int, help="deg1, deg2-uniform: degree of c (default 0)")
+    p_fit.add_argument("--n1", type=int, help="deg1, deg2-uniform: degree of b (default 0)")
+    p_fit.add_argument("--n2", type=int, help="deg2-uniform: degree of a (default 0)")
+    p_fit.add_argument("--max-terms", type=int, help="deg2-greedy, deg2-rrqr")
+    p_fit.add_argument("--target-residual", type=float, help="deg2-greedy")
+    p_fit.add_argument("--batch", type=int, choices=(1, 3, 5),
+                       help="deg2-greedy (default 1)")
+    p_fit.add_argument("--cap", type=int, help="deg2-greedy, deg2-rrqr (default 60)")
+    p_fit.add_argument("--tol", type=float, help="deg2-rrqr (default 1e-12)")
+    p_fit.add_argument("--seed", type=int,
+                       help="deg2-greedy (default 0); deg2-rrqr accepts it unused")
+    p_fit.add_argument("--order", type=int, help="--fn only (default 1000)")
+    p_fit.add_argument("--trace", action="store_true", default=None,
+                       help="deg2-greedy: also write trace.json")
     p_fit.add_argument("--out", default=".")
 
     p_eval = sub.add_parser("eval", help="evaluate a stored representation")

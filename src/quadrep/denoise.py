@@ -25,9 +25,9 @@ from .linalg import RankDeficiencyError, pivoted_qr, weighted_lsq
 from .orthopoly import legendre_row
 from .representation import (
     BASIS_MONOMIAL,
-    Degree2Rep,
     IndexFunction,
     PolyCoeffs,
+    Rep,
     branches,
 )
 
@@ -173,12 +173,11 @@ class ManifoldFit4:
     residual: float = float("nan")
     condition: float = float("nan")
 
-    def as_rep(self, domain: tuple[float, float]) -> Degree2Rep:
-        return Degree2Rep(
+    def as_rep(self, domain: tuple[float, float]) -> Rep:
+        return Rep(
             a=PolyCoeffs(BASIS_MONOMIAL, [1.0], domain),
             b=PolyCoeffs(BASIS_MONOMIAL, [self.b0, self.b1], domain),
             c=PolyCoeffs(BASIS_MONOMIAL, [self.c0, self.c1], domain),
-            index=None,
             fit_residual=self.residual,
             provenance={"method": self.method},
         )

@@ -23,9 +23,6 @@ class BuiltinFunction:
     fn: callable
     domain: tuple[float, float]
 
-    def __call__(self, x):
-        return self.fn(x)
-
 
 BUILTINS = {
     b.name: b

@@ -1,9 +1,10 @@
 """Degree-0/1/2 function representations, their fits, and stable evaluation.
 
-The degree-2 object is a triple of coefficient polynomials (a, b, c) with
-``a f^2 - b f - c = 0`` plus a per-location sign (the index) choosing between
-the two quadratic roots.  Roots are always computed with the
-cancellation-free form of the quadratic formula.
+Every representation is one ``Rep``: coefficient polynomials (a, b, c) of
+``a f^2 - b f - c = 0``, of degree 0, 1 or 2 in f, plus at degree 2 a
+per-location sign (the index) choosing between the two quadratic roots.
+Roots are always computed with the cancellation-free form of the quadratic
+formula.
 """
 from __future__ import annotations
 
@@ -27,10 +28,8 @@ __all__ = [
     "PoleError",
     "EvaluationError",
     "PolyCoeffs",
-    "Degree0Rep",
-    "Degree1Rep",
     "IndexFunction",
-    "Degree2Rep",
+    "Rep",
     "RootResult",
     "BranchTable",
     "basis_convert",
@@ -165,35 +164,6 @@ def basis_convert(coeffs: PolyCoeffs, target_basis: str) -> PolyCoeffs:
 
 
 @dataclass(frozen=True)
-class Degree0Rep:
-    """Plain linear-combination approximation of f."""
-
-    coeffs: PolyCoeffs
-    fit_residual: float = float("nan")
-    provenance: dict = field(default_factory=dict)
-
-
-def _denominator_constant(basis: str) -> float:
-    # the constant term "1" is sqrt(2)*L_0 in the orthonormal basis
-    return SQRT2 if basis == BASIS_LEGENDRE else 1.0
-
-
-@dataclass(frozen=True)
-class Degree1Rep:
-    """Rational approximation c(x)/b(x) with the constant term of b pinned to 1."""
-
-    numerator: PolyCoeffs
-    denominator: PolyCoeffs
-    fit_residual: float = float("nan")
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        expected = _denominator_constant(self.denominator.basis)
-        if abs(self.denominator.coeffs[0] - expected) > 1e-9:
-            raise ValueError("denominator constant term must be fixed to 1")
-
-
-@dataclass(frozen=True)
 class IndexFunction:
     """Piecewise-constant +-1 branch selector, breakpoint-compressed.
 
@@ -236,33 +206,51 @@ class IndexFunction:
         return out
 
 
-@dataclass(frozen=True)
-class Degree2Rep:
-    """Quadratic-manifold representation: a f^2 - b f - c = 0 plus an index.
+@dataclass(frozen=True, kw_only=True)
+class Rep:
+    """A representation: a(x) f^2 - b(x) f - c(x) = 0, the fields of rep.json.
 
-    The constant-basis coefficient of ``a`` is pinned to 1 (the fit's
-    reporting normalization), which fixes the overall scale of the triple.
+    Its degree in f is the highest of ``a`` and ``b`` that is set:
+
+    - degree 0, ``a`` and ``b`` None: f = c(x);
+    - degree 1, ``a`` None: f = c(x) / b(x), with the constant term of b
+      pinned to 1;
+    - degree 2: f is the root that ``index`` picks at x, with the
+      constant-basis coefficient of ``a`` pinned to 1 (the fit's reporting
+      normalization, which fixes the overall scale of the triple).
     """
 
-    a: PolyCoeffs
-    b: PolyCoeffs
+    a: PolyCoeffs | None = None
+    b: PolyCoeffs | None = None
     c: PolyCoeffs
-    index: IndexFunction | None
+    index: IndexFunction | None = None
     fit_residual: float = float("nan")
     degeneracy: dict | None = None
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (self.a.basis == self.b.basis == self.c.basis):
+        if self.a is not None and self.b is None:
+            raise ValueError("a needs b: a degree-2 representation sets a, b and c")
+        polys = [p for p in (self.a, self.b, self.c) if p is not None]
+        if len({p.basis for p in polys}) > 1:
             raise ValueError("a, b, c must share a basis")
-        if not (self.a.domain == self.b.domain == self.c.domain):
+        if len({p.domain for p in polys}) > 1:
             raise ValueError("a, b, c must share a domain")
-        if self.a.coeffs[0] != 1.0:
+        if self.a is not None and self.a.coeffs[0] != 1.0:
             raise ValueError("constant-basis coefficient of a must be 1")
+        if self.degree == 1:
+            # the constant term "1" is sqrt(2)*L_0 in the orthonormal basis
+            one = SQRT2 if self.b.basis == BASIS_LEGENDRE else 1.0
+            if abs(self.b.coeffs[0] - one) > 1e-9:
+                raise ValueError("denominator constant term must be fixed to 1")
+
+    @property
+    def degree(self) -> int:
+        return 2 if self.a is not None else 1 if self.b is not None else 0
 
     @property
     def domain(self) -> tuple[float, float]:
-        return self.a.domain
+        return self.c.domain
 
 
 @dataclass(frozen=True)
@@ -315,7 +303,7 @@ class BranchTable:
         return signs
 
 
-def branches(rep: Degree2Rep, x) -> BranchTable:
+def branches(rep: Rep, x) -> BranchTable:
     """Both roots of a(x) r^2 - b(x) r - c(x) = 0 at every point of ``x``, by
     the cancellation-free quadratic formula; plus = (b + sqrt(D)) / 2a with
     D = b^2 + 4ac.  Never raises: each edge case has one policy and a mask.
@@ -367,7 +355,7 @@ def branches(rep: Degree2Rep, x) -> BranchTable:
     return table
 
 
-def roots_at(rep: Degree2Rep, x) -> RootResult:
+def roots_at(rep: Rep, x) -> RootResult:
     """Both roots at a single point, ordered; raises where ``branches`` has
     no real root (ComplexRootError, or EvaluationError if a and b vanish)."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -381,7 +369,7 @@ def roots_at(rep: Degree2Rep, x) -> RootResult:
                       linear=bool(br.linear[0]), clamped=bool(br.clamped[0]))
 
 
-def assign_index(rep: Degree2Rep, grid: SampleGrid) -> IndexFunction:
+def assign_index(rep: Rep, grid: SampleGrid) -> IndexFunction:
     """Per-node sign whose root is nearest the sample value (ties -> +1).
 
     Nodes with complex roots get no meaningful selection; they inherit the
@@ -394,35 +382,34 @@ def assign_index(rep: Degree2Rep, grid: SampleGrid) -> IndexFunction:
     return IndexFunction.from_dense(grid.nodes, signs, undefined=grid.nodes[br.complex])
 
 
-def poles(rep: Degree1Rep, x) -> np.ndarray:
+def poles(rep: Rep, x) -> np.ndarray:
     """Mask of the points where the denominator vanishes, |b(x)| <= 1e-13."""
-    return np.abs(np.atleast_1d(rep.denominator.evaluate(x))) <= 1e-13
+    return np.abs(np.atleast_1d(rep.b.evaluate(x))) <= 1e-13
 
 
-def eval_rep(rep, x):
-    """Evaluate any representation; scalar in -> scalar out.  Raises where a
-    point has no value (PoleError, or see ``BranchTable.require_real``)."""
+def eval_rep(rep: Rep, x):
+    """Evaluate a representation of any degree; scalar in -> scalar out.
+    Raises where a point has no value (PoleError, or see
+    ``BranchTable.require_real``)."""
     scalar = np.isscalar(x) or np.asarray(x).ndim == 0
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if isinstance(rep, Degree0Rep):
-        out = rep.coeffs.evaluate(arr)
-    elif isinstance(rep, Degree1Rep):
+    if rep.degree == 0:
+        out = rep.c.evaluate(arr)
+    elif rep.degree == 1:
         bad = poles(rep, arr)
         if np.any(bad):
             raise PoleError(f"denominator vanishes near x={arr[bad][0]:.6g}")
-        out = rep.numerator.evaluate(arr) / rep.denominator.evaluate(arr)
-    elif isinstance(rep, Degree2Rep):
+        out = rep.c.evaluate(arr) / rep.b.evaluate(arr)
+    else:
         if rep.index is None:
             raise EvaluationError("degree-2 representation has no index assigned")
         br = branches(rep, arr)
         br.require_real()
         out = br.select(rep.index.signs_at(arr))
-    else:
-        raise TypeError(f"not a representation: {type(rep)!r}")
     return float(out[0]) if scalar else out
 
 
-def compose_piecewise_manifold(p_minus: PolyCoeffs, p_plus: PolyCoeffs) -> Degree2Rep:
+def compose_piecewise_manifold(p_minus: PolyCoeffs, p_plus: PolyCoeffs) -> Rep:
     """Exact manifold through two polynomial branches: b = p- + p+, c = -p- p+.
 
     The result satisfies (f - p-)(f - p+) = 0 identically, so fitting error is
@@ -437,7 +424,6 @@ def compose_piecewise_manifold(p_minus: PolyCoeffs, p_plus: PolyCoeffs) -> Degre
     if basis == BASIS_MONOMIAL:
         b = nppoly.polyadd(p_minus.coeffs, p_plus.coeffs)
         c = -nppoly.polymul(p_minus.coeffs, p_plus.coeffs)
-        a = np.array([1.0])
     else:
         # a == [1] denotes a(x) = L_0 = 1/sqrt(2); scale b, c to match
         lm = p_minus.coeffs * _leg_norms(p_minus.coeffs.size)
@@ -446,19 +432,16 @@ def compose_piecewise_manifold(p_minus: PolyCoeffs, p_plus: PolyCoeffs) -> Degre
         c_cl = -npleg.legmul(lm, lp) / SQRT2
         b = b_cl / _leg_norms(b_cl.size)
         c = c_cl / _leg_norms(c_cl.size)
-        a = np.array([1.0])
-
-    return Degree2Rep(
-        a=PolyCoeffs(basis, a, domain),
+    return Rep(
+        a=PolyCoeffs(basis, [1.0], domain),
         b=PolyCoeffs(basis, b, domain),
         c=PolyCoeffs(basis, c, domain),
-        index=None,
         fit_residual=0.0,
         provenance={"method": "compose"},
     )
 
 
-def fit_degree0(grid: SampleGrid, n: int) -> Degree0Rep:
+def fit_degree0(grid: SampleGrid, n: int) -> Rep:
     """Least-squares Legendre expansion of f on the grid.
 
     On quadrature grids the coefficients are plain inner products (the
@@ -476,14 +459,14 @@ def fit_degree0(grid: SampleGrid, n: int) -> Degree0Rep:
         resid = float(np.sqrt(np.sum(grid.weights * (grid.values - table @ coeffs) ** 2)))
     else:
         coeffs, resid = weighted_lsq(table, grid.values, grid.weights)
-    return Degree0Rep(
-        coeffs=PolyCoeffs(BASIS_LEGENDRE, coeffs, grid.domain),
+    return Rep(
+        c=PolyCoeffs(BASIS_LEGENDRE, coeffs, grid.domain),
         fit_residual=resid,
         provenance={"method": "degree0", "n": n},
     )
 
 
-def fit_degree1(grid: SampleGrid, n0: int, n1: int) -> Degree1Rep:
+def fit_degree1(grid: SampleGrid, n0: int, n1: int) -> Rep:
     """Rational fit min || b(x) f - c(x) || with the constant f-term folded into
     the target, which pins the denominator's constant term to 1."""
     if n0 + n1 + 1 > grid.size:
@@ -494,15 +477,12 @@ def fit_degree1(grid: SampleGrid, n0: int, n1: int) -> Degree1Rep:
         cols.append(table[:, 1 : n1 + 1] * grid.values[:, None])
     v = np.hstack(cols)
     eta, resid = weighted_lsq(v, grid.values, grid.weights)
-    num = PolyCoeffs(BASIS_LEGENDRE, eta[: n0 + 1], grid.domain)
-    den_coeffs = np.zeros(n1 + 1)
-    den_coeffs[0] = SQRT2
-    if n1 >= 1:
-        den_coeffs[1:] = -eta[n0 + 1 :]
-    den = PolyCoeffs(BASIS_LEGENDRE, den_coeffs, grid.domain)
-    return Degree1Rep(
-        numerator=num,
-        denominator=den,
+    b = np.zeros(n1 + 1)
+    b[0] = SQRT2
+    b[1:] = -eta[n0 + 1 :]
+    return Rep(
+        b=PolyCoeffs(BASIS_LEGENDRE, b, grid.domain),
+        c=PolyCoeffs(BASIS_LEGENDRE, eta[: n0 + 1], grid.domain),
         fit_residual=resid,
         provenance={"method": "degree1", "n0": n0, "n1": n1},
     )
@@ -510,8 +490,8 @@ def fit_degree1(grid: SampleGrid, n0: int, n1: int) -> Degree1Rep:
 
 def coefficients_to_rep(grid: SampleGrid, tags, values, fit_residual: float,
                         degeneracy: dict | None = None,
-                        provenance: dict | None = None) -> Degree2Rep:
-    """Package per-column dictionary coefficients into a Degree2Rep, with the
+                        provenance: dict | None = None) -> Rep:
+    """Package per-column dictionary coefficients into a degree-2 Rep, with the
     index ``assign_index`` gives on the grid.
 
     ``values`` are the least-squares coefficients of the raw dictionary
@@ -534,11 +514,10 @@ def coefficients_to_rep(grid: SampleGrid, tags, values, fit_residual: float,
             a[degree] -= val
         else:
             raise ValueError(f"unknown stream in tag {(stream, degree)}")
-    rep = Degree2Rep(
+    rep = Rep(
         a=PolyCoeffs(BASIS_LEGENDRE, a, grid.domain),
         b=PolyCoeffs(BASIS_LEGENDRE, b, grid.domain),
         c=PolyCoeffs(BASIS_LEGENDRE, c, grid.domain),
-        index=None,
         fit_residual=fit_residual,
         degeneracy=degeneracy,
         provenance=provenance or {},
@@ -546,7 +525,7 @@ def coefficients_to_rep(grid: SampleGrid, tags, values, fit_residual: float,
     return replace(rep, index=assign_index(rep, grid))
 
 
-def fit_degree2_uniform(grid: SampleGrid, n0: int, n1: int, n2: int) -> Degree2Rep:
+def fit_degree2_uniform(grid: SampleGrid, n0: int, n1: int, n2: int) -> Rep:
     """Non-adaptive degree-2 fit over the full (n0, n1, n2) dictionary.
 
     A rank-deficient dictionary does not fail the fit: the solve falls back
@@ -602,42 +581,33 @@ def _coeff_list(pc: PolyCoeffs | None):
     return None if pc is None else [float(v) for v in pc.coeffs]
 
 
-def rep_to_dict(rep) -> dict:
-    if isinstance(rep, Degree0Rep):
-        base, a, b, c, index = rep.coeffs, None, None, rep.coeffs, None
-        kind = "degree0"
-    elif isinstance(rep, Degree1Rep):
-        base, a, b, c, index = rep.numerator, None, rep.denominator, rep.numerator, None
-        kind = "degree1"
-    elif isinstance(rep, Degree2Rep):
-        base, a, b, c, index = rep.a, rep.a, rep.b, rep.c, rep.index
-        kind = "degree2"
-    else:
-        raise TypeError(f"not a representation: {type(rep)!r}")
+def rep_to_dict(rep: Rep) -> dict:
     doc = {
-        "type": kind,
-        "domain": [float(base.domain[0]), float(base.domain[1])],
-        "basis": base.basis,
-        "a": _coeff_list(a),
-        "b": _coeff_list(b),
-        "c": _coeff_list(c),
+        "type": f"degree{rep.degree}",
+        "domain": [float(rep.domain[0]), float(rep.domain[1])],
+        "basis": rep.c.basis,
+        "a": _coeff_list(rep.a),
+        "b": _coeff_list(rep.b),
+        "c": _coeff_list(rep.c),
         "index": None,
         "fit_residual": float(rep.fit_residual),
         "provenance": rep.provenance,
     }
-    if index is not None:
+    if rep.index is not None:
         doc["index"] = {
-            "breakpoints": [float(v) for v in index.breakpoints],
-            "first_sign": int(index.first_sign),
+            "breakpoints": [float(v) for v in rep.index.breakpoints],
+            "first_sign": int(rep.index.first_sign),
         }
-        if index.undefined.size:
-            doc["index"]["undefined"] = [float(v) for v in index.undefined]
-    if isinstance(rep, Degree2Rep) and rep.degeneracy is not None:
+        if rep.index.undefined.size:
+            doc["index"]["undefined"] = [float(v) for v in rep.index.undefined]
+    if rep.degeneracy is not None:
         doc["degeneracy"] = rep.degeneracy
     return doc
 
 
-def rep_from_dict(doc: dict):
+def rep_from_dict(doc: dict) -> Rep:
+    """The Rep of a rep.json document, read from the fields its type has: a
+    only at degree 2, b from degree 1, index and degeneracy only at degree 2."""
     kind = doc["type"]
     domain = (float(doc["domain"][0]), float(doc["domain"][1]))
     basis = doc["basis"]
@@ -647,23 +617,22 @@ def rep_from_dict(doc: dict):
 
     residual = float(doc.get("fit_residual", float("nan")))
     provenance = doc.get("provenance", {})
-    if kind == "degree0":
-        return Degree0Rep(coeffs=pc(doc["c"]), fit_residual=residual, provenance=provenance)
-    if kind == "degree1":
-        return Degree1Rep(numerator=pc(doc["c"]), denominator=pc(doc["b"]),
-                          fit_residual=residual, provenance=provenance)
-    if kind == "degree2":
-        index = None
-        if doc.get("index") is not None:
-            index = IndexFunction(
-                breakpoints=np.asarray(doc["index"]["breakpoints"], dtype=float),
-                first_sign=int(doc["index"]["first_sign"]),
-                undefined=np.asarray(doc["index"].get("undefined", []), dtype=float),
-            )
-        return Degree2Rep(a=pc(doc["a"]), b=pc(doc["b"]), c=pc(doc["c"]), index=index,
-                          fit_residual=residual, degeneracy=doc.get("degeneracy"),
-                          provenance=provenance)
-    raise ValueError(f"unknown representation type {kind!r}")
+    types = ("degree0", "degree1", "degree2")
+    if kind not in types:
+        raise ValueError(f"unknown representation type {kind!r}")
+    degree = types.index(kind)
+    index = None
+    if degree == 2 and doc.get("index") is not None:
+        index = IndexFunction(
+            breakpoints=np.asarray(doc["index"]["breakpoints"], dtype=float),
+            first_sign=int(doc["index"]["first_sign"]),
+            undefined=np.asarray(doc["index"].get("undefined", []), dtype=float),
+        )
+    return Rep(a=pc(doc["a"]) if degree == 2 else None,
+               b=pc(doc["b"]) if degree >= 1 else None,
+               c=pc(doc["c"]), index=index, fit_residual=residual,
+               degeneracy=doc.get("degeneracy") if degree == 2 else None,
+               provenance=provenance)
 
 
 def save_rep(rep, path) -> None:

@@ -292,7 +292,7 @@ class RRQRFactor:
     def rep_at(self, max_terms: int | None = None, truncate_tol: float = 1e-12):
         """Truncate at the first |R_kk| < truncate_tol * |R_11| (and at most
         ``max_terms`` columns) and fit the target in the truncated orthogonal
-        basis; returns (Degree2Rep, RankReport).  Coefficients are mapped back
+        basis; returns (degree-2 Rep, RankReport).  Coefficients are mapped back
         through R and the permutation; columns pivoted out of the truncation
         get zero coefficients."""
         fact = self.fact

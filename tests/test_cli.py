@@ -478,6 +478,43 @@ def test_denoise_flag_its_mode_does_not_take_is_a_usage_error(tmp_path, capsys, 
     assert not out.exists()
 
 
+_RRQR = ["--fn", "sigmoid60", "--method", "deg2-rrqr"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    ([*_RRQR, "--batch", "3", "--target-residual", "1e-3", "--seed", "5", "--trace",
+      "--n0", "4"], "--n0 is not read by --method deg2-rrqr"),
+    ([*_RRQR, "--trace"], "--trace is not read by --method deg2-rrqr"),
+    ([*_RRQR, "--batch", "3"], "--batch is not read by --method deg2-rrqr"),
+    (["--fn", "sigmoid60", "--method", "deg2-greedy", "--tol", "0.5"],
+     "--tol is not read by --method deg2-greedy"),
+    (["--input", "{data}", "--method", "deg0", "--n", "2", "--order", "7"],
+     "--order is not read with --input"),
+    (["--fn", "relu", "--method", "deg0", "--n", "3", "--n0", "5"],
+     "--n0 is not read by --method deg0"),
+    (["--fn", "relu", "--method", "deg1", "--n0", "2", "--n2", "1"],
+     "--n2 is not read by --method deg1"),
+    (["--fn", "relu", "--method", "deg2-uniform", "--seed", "1"],
+     "--seed is not read by --method deg2-uniform"),
+], ids=["rrqr-greedy-flags", "rrqr-trace", "rrqr-batch", "greedy-tol", "input-order",
+        "deg0-n0", "deg1-n2", "uniform-seed"])
+def test_fit_flag_its_method_does_not_read_is_a_usage_error(tmp_path, capsys, inputs,
+                                                            flags, message):
+    out = tmp_path / "out"
+    flags = [f.format(**inputs) for f in flags]
+    assert run(["fit", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["deg2-greedy", "deg2-rrqr"])
+def test_fit_adaptive_methods_take_one_argument_list(tmp_path, method):
+    # the flags that the benchmark's sweep checks pass to refit either method
+    assert run(["fit", "--fn", "sigmoid60", "--method", method, "--max-terms", "4",
+                "--cap", "10", "--seed", "0", "--order", "200",
+                "--out", str(tmp_path)]) == 0
+
+
 def test_denoise_iterative_report_fields(tmp_path):
     gen = tmp_path / "gen"
     run(["generate", "--target", "function", "--sigma", "30", "--seed", "2",

@@ -15,11 +15,11 @@ from quadrep.representation import (
     BASIS_LEGENDRE,
     BASIS_MONOMIAL,
     ComplexRootError,
-    Degree2Rep,
     EvaluationError,
     IndexFunction,
     PoleError,
     PolyCoeffs,
+    Rep,
     assign_index,
     basis_convert,
     branches,
@@ -44,7 +44,7 @@ def grid_of(name, order=1000):
 
 
 def monomial_rep(a, b, c, domain=(-1.0, 1.0), index=None):
-    return Degree2Rep(
+    return Rep(
         a=PolyCoeffs(BASIS_MONOMIAL, a, domain),
         b=PolyCoeffs(BASIS_MONOMIAL, b, domain),
         c=PolyCoeffs(BASIS_MONOMIAL, c, domain),
@@ -60,7 +60,7 @@ def test_degree0_recovers_basis_function():
     grid = build_grid(lambda x: legendre_row(3, x)[3], (-1.0, 1.0), 200)
     rep = fit_degree0(grid, 5)
     expected = np.array([0, 0, 0, 1.0, 0, 0])
-    assert np.max(np.abs(rep.coeffs.coeffs - expected)) < 1e-13
+    assert np.max(np.abs(rep.c.coeffs - expected)) < 1e-13
 
 
 def test_degree0_oscillatory_under_and_over_resolution():
@@ -100,8 +100,8 @@ def test_degree1_without_f_columns_reduces_to_degree0():
     grid = grid_of("sigmoid60", 400)
     d1 = fit_degree1(grid, 8, 0)
     d0 = fit_degree0(grid, 8)
-    assert np.max(np.abs(d1.numerator.coeffs - d0.coeffs.coeffs)) < 1e-12
-    assert d1.denominator.coeffs.tolist() == [math.sqrt(2.0)]
+    assert np.max(np.abs(d1.c.coeffs - d0.c.coeffs)) < 1e-12
+    assert d1.b.coeffs.tolist() == [math.sqrt(2.0)]
 
 
 def test_degree1_beats_degree0_on_sigmoid_at_equal_coefficients():
@@ -114,8 +114,8 @@ def test_degree1_beats_degree0_on_sigmoid_at_equal_coefficients():
 def test_degree1_pole_error():
     rep = fit_degree1(build_grid(lambda x: x / (2.0 - x), (-1.0, 1.0), 100), 1, 1)
     bad = rep.__class__(
-        numerator=PolyCoeffs(BASIS_MONOMIAL, [1.0], (-1.0, 1.0)),
-        denominator=PolyCoeffs(BASIS_MONOMIAL, [1.0, -2.0], (-1.0, 1.0)),
+        c=PolyCoeffs(BASIS_MONOMIAL, [1.0], (-1.0, 1.0)),
+        b=PolyCoeffs(BASIS_MONOMIAL, [1.0, -2.0], (-1.0, 1.0)),
         fit_residual=0.0,
     )
     with pytest.raises(PoleError):
@@ -445,12 +445,12 @@ def test_composed_relu_reproduces_relu_exactly():
     grid = grid_of("relu", 300)
     idx = assign_index(rep, grid)
     vals = eval_rep(
-        Degree2Rep(a=rep.a, b=rep.b, c=rep.c, index=idx, fit_residual=0.0),
+        Rep(a=rep.a, b=rep.b, c=rep.c, index=idx, fit_residual=0.0),
         grid.nodes,
     )
     assert np.max(np.abs(vals - grid.values)) < 1e-14
     assert residual_l2(
-        Degree2Rep(a=rep.a, b=rep.b, c=rep.c, index=idx, fit_residual=0.0), grid
+        Rep(a=rep.a, b=rep.b, c=rep.c, index=idx, fit_residual=0.0), grid
     ) < 1e-14
 
 
@@ -463,7 +463,7 @@ def test_compose_legendre_branches_exact_identity():
     pp = basis_convert(PolyCoeffs(BASIS_MONOMIAL, [1.5, 0.0, -1.0], (-1.0, 1.0)), BASIS_LEGENDRE)
     rep = compose_piecewise_manifold(pm, pp)
     idx = assign_index(rep, grid)
-    withidx = Degree2Rep(a=rep.a, b=rep.b, c=rep.c, index=idx, fit_residual=0.0)
+    withidx = Rep(a=rep.a, b=rep.b, c=rep.c, index=idx, fit_residual=0.0)
     assert residual_l2(withidx, grid) < 1e-12
 
 
@@ -530,7 +530,7 @@ def test_gauge_reduction_degree2_to_degree0_of_fsquared():
     sin10pi = get_builtin("sin10pi").fn
     fsq_grid = build_grid(lambda x: sin10pi(x) ** 2, (-1.0, 1.0), 1000)
     d0 = fit_degree0(fsq_grid, 12)
-    assert np.max(np.abs(math.sqrt(2.0) * rep.c.coeffs - d0.coeffs.coeffs)) < 1e-11
+    assert np.max(np.abs(math.sqrt(2.0) * rep.c.coeffs - d0.c.coeffs)) < 1e-11
     assert np.max(np.abs(rep.b.coeffs)) < 1e-13
 
 
@@ -552,8 +552,36 @@ def test_round_trip_all_types(tmp_path):
         # bit-exact coefficient round trip through the JSON text
         doc = json.loads(path.read_text())
         again = rep_from_dict(doc)
-        if hasattr(rep, "c"):
-            assert np.array_equal(again.c.coeffs, rep.c.coeffs)
+        assert again.degree == rep.degree == i
+        for name in ("a", "b", "c"):
+            got, want = getattr(again, name), getattr(rep, name)
+            assert (got is None) == (want is None), (i, name)
+            if want is not None:
+                assert got.coeffs.tobytes() == want.coeffs.tobytes(), (i, name)
+
+
+def _pc(coeffs, basis=BASIS_MONOMIAL, domain=(-1.0, 1.0)):
+    return PolyCoeffs(basis, coeffs, domain)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"a": _pc([1.0]), "c": _pc([0.0])}, "a needs b"),
+    ({"b": _pc([math.sqrt(2.0)], BASIS_LEGENDRE), "c": _pc([1.0])},
+     "a, b, c must share a basis"),
+    ({"a": _pc([1.0]), "b": _pc([0.0]), "c": _pc([0.0], domain=(0.0, 1.0))},
+     "a, b, c must share a domain"),
+    ({"a": _pc([2.0]), "b": _pc([0.0]), "c": _pc([0.0])},
+     "constant-basis coefficient of a must be 1"),
+    ({"b": _pc([2.0, 1.0]), "c": _pc([1.0])},
+     "denominator constant term must be fixed to 1"),
+    # 1 is the monomial pin; the normalized-Legendre pin is sqrt(2)
+    ({"b": _pc([1.0], BASIS_LEGENDRE), "c": _pc([1.0], BASIS_LEGENDRE)},
+     "denominator constant term must be fixed to 1"),
+], ids=["a-without-b", "mixed-bases", "mixed-domains", "unpinned-a0", "unpinned-b0",
+        "unpinned-legendre-b0"])
+def test_rep_rejects_an_inconsistent_triple(fields, message):
+    with pytest.raises(ValueError, match=message):
+        Rep(**fields)
 
 
 def test_degree2_json_schema_fields(tmp_path):

@@ -65,7 +65,7 @@ def test_two_term_oscillatory_manifold():
 
 def test_two_term_degree0_linear_coefficients_monomial():
     rep = fit_degree0(SIN_GRID, 1)
-    mono = basis_convert(rep.coeffs, BASIS_MONOMIAL)
+    mono = basis_convert(rep.c, BASIS_MONOMIAL)
     assert abs(mono.coeffs[0]) < 1e-3
     assert abs(mono.coeffs[1] - (-0.095)) < 5e-3
 
