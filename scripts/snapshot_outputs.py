@@ -6,8 +6,9 @@
 Runs, in this process, the three command lists of `perfbench/workloads.py`
 (`sweep`, `fit-eval`, `denoise`, benchmark seed 1), the `denoise` modes the
 benchmark does not run (`DENOISE_MODES`, on every preset at `DENOISE_SEEDS`),
-the `fit` runs it does not run (`FIT_RUNS`: greedy traces and an rrqr
-tolerance, each with its printed lines in `stdout.txt`) and both
+the `fit` runs it does not run (`FIT_RUNS`: greedy traces, an rrqr
+tolerance and an rrqr truncation past the numerical rank, each with its
+printed lines in `stdout.txt`) and both
 `scripts/run_*_experiments.py`, each under its own directory of OUT, and
 writes every command's exit code to OUT/exit_codes.txt.  Two checkouts give
 the same results when
@@ -47,6 +48,7 @@ FIT_RUNS = (
     ("greedy-target", [*_GREEDY, "--target-residual", "1e-6"]),
     ("greedy-cap8", [*_GREEDY, "--max-terms", "30", "--cap", "8"]),
     ("rrqr-tol", ["--fn", "sigmoid60", "--method", "deg2-rrqr", "--tol", "1e-10"]),
+    ("rrqr-past-rank", ["--fn", "relu", "--method", "deg2-rrqr", "--max-terms", "120"]),
 )
 
 

@@ -120,7 +120,8 @@ def _fit_with_method(grid, args):
         return run.rep_at(config.max_terms), len(run.tags), run
     # deg2-rrqr: argparse choices guard the method
     tol = 1e-12 if args.tol is None else args.tol
-    rep, report = rrqr_select(grid, stream_cap=cap).rep_at(args.max_terms, tol)
+    factor = rrqr_select(grid, stream_cap=cap, max_terms=args.max_terms)
+    rep, report = factor.rep_at(args.max_terms, tol)
     return rep, report.rank, None
 
 

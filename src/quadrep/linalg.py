@@ -83,28 +83,40 @@ def householder_qr(a):
     return np.ascontiguousarray(q), np.triu(qr[:steps])
 
 
-def pivoted_qr(a) -> PivotedQR:
+def pivoted_qr(a, steps: int | None = None) -> PivotedQR:
     """Householder QR with greedy pivoting on remaining column norms.
 
     Compress, then pivot: the pivot loop runs on the triangle R0 of
     ``householder_qr``'s A = Q0 R0.  An orthogonal Q0 keeps every column norm,
     so in exact arithmetic the pivots are those of A, at a fraction of the flops.
+
+    ``steps`` stops the loop after that many pivots (all of them when None).
+    Each pivot depends only on the steps before it, so a truncated
+    factorization is the full one cut to its first ``steps`` pivots, bit for
+    bit: ``q`` holds the first ``steps`` columns, ``r`` the first ``steps``
+    rows and ``diag`` the first ``steps`` magnitudes.  Only ``perm[:steps]``
+    is final; the columns of ``r`` past ``steps`` hold the full factor's
+    values in the order of this ``perm``.
     """
-    return _pivot(*householder_qr(a))
+    return _pivot(*householder_qr(a), steps)
 
 
-def _pivot(q0: np.ndarray, r0: np.ndarray) -> PivotedQR:
+def _pivot(q0: np.ndarray, r0: np.ndarray, steps: int | None = None) -> PivotedQR:
     """Greedy column pivoting on the upper-trapezoidal ``r0`` of A = q0 r0.
 
     Each step takes the remaining column of largest norm; ties (norms within
     a relative 1e-12 of the largest) go to the lowest original column index,
-    so runs are bit-reproducible.  Returns A @ perm = (q0 q1) r.
+    so runs are bit-reproducible.  Returns A @ perm = (q0 q1) r, cut to the
+    first ``steps`` pivots when ``steps`` is given.
     """
     r = r0.copy()
-    steps, n = r.shape
+    rows, n = r.shape
+    if steps is not None and steps < 1:
+        raise ValueError("steps must be >= 1")
+    kept = rows if steps is None else min(steps, rows)
     perm = np.arange(n)
     reflectors = []
-    for k in range(steps):
+    for k in range(kept):
         norms = np.linalg.norm(r[k:, k:], axis=0)
         best = norms.max()
         if best == 0.0:
@@ -127,14 +139,17 @@ def _pivot(q0: np.ndarray, r0: np.ndarray) -> PivotedQR:
         r[k:, k] = 0.0
         r[k, k] = alpha
         reflectors.append(v)
-    # q1: apply the reflectors in reverse to the identity
-    q1 = np.eye(steps)
+    # q1: the reflectors applied in reverse to the identity.  A reflector past
+    # ``kept`` leaves the first ``kept`` columns unchanged, so those are the
+    # full q1's.  The products run at full width and are sliced afterwards: a
+    # BLAS kernel's bits for one column can depend on the matrix width.
+    q1 = np.eye(rows)
     for k in range(len(reflectors) - 1, -1, -1):
         v = reflectors[k]
         if v is not None:
             q1[k:, :] -= 2.0 * np.outer(v, v @ q1[k:, :])
-    r = np.triu(r)
-    return PivotedQR(q=q0 @ q1, r=r, perm=perm, diag=np.abs(np.diag(r)))
+    r = np.triu(r[:kept])
+    return PivotedQR(q=(q0 @ q1)[:, :kept], r=r, perm=perm, diag=np.abs(np.diag(r)))
 
 
 def weighted_lsq(v, y, w):

@@ -78,7 +78,7 @@ class StepRecord:
 @dataclass(frozen=True)
 class RankReport:
     rank: int
-    diag_magnitudes: np.ndarray
+    diag_magnitudes: np.ndarray  # |R_kk| of the factor: the first max_terms if truncated
     selected_tags: tuple
     truncate_tol: float
     n_candidates: int
@@ -122,11 +122,13 @@ class GreedyRun:
     def rep_at(self, max_terms: int | None):
         """The rep of the run with this run's config and ``max_terms``.
 
-        Raises ValueError where this run does not determine that rep: another
-        ``max_terms`` with ``batch_size`` 3 or 5, whose last batch would be cut
-        to the budget, or more terms than a run stopped at its own
-        ``max_terms`` kept.
+        Raises ValueError for ``max_terms`` < 1, and where this run does not
+        determine that rep: another ``max_terms`` with ``batch_size`` 3 or 5,
+        whose last batch would be cut to the budget, or more terms than a run
+        stopped at its own ``max_terms`` kept.
         """
+        if max_terms is not None and max_terms < 1:
+            raise ValueError("max_terms must be >= 1")
         n = len(self.tags)
         k = n
         if max_terms != self.config.max_terms:
@@ -279,12 +281,16 @@ class RRQRFactor:
     """The pivoted QR of one grid's weighted candidate matrix.
 
     Column pivoting chooses its pivots without looking at the truncation
-    rank, so this one factorization serves every ``max_terms``: ``rep_at``
-    truncates it and solves.
+    rank, so this one factorization serves every ``max_terms`` up to its own:
+    ``rep_at`` truncates it and solves.  A factor made with ``max_terms=m``
+    stopped pivoting after m columns (its ``fact`` holds the first m pivots
+    of the full factorization, bit for bit), so it gives the rep at every
+    K <= m and at no other.
     """
 
     grid: SampleGrid
     stream_cap: int
+    max_terms: int | None  # pivots made; None for the full factorization
     tags: tuple  # candidate tags in dictionary column order
     fact: PivotedQR
     target: np.ndarray  # W-scaled target
@@ -294,7 +300,16 @@ class RRQRFactor:
         ``max_terms`` columns) and fit the target in the truncated orthogonal
         basis; returns (degree-2 Rep, RankReport).  Coefficients are mapped back
         through R and the permutation; columns pivoted out of the truncation
-        get zero coefficients."""
+        get zero coefficients.
+
+        Raises ValueError for ``max_terms`` < 1, and for more terms than a
+        factor truncated at its own ``max_terms`` pivoted (None included).
+        """
+        if max_terms is not None and max_terms < 1:
+            raise ValueError("max_terms must be >= 1")
+        if self.max_terms is not None and (max_terms is None or max_terms > self.max_terms):
+            raise ValueError(f"the factor pivoted {self.max_terms} columns and cannot"
+                             f" give the rep at max_terms={max_terms}")
         fact = self.fact
         rank = fact.rank(truncate_tol)
         if max_terms is not None:
@@ -314,16 +329,20 @@ class RRQRFactor:
         return rep, report
 
 
-def rrqr_select(grid: SampleGrid, stream_cap: int = 60) -> RRQRFactor:
+def rrqr_select(grid: SampleGrid, stream_cap: int = 60,
+                max_terms: int | None = None) -> RRQRFactor:
     """Pivoted-QR basis ranking: assemble the candidate matrix, W-scale it and
-    factor it with column pivoting."""
+    factor it with column pivoting, stopped after ``max_terms`` pivots (all of
+    them when None): the largest K that the factor is asked for."""
     if stream_cap < 1:
         raise ValueError("stream_cap must be >= 1")
+    if max_terms is not None and max_terms < 1:
+        raise ValueError("max_terms must be >= 1")
     d = assemble(grid, stream_cap, stream_cap, stream_cap)
     sw = np.sqrt(grid.weights)
-    fact = pivoted_qr(d.columns * sw[:, None])
-    return RRQRFactor(grid=grid, stream_cap=stream_cap, tags=d.tags, fact=fact,
-                      target=d.target * sw)
+    fact = pivoted_qr(d.columns * sw[:, None], steps=max_terms)
+    return RRQRFactor(grid=grid, stream_cap=stream_cap, max_terms=max_terms, tags=d.tags,
+                      fact=fact, target=d.target * sw)
 
 
 # The method table: the five methods that the convergence comparison fits at
@@ -341,7 +360,8 @@ _TABLE = {
                     lambda grid, kmax, seed, cap: greedy_select(grid, SelectionConfig(
                         max_terms=kmax, rng_seed=seed, stream_cap=cap))),
     "deg2-rrqr": (1, 0, lambda grid, n, run: run.rep_at(n)[0],
-                  lambda grid, kmax, seed, cap: rrqr_select(grid, stream_cap=cap)),
+                  lambda grid, kmax, seed, cap: rrqr_select(grid, stream_cap=cap,
+                                                            max_terms=kmax)),
 }
 METHODS = tuple(_TABLE)
 
@@ -363,8 +383,8 @@ def achievable_k(method: str, kmin: int, kmax: int) -> list[int]:
 
 def method_run(grid: SampleGrid, method: str, kmax: int, seed: int, cap: int):
     """The selection run that every K <= kmax of an adaptive method truncates
-    (a ``GreedyRun`` to kmax terms, or an ``RRQRFactor``); None for a
-    fixed-degree method."""
+    (a ``GreedyRun`` to kmax terms, or an ``RRQRFactor`` pivoted to kmax
+    columns); None for a fixed-degree method."""
     build = _method(method)[3]
     return None if build is None else build(grid, kmax, seed, cap)
 

@@ -507,6 +507,16 @@ def test_fit_flag_its_method_does_not_read_is_a_usage_error(tmp_path, capsys, in
     assert not out.exists()
 
 
+@pytest.mark.parametrize("max_terms", ["0", "-5"])
+@pytest.mark.parametrize("method", ["deg2-greedy", "deg2-rrqr"])
+def test_fit_max_terms_below_one_is_a_usage_error(tmp_path, capsys, method, max_terms):
+    out = tmp_path / "out"
+    assert run(["fit", "--fn", "sigmoid60", "--method", method, "--max-terms", max_terms,
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: max_terms must be >= 1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["deg2-greedy", "deg2-rrqr"])
 def test_fit_adaptive_methods_take_one_argument_list(tmp_path, method):
     # the flags that the benchmark's sweep checks pass to refit either method

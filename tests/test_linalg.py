@@ -166,6 +166,27 @@ def test_pivoted_qr_matches_reference_on_builtins(name, cap):
     assert np.max(np.abs(fact.diag - ref.diag)) <= 1e-14 * ref.diag[0]
 
 
+@pytest.mark.parametrize("steps", [20, 85, 120])
+@pytest.mark.parametrize("name", ["sigmoid60", "relu"])
+def test_truncated_pivoted_qr_is_the_full_one_cut(name, steps):
+    # 120 pivots run past relu's numerical rank of 85; at 85 columns, Q formed
+    # at the truncated width differs from the full one in the last bits
+    fn = BUILTINS[name]
+    grid = build_grid(fn.fn, fn.domain, 1000)
+    d = assemble(grid, 60, 60, 60)
+    a = d.columns * np.sqrt(grid.weights)[:, None]
+    fact, full = pivoted_qr(a, steps=steps), pivoted_qr(a)
+    assert np.array_equal(fact.perm[:steps], full.perm[:steps])
+    assert np.array_equal(fact.q, full.q[:, :steps])
+    assert np.array_equal(fact.diag, full.diag[:steps])
+    # the first rows of R, bit for bit once both are in original column order
+    assert np.array_equal(fact.r[:, np.argsort(fact.perm)],
+                          full.r[:steps][:, np.argsort(full.perm)])
+    assert fact.rank() == min(full.rank(), steps)
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        pivoted_qr(a, steps=0)
+
+
 @st.composite
 def planted_ties(draw):
     """Columns drawn, with repeats, from an orthonormal set scaled by norms 1

@@ -252,6 +252,9 @@ def test_rrqr_factor_truncation_is_rrqr_select_at_every_k(name):
         shared = _rep_doc(lambda: doc(factor.rep_at(k)))
         assert shared == _rep_doc(lambda: doc(rrqr_select(grid, stream_cap=60).rep_at(k))), \
             f"{name} K={k}"
+        # a factor that stops pivoting at K gives the same rep
+        truncated = rrqr_select(grid, stream_cap=60, max_terms=k)
+        assert shared == _rep_doc(lambda: doc(truncated.rep_at(k))), f"{name} K={k}"
 
 
 def test_greedy_run_refuses_reps_it_does_not_determine():
@@ -266,6 +269,24 @@ def test_greedy_run_refuses_reps_it_does_not_determine():
         run.rep_at(7)
     with pytest.raises(ValueError, match="stopped at 6 terms"):
         run.rep_at(None)
+    # a run stopped by its target fits a budget below 1 to no prefix
+    run = greedy_select(SIG_GRID, SelectionConfig(target_residual=1e-3, rng_seed=0))
+    for k in (0, -2):
+        with pytest.raises(ValueError, match="max_terms must be >= 1"):
+            run.rep_at(k)
+
+
+def test_rrqr_factor_refuses_reps_it_does_not_determine():
+    factor = rrqr_select(SIG_GRID, stream_cap=40, max_terms=6)
+    assert factor.fact.q.shape == (SIG_GRID.size, 6)
+    for k in (7, None):
+        with pytest.raises(ValueError, match="pivoted 6 columns"):
+            factor.rep_at(k)
+    for k in (0, -5):
+        with pytest.raises(ValueError, match="max_terms must be >= 1"):
+            factor.rep_at(k)
+        with pytest.raises(ValueError, match="max_terms must be >= 1"):
+            rrqr_select(SIG_GRID, stream_cap=40, max_terms=k)
 
 
 def test_greedy_run_stopped_by_target_gives_every_larger_budget():
