@@ -117,12 +117,11 @@ def _fit_with_method(grid, args):
             rng_seed=0 if args.seed is None else args.seed,
         )
         run = greedy_select(grid, config)
-        return run.rep_at(config.max_terms), len(run.tags), run
-    # deg2-rrqr: argparse choices guard the method
-    tol = 1e-12 if args.tol is None else args.tol
-    factor = rrqr_select(grid, stream_cap=cap, max_terms=args.max_terms)
-    rep, report = factor.rep_at(args.max_terms, tol)
-    return rep, report.rank, None
+        at = (config.max_terms,)
+    else:  # deg2-rrqr: argparse choices guard the method
+        run = rrqr_select(grid, stream_cap=cap, max_terms=args.max_terms)
+        at = (args.max_terms, 1e-12 if args.tol is None else args.tol)
+    return run.rep_at(*at), len(run.tags_at(*at)), run if method == "deg2-greedy" else None
 
 
 def cmd_fit(args, argv) -> int:
@@ -173,6 +172,8 @@ def _cell(v: float) -> str:
 
 def cmd_eval(args, argv) -> int:
     out = Path(args.out)
+    if args.grid < 1:
+        raise ValueError("--grid must be >= 1")
     try:
         rep = load_rep(args.rep)
     except (ValueError, KeyError, TypeError) as exc:
@@ -368,6 +369,8 @@ def cmd_replay(args, argv) -> int:
     stored = doc.get("argv") if isinstance(doc, dict) else None
     if not (isinstance(stored, list) and all(isinstance(a, str) for a in stored)):
         raise DataError(f"{args.manifest}: no 'argv' list of strings")
+    if stored[:1] == ["replay"]:
+        raise DataError(f"{args.manifest}: a stored replay is not replayed")
     # the new --out takes the place of the stored one and its value, if any
     i = stored.index("--out") if "--out" in stored else len(stored)
     stored[i:i + 2] = ["--out", args.out]

@@ -17,6 +17,7 @@ __all__ = [
     "weighted_lsq",
     "pivoted_qr",
     "householder_qr",
+    "qr_solve",
 ]
 
 DEFAULT_RANK_TOL = 1e-12
@@ -51,10 +52,15 @@ class PivotedQR:
     def solve(self, y, rank: int):
         """Least squares on the first ``rank`` pivoted columns: (coefficients
         of columns ``perm[:rank]``, residual norm)."""
-        q = self.q[:, :rank]
-        proj = q.T @ y
-        residual = float(np.linalg.norm(y - q @ proj))
-        return solve_triangular(self.r[:rank, :rank], proj, lower=False), residual
+        return qr_solve(self.q[:, :rank], self.r[:rank, :rank], y)
+
+
+def qr_solve(q, r, y):
+    """Least squares min ||A c - y|| from a thin QR, A = q r with r upper
+    triangular: (coefficients, residual norm)."""
+    proj = q.T @ y
+    residual = float(np.linalg.norm(y - q @ proj))
+    return solve_triangular(r, proj, lower=False), residual
 
 
 def householder_qr(a):

@@ -95,7 +95,7 @@ class PolyCoeffs:
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
         lo, hi = float(self.domain[0]), float(self.domain[1])
-        if not lo < hi:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"degenerate domain {self.domain}")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "domain", (lo, hi))

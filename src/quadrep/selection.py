@@ -7,9 +7,10 @@ full candidate matrix.
 
 Each runs in two stages: ``greedy_select`` and ``rrqr_select`` make the
 selection run, which does not depend on the number of terms kept (a
-``GreedyRun``, an ``RRQRFactor``), and its ``rep_at`` gives the rep at a
-given ``max_terms``.  ``quadrep fit`` takes one rep from a run; a
-convergence sweep takes one rep per K from one run.
+``GreedyRun``, an ``RRQRFactor``).  At a given ``max_terms`` either run's
+``tags_at`` gives the columns of the rep, and its ``rep_at`` the rep fitted
+on them.  ``quadrep fit`` takes one rep from a run; a convergence sweep
+takes one rep per K from one run.
 """
 from __future__ import annotations
 
@@ -17,17 +18,15 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .dictionary import SampleGrid, assemble, STREAM_PLAIN, STREAM_F, STREAM_F2
-from .linalg import PivotedQR, householder_qr, pivoted_qr
+from .linalg import PivotedQR, householder_qr, pivoted_qr, qr_solve
 from .representation import (coefficients_to_rep, fit_degree0, fit_degree1,
                              fit_degree2_uniform)
 
 __all__ = [
     "SelectionConfig",
     "StepRecord",
-    "RankReport",
     "GreedyRun",
     "RRQRFactor",
     "greedy_select",
@@ -75,15 +74,6 @@ class StepRecord:
     residual_after: float
 
 
-@dataclass(frozen=True)
-class RankReport:
-    rank: int
-    diag_magnitudes: np.ndarray  # |R_kk| of the factor: the first max_terms if truncated
-    selected_tags: tuple
-    truncate_tol: float
-    n_candidates: int
-
-
 def _orthonormalize(basis: np.ndarray, col: np.ndarray):
     """CGS2: ``col`` with its components along the orthonormal columns of
     ``basis`` removed twice, normalized; None if nothing independent is left."""
@@ -119,11 +109,11 @@ class GreedyRun:
     exhausted: bool
     stopped_at_max_terms: bool
 
-    def rep_at(self, max_terms: int | None):
-        """The rep of the run with this run's config and ``max_terms``.
+    def tags_at(self, max_terms: int | None) -> tuple:
+        """The tags kept by the run with this run's config and ``max_terms``.
 
         Raises ValueError for ``max_terms`` < 1, and where this run does not
-        determine that rep: another ``max_terms`` with ``batch_size`` 3 or 5,
+        determine them: another ``max_terms`` with ``batch_size`` 3 or 5,
         whose last batch would be cut to the budget, or more terms than a run
         stopped at its own ``max_terms`` kept.
         """
@@ -144,15 +134,16 @@ class GreedyRun:
                                  f" the rep at max_terms={max_terms}")
         if k == 0:
             raise ValueError("greedy selection kept no columns")
-        # final least-squares coefficients on the kept (normalized) columns
-        q_fin, r_fin = householder_qr(self.columns[:, :k])
-        proj = q_fin.T @ self.target
-        eta_hat = solve_triangular(r_fin, proj, lower=False)
-        final_residual = float(np.linalg.norm(self.target - q_fin @ proj))
-        coefs = np.asarray(eta_hat) / self.norms[:k]
+        return self.tags[:k]
+
+    def rep_at(self, max_terms: int | None):
+        """The rep fitted on the (normalized) columns of ``tags_at``."""
+        tags = self.tags_at(max_terms)
+        k = len(tags)
+        eta_hat, final_residual = qr_solve(*householder_qr(self.columns[:, :k]), self.target)
         config = self.config
         return coefficients_to_rep(
-            self.grid, self.tags[:k], coefs, final_residual,
+            self.grid, tags, eta_hat / self.norms[:k], final_residual,
             provenance={"method": "greedy", "seed": config.rng_seed,
                         "batch_size": config.batch_size,
                         "max_terms": max_terms,
@@ -282,10 +273,10 @@ class RRQRFactor:
 
     Column pivoting chooses its pivots without looking at the truncation
     rank, so this one factorization serves every ``max_terms`` up to its own:
-    ``rep_at`` truncates it and solves.  A factor made with ``max_terms=m``
-    stopped pivoting after m columns (its ``fact`` holds the first m pivots
-    of the full factorization, bit for bit), so it gives the rep at every
-    K <= m and at no other.
+    ``tags_at`` truncates it and ``rep_at`` solves.  A factor made with
+    ``max_terms=m`` stopped pivoting after m columns (its ``fact`` holds the
+    first m pivots of the full factorization, bit for bit), so it gives the
+    rep at every K <= m and at no other.
     """
 
     grid: SampleGrid
@@ -295,15 +286,11 @@ class RRQRFactor:
     fact: PivotedQR
     target: np.ndarray  # W-scaled target
 
-    def rep_at(self, max_terms: int | None = None, truncate_tol: float = 1e-12):
-        """Truncate at the first |R_kk| < truncate_tol * |R_11| (and at most
-        ``max_terms`` columns) and fit the target in the truncated orthogonal
-        basis; returns (degree-2 Rep, RankReport).  Coefficients are mapped back
-        through R and the permutation; columns pivoted out of the truncation
-        get zero coefficients.
-
-        Raises ValueError for ``max_terms`` < 1, and for more terms than a
-        factor truncated at its own ``max_terms`` pivoted (None included).
+    def tags_at(self, max_terms: int | None = None, truncate_tol: float = 1e-12) -> tuple:
+        """The tags of the pivots before the first |R_kk| < truncate_tol *
+        |R_11|, at most ``max_terms`` of them.  Raises ValueError for
+        ``max_terms`` < 1, for more terms than a factor truncated at its own
+        ``max_terms`` pivoted (None included), and for an empty truncation.
         """
         if max_terms is not None and max_terms < 1:
             raise ValueError("max_terms must be >= 1")
@@ -316,17 +303,19 @@ class RRQRFactor:
             rank = min(rank, max_terms)
         if rank == 0:
             raise ValueError("truncation removed every candidate column")
-        gamma, residual = fact.solve(self.target, rank)
-        tags = tuple(self.tags[j] for j in fact.perm[:rank])
-        rep = coefficients_to_rep(
+        return tuple(self.tags[j] for j in fact.perm[:rank])
+
+    def rep_at(self, max_terms: int | None = None, truncate_tol: float = 1e-12):
+        """The degree-2 rep fitted in the orthogonal basis of ``tags_at``,
+        mapped back through R and the permutation (columns pivoted out of the
+        truncation get zero coefficients)."""
+        tags = self.tags_at(max_terms, truncate_tol)
+        gamma, residual = self.fact.solve(self.target, len(tags))
+        return coefficients_to_rep(
             self.grid, tags, gamma, residual,
             provenance={"method": "rrqr", "stream_cap": self.stream_cap,
                         "truncate_tol": truncate_tol, "max_terms": max_terms},
         )
-        report = RankReport(rank=rank, diag_magnitudes=fact.diag,
-                            selected_tags=tags, truncate_tol=truncate_tol,
-                            n_candidates=len(self.tags))
-        return rep, report
 
 
 def rrqr_select(grid: SampleGrid, stream_cap: int = 60,
@@ -359,7 +348,7 @@ _TABLE = {
     "deg2-greedy": (1, 0, lambda grid, n, run: run.rep_at(n),
                     lambda grid, kmax, seed, cap: greedy_select(grid, SelectionConfig(
                         max_terms=kmax, rng_seed=seed, stream_cap=cap))),
-    "deg2-rrqr": (1, 0, lambda grid, n, run: run.rep_at(n)[0],
+    "deg2-rrqr": (1, 0, lambda grid, n, run: run.rep_at(n),
                   lambda grid, kmax, seed, cap: rrqr_select(grid, stream_cap=cap,
                                                             max_terms=kmax)),
 }

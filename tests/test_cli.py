@@ -14,6 +14,7 @@ from quadrep import dictionary, orthopoly, representation
 from quadrep.cli import main
 from quadrep.functions import get_builtin
 from quadrep.representation import load_rep
+from quadrep.selection import SelectionConfig, greedy_select, rrqr_select
 
 
 def run(args):
@@ -65,6 +66,26 @@ def test_fit_rrqr_prints_comparison(tmp_path, capsys):
     fitted = float(printed.splitlines()[0].split("residual=")[1])
     baseline = float(printed.splitlines()[1].split(": ")[1])
     assert fitted < baseline  # full-tolerance truncation beats plain projection
+
+
+@pytest.mark.parametrize("argv, tags", [
+    (["--fn", "sigmoid60", "--method", "deg2-greedy", "--max-terms", "12"],
+     lambda grid: greedy_select(grid, SelectionConfig(max_terms=12)).tags_at(12)),
+    (["--fn", "sigmoid60", "--method", "deg2-greedy", "--target-residual", "1e-6"],
+     lambda grid: greedy_select(grid, SelectionConfig(target_residual=1e-6)).tags_at(None)),
+    (["--fn", "sigmoid60", "--method", "deg2-rrqr", "--cap", "40"],
+     lambda grid: rrqr_select(grid, stream_cap=40).tags_at()),
+    # the numerical rank, 85, stops the truncation below the budget
+    (["--fn", "relu", "--method", "deg2-rrqr", "--max-terms", "120"],
+     lambda grid: rrqr_select(grid, max_terms=120).tags_at(120)),
+], ids=["greedy-max-terms", "greedy-target", "rrqr-full", "rrqr-past-rank"])
+def test_fit_prints_the_k_of_its_run(tmp_path, capsys, argv, tags):
+    assert run(["fit", *argv, "--out", str(tmp_path / "f")]) == 0
+    fn = get_builtin(argv[1])
+    k = len(tags(dictionary.build_grid(fn.fn, fn.domain, 1000)))
+    assert capsys.readouterr().out.startswith(f"K={k} residual=")
+    if argv[1] == "relu":
+        assert k == 85
 
 
 def test_fit_two_jump_runs(tmp_path, capsys):
@@ -234,8 +255,10 @@ def test_eval_schema_mismatch_exit_code(tmp_path):
     assert run(["eval", "--rep", str(bad), "--out", str(tmp_path / "o")]) == 3
 
 
-@pytest.mark.parametrize("doc", [[1, 2], {"type": "degree2", "domain": 5}],
-                         ids=["list", "scalar-domain"])
+@pytest.mark.parametrize("doc", [[1, 2], {"type": "degree2", "domain": 5},
+                                 {"type": "degree0", "domain": [0.0, math.inf],
+                                  "basis": "monomial", "c": [1.0]}],
+                         ids=["list", "scalar-domain", "infinite-domain"])
 def test_eval_rep_of_the_wrong_shape_is_a_bad_document(tmp_path, capsys, doc):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -405,6 +428,8 @@ def inputs(tmp_path_factory):
     ["generate", "--seed", "0"],
     ["eval", "--rep", "{deg0}", "--branches"],
     ["eval", "--rep", "{missing}.json"],
+    ["eval", "--rep", "{deg0}", "--grid", "0"],
+    ["eval", "--rep", "{deg0}", "--grid", "-3"],
     ["fit", "--input", "{missing}.csv", "--method", "deg0", "--n", "2"],
     ["denoise", "--input", "{missing}.csv", "--mode", "ls"],
     ["denoise", "--input", "{nan_x}", "--mode", "debias+vote", "--sigma2", "22500"],
@@ -412,7 +437,7 @@ def inputs(tmp_path_factory):
     ["fit", "--input", "{nan_x}", "--method", "deg0", "--n", "2"],
     ["denoise", "--input", "{inf_x}", "--mode", "ls"],
 ], ids=["debias-no-sigma2", "case3-no-sigma2", "generate-no-noise", "eval-branches-deg0",
-        "eval-missing-rep", "fit-missing-input", "denoise-missing-input",
+        "eval-missing-rep", "eval-grid-0", "eval-grid-negative", "fit-missing-input", "denoise-missing-input",
         "debias-nan-x", "ls-nan-x", "fit-nan-x", "ls-inf-x"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rejected_command_writes_nothing(tmp_path, capsys, inputs, argv):
@@ -424,6 +449,8 @@ def test_rejected_command_writes_nothing(tmp_path, capsys, inputs, argv):
     for bad in ("nan_x", "inf_x"):
         if f"{{{bad}}}" in argv:
             assert err.startswith(f"error: {inputs[bad]}: non-finite sample positions"), err
+    if "--grid" in argv:
+        assert err == "error: --grid must be >= 1\n"
 
 
 def _dir_files(path):
@@ -715,6 +742,19 @@ def test_replay_manifest_without_argv_is_a_usage_error(tmp_path, capsys, doc):
     err = capsys.readouterr().err
     assert err == f"error: {manifest}: no 'argv' list of strings\n"
     assert not out.exists()
+
+
+def test_replay_of_a_stored_replay_is_a_usage_error(tmp_path, capsys):
+    # no command writes this manifest; replaying it would re-enter replay
+    # on itself without end
+    manifest = tmp_path / "manifest.json"
+    inner = tmp_path / "x"
+    manifest.write_text(json.dumps({"argv": ["replay", "--manifest", str(manifest),
+                                             "--out", str(inner)]}))
+    out = tmp_path / "out"
+    assert run(["replay", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {manifest}: a stored replay is not replayed\n"
+    assert not out.exists() and not inner.exists()
 
 
 def test_replay_manifest_that_is_not_json_names_the_file(tmp_path, capsys):

@@ -11,6 +11,7 @@ from quadrep.functions import BUILTINS, get_builtin
 from quadrep.linalg import weighted_lsq
 from quadrep.representation import (
     BASIS_MONOMIAL,
+    Rep,
     basis_convert,
     fit_degree0,
     fit_degree1,
@@ -22,7 +23,6 @@ from quadrep.representation import (
 from quadrep.selection import (
     METHODS,
     GreedyRun,
-    RankReport,
     SelectionConfig,
     StepRecord,
     achievable_k,
@@ -145,36 +145,37 @@ def test_greedy_trace_serializes():
 
 def test_rrqr_polynomial_target_is_exact():
     grid = build_grid(lambda x: 0.3 - 0.8 * x + 0.5 * x**3, (-1.0, 1.0), 400)
-    rep, report = rrqr_select(grid, stream_cap=10).rep_at(truncate_tol=1e-12)
+    rep = rrqr_select(grid, stream_cap=10).rep_at(truncate_tol=1e-12)
     assert rep.fit_residual < 1e-12
 
 
 def test_rrqr_rank_report_on_dependent_dictionary():
     grid = build_grid(lambda x: x, (-1.0, 1.0), 400)
-    rep, report = rrqr_select(grid, stream_cap=6).rep_at(truncate_tol=1e-10)
-    assert isinstance(report, RankReport)
-    assert report.rank < report.n_candidates
-    assert np.all(np.diff(report.diag_magnitudes) <= 1e-14)
+    factor = rrqr_select(grid, stream_cap=6)
+    assert isinstance(factor.rep_at(truncate_tol=1e-10), Rep)
+    assert len(factor.tags_at(truncate_tol=1e-10)) < len(factor.tags)
+    assert np.all(np.diff(factor.fact.diag) <= 1e-14)
 
 
 def test_rrqr_prefers_the_orthonormal_plain_stream():
     # the plain Legendre columns are exactly W-orthonormal, so column-norm
     # pivoting provably selects all of them before any f-weighted column
-    rep, report = rrqr_select(SIG_GRID, stream_cap=40).rep_at(18)
-    assert all(tag[0] == STREAM_PLAIN for tag in report.selected_tags)
-    assert [tag[1] for tag in report.selected_tags] == list(range(18))
+    tags = rrqr_select(SIG_GRID, stream_cap=40).tags_at(18)
+    assert all(tag[0] == STREAM_PLAIN for tag in tags)
+    assert [tag[1] for tag in tags] == list(range(18))
 
 
 def test_rrqr_mapped_coefficients_reproduce_truncated_fit():
     cap, tol = 40, 1e-12
-    rep, report = rrqr_select(SIG_GRID, stream_cap=cap).rep_at(truncate_tol=tol)
+    factor = rrqr_select(SIG_GRID, stream_cap=cap)
+    rep = factor.rep_at(truncate_tol=tol)
     d = assemble(SIG_GRID, cap, cap, cap)
     sw = np.sqrt(SIG_GRID.weights)
     # prediction through the mapped-back coefficients
     beta = np.zeros(len(d.tags))
     tag_to_col = {tag: j for j, tag in enumerate(d.tags)}
     coeffs = {1: rep.c.coeffs, 2: rep.b.coeffs}
-    for (stream, degree) in report.selected_tags:
+    for (stream, degree) in factor.tags_at(truncate_tol=tol):
         if stream == 1:
             beta[tag_to_col[(stream, degree)]] = rep.c.coeffs[degree]
         elif stream == 2:
@@ -189,9 +190,11 @@ def test_rrqr_mapped_coefficients_reproduce_truncated_fit():
 
 def test_rrqr_rank_zero_raises():
     grid = build_grid(lambda x: 0.0, (-1.0, 1.0), 100)
-    with pytest.raises(ValueError):
-        # all-zero f wipes streams 2-3; tol=2 kills even the plain stream
-        rrqr_select(grid, stream_cap=3).rep_at(truncate_tol=2.0)
+    factor = rrqr_select(grid, stream_cap=3)
+    # all-zero f wipes streams 2-3; tol=2 kills even the plain stream
+    for ask in (factor.rep_at, factor.tags_at):
+        with pytest.raises(ValueError, match="truncation removed every candidate column"):
+            ask(truncate_tol=2.0)
 
 
 def test_rrqr_beats_nothing_smaller_than_greedy_documented():
@@ -199,7 +202,7 @@ def test_rrqr_beats_nothing_smaller_than_greedy_documented():
     # stream competition on the sigmoid at small K (the plain stream wins
     # every pivot), so its reconstruction error stays far above greedy's
     rep_g = greedy_select(SIG_GRID, SelectionConfig(max_terms=14, rng_seed=1)).rep_at(14)
-    rep_r, _ = rrqr_select(SIG_GRID, stream_cap=40).rep_at(14)
+    rep_r = rrqr_select(SIG_GRID, stream_cap=40).rep_at(14)
     err_g = relative_l2(rep_g, SIG_GRID)
     err_r = relative_l2(rep_r, SIG_GRID)
     assert err_g < 1e-2
@@ -232,7 +235,7 @@ def test_greedy_run_prefix_is_greedy_select_at_every_k(name):
             fresh = greedy_select(grid, config)
             return fresh.rep_at(k), [tuple(t) for s in fresh.steps for t in s.chosen_tags]
 
-        shared = _rep_doc(lambda: (run.rep_at(k), run.tags[:k]))
+        shared = _rep_doc(lambda: (run.rep_at(k), run.tags_at(k)))
         assert shared == _rep_doc(reference), f"{name} K={k}"
 
 
@@ -244,17 +247,15 @@ def test_rrqr_factor_truncation_is_rrqr_select_at_every_k(name):
     kmax = PREFIX_KMAX[name]
     factor = rrqr_select(grid, stream_cap=60)
 
-    def doc(rep_and_report):
-        rep, report = rep_and_report
-        return rep, report.selected_tags
+    def doc(run, k):
+        return lambda: (run.rep_at(k), run.tags_at(k))
 
     for k in range(2, kmax + 1):
-        shared = _rep_doc(lambda: doc(factor.rep_at(k)))
-        assert shared == _rep_doc(lambda: doc(rrqr_select(grid, stream_cap=60).rep_at(k))), \
-            f"{name} K={k}"
+        shared = _rep_doc(doc(factor, k))
+        assert shared == _rep_doc(doc(rrqr_select(grid, stream_cap=60), k)), f"{name} K={k}"
         # a factor that stops pivoting at K gives the same rep
         truncated = rrqr_select(grid, stream_cap=60, max_terms=k)
-        assert shared == _rep_doc(lambda: doc(truncated.rep_at(k))), f"{name} K={k}"
+        assert shared == _rep_doc(doc(truncated, k)), f"{name} K={k}"
 
 
 def test_greedy_run_refuses_reps_it_does_not_determine():
@@ -262,29 +263,29 @@ def test_greedy_run_refuses_reps_it_does_not_determine():
     assert run.rep_at(9).fit_residual == greedy_select(
         SIG_GRID, SelectionConfig(batch_size=3, max_terms=9, rng_seed=0)).rep_at(9).fit_residual
     # a run cut at 5 terms draws a batch of 2 where the longer run drew 3
-    with pytest.raises(ValueError, match="prefix-consistent"):
-        run.rep_at(5)
+    refused = [(run, 5, "prefix-consistent")]
     run = greedy_select(SIG_GRID, SelectionConfig(max_terms=6, rng_seed=0))
-    with pytest.raises(ValueError, match="stopped at 6 terms"):
-        run.rep_at(7)
-    with pytest.raises(ValueError, match="stopped at 6 terms"):
-        run.rep_at(None)
+    refused += [(run, 7, "stopped at 6 terms"), (run, None, "stopped at 6 terms")]
     # a run stopped by its target fits a budget below 1 to no prefix
     run = greedy_select(SIG_GRID, SelectionConfig(target_residual=1e-3, rng_seed=0))
-    for k in (0, -2):
-        with pytest.raises(ValueError, match="max_terms must be >= 1"):
-            run.rep_at(k)
+    refused += [(run, k, "max_terms must be >= 1") for k in (0, -2)]
+    for run, k, match in refused:
+        for ask in (run.rep_at, run.tags_at):
+            with pytest.raises(ValueError, match=match):
+                ask(k)
 
 
 def test_rrqr_factor_refuses_reps_it_does_not_determine():
     factor = rrqr_select(SIG_GRID, stream_cap=40, max_terms=6)
     assert factor.fact.q.shape == (SIG_GRID.size, 6)
-    for k in (7, None):
-        with pytest.raises(ValueError, match="pivoted 6 columns"):
-            factor.rep_at(k)
+    for ask in (factor.rep_at, factor.tags_at):
+        for k in (7, None):
+            with pytest.raises(ValueError, match="pivoted 6 columns"):
+                ask(k)
+        for k in (0, -5):
+            with pytest.raises(ValueError, match="max_terms must be >= 1"):
+                ask(k)
     for k in (0, -5):
-        with pytest.raises(ValueError, match="max_terms must be >= 1"):
-            factor.rep_at(k)
         with pytest.raises(ValueError, match="max_terms must be >= 1"):
             rrqr_select(SIG_GRID, stream_cap=40, max_terms=k)
 
@@ -330,7 +331,7 @@ def test_method_run_gives_the_select_reps():
         rep = greedy_select(SIG_GRID, SelectionConfig(max_terms=k, rng_seed=3,
                                                       stream_cap=40)).rep_at(k)
         assert rep_to_dict(fit_at_k(SIG_GRID, "deg2-greedy", k, greedy)) == rep_to_dict(rep)
-        rep, _ = rrqr_select(SIG_GRID, stream_cap=40).rep_at(k)
+        rep = rrqr_select(SIG_GRID, stream_cap=40).rep_at(k)
         assert rep_to_dict(fit_at_k(SIG_GRID, "deg2-rrqr", k, rrqr)) == rep_to_dict(rep)
 
 
