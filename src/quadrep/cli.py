@@ -41,17 +41,13 @@ from .functions import BUILTINS, STEP_MID, get_builtin
 from .representation import (
     branches,
     eval_rep,
-    fit_degree0,
-    fit_degree1,
-    fit_degree2_uniform,
     load_rep,
     poles,
     relative_l2,
     rep_to_dict,
     save_rep,
 )
-from .selection import (METHODS, SelectionConfig, achievable_k, fit_at_k, greedy_select,
-                        method_run, rrqr_select)
+from .selection import FIT_FLAGS, METHODS, GreedyRun, achievable_k, fit_at_k, fit_method, method_run
 
 
 def _write_manifest(out: Path, command: str, argv: list[str], seed) -> None:
@@ -76,19 +72,6 @@ def _grid_for_function(name: str, order: int):
     return build_grid(fn.fn, fn.domain, order)
 
 
-# the flags that each fit method reads.  deg2-rrqr accepts --seed, which it
-# does not use, so that one argument list fits either adaptive method, as
-# `convergence --seed` does.
-_FIT_FLAGS = {
-    "deg0": ("n",),
-    "deg1": ("n0", "n1"),
-    "deg2-uniform": ("n0", "n1", "n2"),
-    "deg2-greedy": ("max_terms", "target_residual", "batch", "cap", "seed", "trace"),
-    "deg2-rrqr": ("max_terms", "cap", "tol", "seed"),
-}
-_ALL_FIT_FLAGS = tuple(dict.fromkeys(f for flags in _FIT_FLAGS.values() for f in flags))
-
-
 def _reject_unread(args, dests, where: str) -> None:
     """ValueError naming the first of ``dests`` that was given: it is not
     read ``where`` (``by --mode ls``, say)."""
@@ -97,53 +80,27 @@ def _reject_unread(args, dests, where: str) -> None:
             raise ValueError(f"--{dest.replace('_', '-')} is not read {where}")
 
 
-def _fit_with_method(grid, args):
-    method = args.method
-    n0, n1, n2 = (0 if n is None else n for n in (args.n0, args.n1, args.n2))
-    cap = 60 if args.cap is None else args.cap
-    if method == "deg0":
-        rep = fit_degree0(grid, 0 if args.n is None else args.n)
-        return rep, rep.c.coeffs.size, None
-    if method == "deg1":
-        return fit_degree1(grid, n0, n1), n0 + n1 + 1, None
-    if method == "deg2-uniform":
-        return fit_degree2_uniform(grid, n0, n1, n2), n0 + n1 + n2 + 2, None
-    if method == "deg2-greedy":
-        config = SelectionConfig(
-            batch_size=1 if args.batch is None else args.batch,
-            target_residual=args.target_residual,
-            max_terms=args.max_terms,
-            stream_cap=cap,
-            rng_seed=0 if args.seed is None else args.seed,
-        )
-        run = greedy_select(grid, config)
-        at = (config.max_terms,)
-    else:  # deg2-rrqr: argparse choices guard the method
-        run = rrqr_select(grid, stream_cap=cap, max_terms=args.max_terms)
-        at = (args.max_terms, 1e-12 if args.tol is None else args.tol)
-    return run.rep_at(*at), len(run.tags_at(*at)), run if method == "deg2-greedy" else None
-
-
 def cmd_fit(args, argv) -> int:
     out = Path(args.out)
-    _reject_unread(args, [f for f in _ALL_FIT_FLAGS if f not in _FIT_FLAGS[args.method]],
-                   f"by --method {args.method}")
+    _reject_unread(args, [f for flags in FIT_FLAGS.values() for f in flags
+                          if f not in FIT_FLAGS[args.method]], f"by --method {args.method}")
     if args.input is not None:
         _reject_unread(args, ["order"], "with --input")
     if args.fn is not None:
         grid = _grid_for_function(args.fn, 1000 if args.order is None else args.order)
     else:
         grid = read_dataset(args.input)
-    rep, k, run = _fit_with_method(grid, args)
+    rep, k, run = fit_method(grid, args.method, vars(args))
     out.mkdir(parents=True, exist_ok=True)
     save_rep(rep, out / "rep.json")
     if args.trace:
         with open(out / "trace.json", "w") as fh:
             fh.write(run.trace_json(rep.fit_residual))
             fh.write("\n")
-    _write_manifest(out, "fit", argv, run.config.rng_seed if run is not None else args.seed)
+    _write_manifest(out, "fit", argv,
+                    run.config.rng_seed if isinstance(run, GreedyRun) else args.seed)
     print(f"K={k} residual={rep.fit_residual:.6e}")
-    if args.method in ("deg2-greedy", "deg2-rrqr") and k - 1 < grid.size:
+    if run is not None and k - 1 < grid.size:
         baseline = fit_at_k(grid, "deg0", k)
         print(f"deg0 residual at K={k}: {baseline.fit_residual:.6e}")
     return 0
@@ -196,6 +153,8 @@ def cmd_eval(args, argv) -> int:
                 xs.append(float(row[0]))
             except ValueError as exc:
                 raise DataError(f"{args.points}: row {row[0]!r} is not a number") from exc
+        if not xs:
+            raise DataError(f"{args.points}: no x values")
         xs = np.array(xs)
         if not np.all(np.isfinite(xs)):
             raise ValueError(f"{args.points}: every x must be finite")
@@ -229,16 +188,21 @@ def _failed_cell(method: str, k: int, exc: Exception) -> float:
 
 def cmd_convergence(args, argv) -> int:
     out = Path(args.out)
-    grid = _grid_for_function(args.fn, args.order)
     methods = [m.strip() for m in args.methods.split(",")]
-    cells = [(m, k) for m in methods for k in achievable_k(m, args.kmin, args.kmax)]
+    ks = {m: achievable_k(m, args.kmin, args.kmax) for m in methods}
+    for m in methods:
+        if methods.count(m) > 1:
+            raise ValueError(f"--methods lists {m} more than once")
+        if not ks[m]:
+            raise ValueError(f"{m} has no achievable K in [{args.kmin}, {args.kmax}]")
+    grid = _grid_for_function(args.fn, args.order)
+    cells = [(m, k) for m in methods for k in ks[m]]
     # one selection run per adaptive method, to its largest K; a run that
     # fails is kept as its exception, which each of the method's cells reports
     runs = {}
-    for m in dict.fromkeys(methods):
-        ks = [k for c, k in cells if c == m]
+    for m in methods:
         try:
-            runs[m] = method_run(grid, m, max(ks), args.seed, args.cap) if ks else None
+            runs[m] = method_run(grid, m, ks[m][-1], args.seed, args.cap)
         except (*NUMERICAL_ERRORS, ValueError) as exc:
             runs[m] = exc
 
@@ -268,6 +232,7 @@ def cmd_convergence(args, argv) -> int:
 def cmd_generate(args, argv) -> int:
     out = Path(args.out)
     if args.preset is not None:
+        _reject_unread(args, ["target", "sigma"], "with --preset")
         model, sigma = NOISE_PRESETS[args.preset]
     else:
         if args.target is None or args.sigma is None:
@@ -392,19 +357,17 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--input", help="CSV with x,f columns (tabulated grid)")
     p_fit.add_argument("--method", choices=METHODS, required=True)
     # no parser defaults, so that a flag given to a method that does not read
-    # it is seen (_FIT_FLAGS lists what each method reads)
-    p_fit.add_argument("--n", type=int, help="deg0: degree (default 0)")
-    p_fit.add_argument("--n0", type=int, help="deg1, deg2-uniform: degree of c (default 0)")
-    p_fit.add_argument("--n1", type=int, help="deg1, deg2-uniform: degree of b (default 0)")
-    p_fit.add_argument("--n2", type=int, help="deg2-uniform: degree of a (default 0)")
+    # it is seen (selection.FIT_FLAGS); the library holds the defaults
+    p_fit.add_argument("--n", type=int, help="deg0: degree of c")
+    p_fit.add_argument("--n0", type=int, help="deg1, deg2-uniform: degree of c")
+    p_fit.add_argument("--n1", type=int, help="deg1, deg2-uniform: degree of b")
+    p_fit.add_argument("--n2", type=int, help="deg2-uniform: degree of a")
     p_fit.add_argument("--max-terms", type=int, help="deg2-greedy, deg2-rrqr")
     p_fit.add_argument("--target-residual", type=float, help="deg2-greedy")
-    p_fit.add_argument("--batch", type=int, choices=(1, 3, 5),
-                       help="deg2-greedy (default 1)")
-    p_fit.add_argument("--cap", type=int, help="deg2-greedy, deg2-rrqr (default 60)")
-    p_fit.add_argument("--tol", type=float, help="deg2-rrqr (default 1e-12)")
-    p_fit.add_argument("--seed", type=int,
-                       help="deg2-greedy (default 0); deg2-rrqr accepts it unused")
+    p_fit.add_argument("--batch", type=int, choices=(1, 3, 5), help="deg2-greedy")
+    p_fit.add_argument("--cap", type=int, help="deg2-greedy, deg2-rrqr: columns per stream")
+    p_fit.add_argument("--tol", type=float, help="deg2-rrqr: truncation, relative to |R_11|")
+    p_fit.add_argument("--seed", type=int, help="deg2-greedy; deg2-rrqr accepts it unused")
     p_fit.add_argument("--order", type=int, help="--fn only (default 1000)")
     p_fit.add_argument("--trace", action="store_true", default=None,
                        help="deg2-greedy: also write trace.json")

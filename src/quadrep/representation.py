@@ -332,18 +332,20 @@ def branches(rep: Rep, x) -> BranchTable:
     sq = np.sqrt(np.where(disc < 0.0, 0.0, disc))
     s = np.where(bv >= 0.0, 1.0, -1.0)
     q = bv + s * sq
-    a_safe = np.where(linear, 1.0, av)
-    q_safe = np.where(q == 0.0, 1.0, q)
-    r1 = np.where(q == 0.0, 0.0, q / (2.0 * a_safe))
-    r2 = np.where(q == 0.0, 0.0, -2.0 * cv / q_safe)
+    # each root is computed only where it is kept, so that a point that a
+    # mask then discards (a complex one with a subnormal q, say) cannot
+    # overflow; 0 where q = 0
+    nan = complex_mask | no_root
+    quad = ~(nan | linear) & (q != 0.0)
+    r1 = np.divide(q, 2.0 * av, out=np.zeros_like(q), where=quad)
+    r2 = np.divide(-2.0 * cv, q, out=np.zeros_like(q), where=quad & ~clamped)
     # a clamped discriminant leaves the double root b/2a; -2c/b equals it
     # only where D was exactly 0
     r2 = np.where(clamped, r1, r2)
     plus = np.where(s > 0, r1, r2)
     minus = np.where(s > 0, r2, r1)
 
-    lin_root = -cv / np.where(linear & ~no_root, bv, 1.0)
-    nan = complex_mask | no_root
+    lin_root = np.divide(-cv, bv, out=np.zeros_like(bv), where=linear & ~nan)
     plus = np.where(nan, np.nan, np.where(linear, lin_root, plus))
     minus = np.where(nan, np.nan, np.where(linear, lin_root, minus))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -9,8 +9,8 @@ Each runs in two stages: ``greedy_select`` and ``rrqr_select`` make the
 selection run, which does not depend on the number of terms kept (a
 ``GreedyRun``, an ``RRQRFactor``).  At a given ``max_terms`` either run's
 ``tags_at`` gives the columns of the rep, and its ``rep_at`` the rep fitted
-on them.  ``quadrep fit`` takes one rep from a run; a convergence sweep
-takes one rep per K from one run.
+on them.  Through the method table at the end, ``quadrep fit`` takes one rep
+from a run (``fit_method``), a convergence sweep one rep per K (``fit_at_k``).
 """
 from __future__ import annotations
 
@@ -31,7 +31,9 @@ __all__ = [
     "RRQRFactor",
     "greedy_select",
     "rrqr_select",
+    "FIT_FLAGS",
     "METHODS",
+    "fit_method",
     "achievable_k",
     "method_run",
     "fit_at_k",
@@ -335,52 +337,80 @@ def rrqr_select(grid: SampleGrid, stream_cap: int = 60,
 
 
 # The method table: the five methods that the convergence comparison fits at
-# equal K, the number of fitted coefficients.  Per method: K = step * n +
-# offset; the rep at n from the method's run; the run builder, or None.  deg0
-# fits degree n = K - 1, deg1 two polynomials of degree n, deg2-uniform three;
-# an adaptive method keeps the first n = K columns of its run.  The builders
-# look greedy_select and rrqr_select up when called, so a rebinding of either
-# module name reaches them.
-_TABLE = {
-    "deg0": (1, 1, lambda grid, n, run: fit_degree0(grid, n), None),
-    "deg1": (2, 1, lambda grid, n, run: fit_degree1(grid, n, n), None),
-    "deg2-uniform": (3, 2, lambda grid, n, run: fit_degree2_uniform(grid, n, n, n), None),
-    "deg2-greedy": (1, 0, lambda grid, n, run: run.rep_at(n),
-                    lambda grid, kmax, seed, cap: greedy_select(grid, SelectionConfig(
-                        max_terms=kmax, rng_seed=seed, stream_cap=cap))),
-    "deg2-rrqr": (1, 0, lambda grid, n, run: run.rep_at(n),
-                  lambda grid, kmax, seed, cap: rrqr_select(grid, stream_cap=cap,
-                                                            max_terms=kmax)),
+# equal K, the number of fitted coefficients, and the `quadrep fit` flags that
+# each reads: its degrees, or its run's knobs and (greedy) ``trace``.  A flag
+# not given takes the library's default.  deg2-rrqr accepts ``seed`` unused,
+# so that one argument list fits either adaptive method.
+FIT_FLAGS = {
+    "deg0": ("n",),
+    "deg1": ("n0", "n1"),
+    "deg2-uniform": ("n0", "n1", "n2"),
+    "deg2-greedy": ("max_terms", "target_residual", "batch", "cap", "seed", "trace"),
+    "deg2-rrqr": ("max_terms", "cap", "tol", "seed"),
 }
-METHODS = tuple(_TABLE)
+METHODS = tuple(FIT_FLAGS)
+# each fixed-degree method's fit, and its K less the sum of its degrees (one
+# coefficient per polynomial beyond its degree, less the one that it pins)
+_FIXED = {"deg0": (fit_degree0, 1), "deg1": (fit_degree1, 1),
+          "deg2-uniform": (fit_degree2_uniform, 2)}
 
 
-def _method(method: str):
-    try:
-        return _TABLE[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}; choices: {', '.join(METHODS)}") from None
+def _k_rule(method: str):
+    """(names, offset): ``method`` fits K = len(names) * n + offset with each of ``names`` at n."""
+    if method not in FIT_FLAGS:
+        raise ValueError(f"unknown method {method!r}; choices: {', '.join(METHODS)}")
+    return (FIT_FLAGS[method], _FIXED[method][1]) if method in _FIXED else (("max_terms",), 0)
+
+
+def _set(**kwargs) -> dict:
+    """``kwargs`` but those that are None, which take the callee's default."""
+    return {k: v for k, v in kwargs.items() if v is not None}
+
+
+def _selection_run(grid: SampleGrid, method: str, flags: dict):
+    """The run of ``method`` to ``max_terms`` (None for a fixed-degree one);
+    greedy_select and rrqr_select are looked up when called, so a rebinding reaches them."""
+    common = _set(stream_cap=flags.get("cap"), max_terms=flags.get("max_terms"))
+    if method == "deg2-greedy":
+        return greedy_select(grid, SelectionConfig(**common, **_set(
+            batch_size=flags.get("batch"), target_residual=flags.get("target_residual"),
+            rng_seed=flags.get("seed"))))
+    return rrqr_select(grid, **common) if method == "deg2-rrqr" else None
+
+
+def fit_method(grid: SampleGrid, method: str, flags: dict, run=None):
+    """(rep, K, run): ``method``'s rep with its ``FIT_FLAGS`` in ``flags`` (a
+    flag missing or None takes its default), its K, and the run it truncates:
+    ``run`` if given, else its own to ``max_terms``; None for fixed degrees."""
+    _, offset = _k_rule(method)
+    flags = {f: flags.get(f) for f in FIT_FLAGS[method]}
+    if method in _FIXED:
+        degrees = {n: 0 if d is None else d for n, d in flags.items()}
+        return _FIXED[method][0](grid, **degrees), sum(degrees.values()) + offset, None
+    run = _selection_run(grid, method, flags) if run is None else run
+    at = (flags["max_terms"], *_set(truncate_tol=flags.get("tol")).values())
+    return run.rep_at(*at), len(run.tags_at(*at)), run
 
 
 def achievable_k(method: str, kmin: int, kmax: int) -> list[int]:
     """The K in [max(kmin, 1), kmax] at which ``method`` fits exactly K
     coefficients: odd K for deg1, K = 3n + 2 for deg2-uniform, every K for
     the others."""
-    step, offset, _, _ = _method(method)
-    return [k for k in range(max(kmin, 1), kmax + 1) if (k - offset) % step == 0]
+    names, offset = _k_rule(method)
+    return [k for k in range(max(kmin, 1), kmax + 1) if (k - offset) % len(names) == 0]
 
 
 def method_run(grid: SampleGrid, method: str, kmax: int, seed: int, cap: int):
     """The selection run that every K <= kmax of an adaptive method truncates
     (a ``GreedyRun`` to kmax terms, or an ``RRQRFactor`` pivoted to kmax
     columns); None for a fixed-degree method."""
-    build = _method(method)[3]
-    return None if build is None else build(grid, kmax, seed, cap)
+    _k_rule(method)  # ValueError for an unknown method
+    return _selection_run(grid, method, {"max_terms": kmax, "seed": seed, "cap": cap})
 
 
 def fit_at_k(grid: SampleGrid, method: str, k: int, run=None):
     """The rep ``method`` fits with K coefficients; at a K that ``achievable_k``
     skips, the rep at the largest achievable K below it.  An adaptive method
     truncates ``run``, its ``method_run`` to at least K terms."""
-    step, offset, fit, _ = _method(method)
-    return fit(grid, (k - offset) // step, run)
+    names, offset = _k_rule(method)
+    return fit_method(grid, method, dict.fromkeys(names, (k - offset) // len(names)), run)[0]

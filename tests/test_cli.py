@@ -407,7 +407,8 @@ def test_denoise_debias_requires_sigma2(tmp_path):
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """A case3 data.csv, copies of it with a NaN x in a middle row and an
-    infinite last x, and a degree-0 rep.json, for the rejected commands."""
+    infinite last x, a degree-0 rep.json, and points files holding only the
+    header and nothing at all, for the rejected commands."""
     root = tmp_path_factory.mktemp("inputs")
     assert run(["generate", "--preset", "case3", "--seed", "0", "--out", str(root / "gen")]) == 0
     assert run(["fit", "--fn", "relu", "--method", "deg0", "--n", "5",
@@ -417,9 +418,12 @@ def inputs(tmp_path_factory):
         bad = list(lines)
         bad[row] = x + bad[row][bad[row].index(","):]
         (root / f"{name}.csv").write_text("".join(bad))
+    for name, text in (("header_only", "x\n"), ("empty", "")):
+        (root / f"{name}.csv").write_text(text)
     return {"data": str(root / "gen" / "data.csv"), "deg0": str(root / "deg0" / "rep.json"),
             "missing": str(root / "missing"), "nan_x": str(root / "nan_x.csv"),
-            "inf_x": str(root / "inf_x.csv")}
+            "inf_x": str(root / "inf_x.csv"), "header_only": str(root / "header_only.csv"),
+            "empty": str(root / "empty.csv")}
 
 
 @pytest.mark.parametrize("argv", [
@@ -436,9 +440,20 @@ def inputs(tmp_path_factory):
     ["denoise", "--input", "{nan_x}", "--mode", "ls"],
     ["fit", "--input", "{nan_x}", "--method", "deg0", "--n", "2"],
     ["denoise", "--input", "{inf_x}", "--mode", "ls"],
+    ["eval", "--rep", "{deg0}", "--points", "{header_only}"],
+    ["eval", "--rep", "{deg0}", "--points", "{empty}"],
+    ["convergence", "--fn", "relu", "--kmax", "0"],
+    ["convergence", "--fn", "relu", "--kmin", "10", "--kmax", "5"],
+    ["convergence", "--fn", "relu", "--methods", "deg0,deg0", "--kmax", "3"],
+    ["convergence", "--fn", "relu", "--methods", "deg2-uniform", "--kmin", "3", "--kmax", "4"],
+    ["generate", "--preset", "case1", "--sigma", "-5", "--seed", "0"],
+    ["generate", "--preset", "case1", "--target", "function", "--seed", "0"],
 ], ids=["debias-no-sigma2", "case3-no-sigma2", "generate-no-noise", "eval-branches-deg0",
         "eval-missing-rep", "eval-grid-0", "eval-grid-negative", "fit-missing-input", "denoise-missing-input",
-        "debias-nan-x", "ls-nan-x", "fit-nan-x", "ls-inf-x"])
+        "debias-nan-x", "ls-nan-x", "fit-nan-x", "ls-inf-x", "eval-points-header-only",
+        "eval-points-empty", "convergence-kmax-0", "convergence-kmin-above-kmax",
+        "convergence-method-twice", "convergence-method-without-k", "generate-preset-sigma",
+        "generate-preset-target"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rejected_command_writes_nothing(tmp_path, capsys, inputs, argv):
     out = tmp_path / "out"
@@ -451,6 +466,11 @@ def test_rejected_command_writes_nothing(tmp_path, capsys, inputs, argv):
             assert err.startswith(f"error: {inputs[bad]}: non-finite sample positions"), err
     if "--grid" in argv:
         assert err == "error: --grid must be >= 1\n"
+    if "--points" in argv:
+        points = argv[argv.index("--points") + 1].format(**inputs)
+        assert err == f"error: {points}: no x values\n"
+    if "--preset" in argv:
+        assert err == f"error: {argv[3]} is not read with --preset\n"
 
 
 def _dir_files(path):

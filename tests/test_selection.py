@@ -27,6 +27,7 @@ from quadrep.selection import (
     StepRecord,
     achievable_k,
     fit_at_k,
+    fit_method,
     greedy_select,
     method_run,
     rrqr_select,
@@ -335,9 +336,28 @@ def test_method_run_gives_the_select_reps():
         assert rep_to_dict(fit_at_k(SIG_GRID, "deg2-rrqr", k, rrqr)) == rep_to_dict(rep)
 
 
+@pytest.mark.parametrize("method, flags, k, direct", [
+    ("deg0", {"n0": 5}, 1, lambda grid: fit_degree0(grid, 0)),
+    ("deg1", {"n0": 4, "n1": 2, "n2": 7}, 7, lambda grid: fit_degree1(grid, 4, 2)),
+    ("deg2-uniform", {"n": 5, "n2": 1}, 3, lambda grid: fit_degree2_uniform(grid, 0, 0, 1)),
+    ("deg2-greedy", {"max_terms": 6, "seed": 2, "trace": True, "tol": 0.5},
+     6, lambda grid: greedy_select(grid, SelectionConfig(max_terms=6, rng_seed=2)).rep_at(6)),
+    ("deg2-rrqr", {"max_terms": 6, "cap": 20, "tol": 1e-3, "seed": None, "batch": 3},
+     6, lambda grid: rrqr_select(grid, stream_cap=20).rep_at(6, 1e-3)),
+])
+def test_fit_method_reads_its_own_flags_and_defaults_the_rest(method, flags, k, direct):
+    # a flag that the method does not read is ignored; one that it reads and
+    # is not given (or is None) takes the library's default
+    rep, got_k, run = fit_method(SIG_GRID, method, flags)
+    assert got_k == k
+    assert (run is None) == (method in ("deg0", "deg1", "deg2-uniform"))
+    assert rep_to_dict(rep) == rep_to_dict(direct(SIG_GRID))
+
+
 def test_method_table_rejects_an_unknown_method():
     assert METHODS == ("deg0", "deg1", "deg2-uniform", "deg2-greedy", "deg2-rrqr")
     for call in (lambda: achievable_k("deg3", 2, 10),
+                 lambda: fit_method(SIG_GRID, "deg3", {}),
                  lambda: method_run(SIG_GRID, "deg3", 10, 0, 60),
                  lambda: fit_at_k(SIG_GRID, "deg3", 10)):
         with pytest.raises(ValueError, match="unknown method 'deg3'"):
