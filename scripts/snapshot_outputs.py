@@ -8,7 +8,9 @@ Runs, in this process, the three command lists of `perfbench/workloads.py`
 benchmark does not run (`DENOISE_MODES`, on every preset at `DENOISE_SEEDS`),
 the `fit` runs it does not run (`FIT_RUNS`: greedy traces, an rrqr
 tolerance and an rrqr truncation past the numerical rank, each with its
-printed lines in `stdout.txt`) and both
+printed lines in `stdout.txt`), the runs that read back what those wrote
+(`READ_BACK`: an `eval --points` on a points file that this script writes,
+and a `replay` of a `fit` and of a `denoise` manifest) and both
 `scripts/run_*_experiments.py`, each under its own directory of OUT, and
 writes every command's exit code to OUT/exit_codes.txt.  Two checkouts give
 the same results when
@@ -36,6 +38,7 @@ DENOISE_MODES = (
     ("iterative-case2", ["--mode", "iterative", "--init", "case2"]),
     ("iterative-case3", ["--mode", "iterative", "--init", "case3", "--sigma2", "{sigma2}"]),
     ("iterative-subset", ["--mode", "iterative", "--constraints", "1,x,f,xf"]),
+    ("iterative-short", ["--mode", "iterative", "--max-iter", "3", "--tol", "1e-3"]),
 )
 DENOISE_SEEDS = (0, 5)
 # fit runs beyond the benchmark's, whose fits write no trace.json and keep the
@@ -49,6 +52,18 @@ FIT_RUNS = (
     ("greedy-cap8", [*_GREEDY, "--max-terms", "30", "--cap", "8"]),
     ("rrqr-tol", ["--fn", "sigmoid60", "--method", "deg2-rrqr", "--tol", "1e-10"]),
     ("rrqr-past-rank", ["--fn", "relu", "--method", "deg2-rrqr", "--max-terms", "120"]),
+)
+# the x values of the points file, on sigmoid60's domain [-1, 1], with its
+# ends and points on its steep rise at 0
+POINTS = (-1.0, -0.5, -0.0125, 0.0, 1e-3, 0.25, 1.0)
+# commands that read files written by the runs above: (directory, arguments),
+# "{out}" standing for OUT
+READ_BACK = (
+    ("eval-points", ["eval", "--rep", "{out}/fit-eval/sigmoid60-deg2-greedy/rep.json",
+                     "--points", "{out}/points.csv", "--branches"]),
+    ("replay-fit", ["replay", "--manifest", "{out}/fit-eval/relu-deg2-rrqr/manifest.json"]),
+    ("replay-denoise", ["replay", "--manifest",
+                        "{out}/denoise-modes/case4-5/iterative-short/manifest.json"]),
 )
 
 
@@ -97,6 +112,10 @@ def main(argv: list[str]) -> int:
                 codes.append((" ".join(argv).replace(str(out), "OUT"), cli_main(argv)))
             run_out.mkdir(parents=True, exist_ok=True)
             (run_out / "stdout.txt").write_text(printed.getvalue())
+        (out / "points.csv").write_text("x\n" + "".join(f"{x!r}\n" for x in POINTS))
+        for name, args in READ_BACK:
+            argv = [a.format(out=out) for a in args] + ["--out", str(out / "read-back" / name)]
+            codes.append((" ".join(argv).replace(str(out), "OUT"), cli_main(argv)))
         for script in ("run_convergence_experiments", "run_denoise_experiments"):
             code = importlib.import_module(script).run(out / script)
             codes.append((script, code))

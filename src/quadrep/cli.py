@@ -10,10 +10,8 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import functools
-import json
 import math
 import sys
 # no pool runs here: the name stays because perfbench/spans.py reads and rebinds it
@@ -31,40 +29,26 @@ from .denoise import (
     denoise_iterative,
     fit_manifold_ls,
     generate_noisy,
-    read_dataset,
     reconstruct,
     step_ground_truth,
-    write_dataset,
 )
 from .dictionary import DataError, build_grid
+from .files import (load_rep, read_dataset, read_manifest, read_points, save_rep, write_csv,
+                    write_dataset, write_json)
 from .functions import BUILTINS, STEP_MID, get_builtin
-from .representation import (
-    branches,
-    eval_rep,
-    load_rep,
-    poles,
-    relative_l2,
-    rep_to_dict,
-    save_rep,
-)
-from .selection import FIT_FLAGS, METHODS, GreedyRun, achievable_k, fit_at_k, fit_method, method_run
+from .representation import branches, eval_rep, poles, relative_l2, rep_to_dict
+from .selection import (FIT_FLAGS, METHODS, GreedyRun, achievable_k, check_run_knobs, fit_at_k,
+                        fit_method, method_run)
 
 
 def _write_manifest(out: Path, command: str, argv: list[str], seed) -> None:
-    doc = {
+    write_json(out / "manifest.json", {
         "command": command,
         "argv": argv,
         "seed": seed,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def _csv_writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+    })
 
 
 def _grid_for_function(name: str, order: int):
@@ -94,9 +78,7 @@ def cmd_fit(args, argv) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_rep(rep, out / "rep.json")
     if args.trace:
-        with open(out / "trace.json", "w") as fh:
-            fh.write(run.trace_json(rep.fit_residual))
-            fh.write("\n")
+        write_json(out / "trace.json", run.trace_doc(rep.fit_residual))
     _write_manifest(out, "fit", argv,
                     run.config.rng_seed if isinstance(run, GreedyRun) else args.seed)
     print(f"K={k} residual={rep.fit_residual:.6e}")
@@ -140,24 +122,7 @@ def cmd_eval(args, argv) -> int:
     if args.branches and rep.degree != 2:
         raise ValueError("branch table requires a degree-2 representation")
     if args.points is not None:
-        with open(args.points, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r]
-        if rows and rows[0][0].strip().lower() in ("x",):
-            rows = rows[1:]
-        xs = []
-        for row in rows:
-            if len(row) != 1:
-                raise DataError(f"{args.points}: row {','.join(row)!r} has {len(row)}"
-                                " fields; expected one x value")
-            try:
-                xs.append(float(row[0]))
-            except ValueError as exc:
-                raise DataError(f"{args.points}: row {row[0]!r} is not a number") from exc
-        if not xs:
-            raise DataError(f"{args.points}: no x values")
-        xs = np.array(xs)
-        if not np.all(np.isfinite(xs)):
-            raise ValueError(f"{args.points}: every x must be finite")
+        xs = read_points(args.points)
     else:
         xs = np.linspace(*rep.domain, args.grid)
     values, roots = _eval_table(rep, xs)
@@ -167,11 +132,8 @@ def cmd_eval(args, argv) -> int:
     out.mkdir(parents=True, exist_ok=True)
     blank = 0
     for name, header, columns in tables:
-        with open(out / name, "w", newline="") as fh:
-            writer = _csv_writer(fh)
-            writer.writerow(header)
-            writer.writerows([repr(x), *map(_cell, row)]
-                             for x, *row in zip(xs.tolist(), *(c.tolist() for c in columns)))
+        write_csv(out / name, header, ([repr(x), *map(_cell, row)] for x, *row
+                                       in zip(xs.tolist(), *(c.tolist() for c in columns))))
         blank += int(np.sum(np.isnan(columns[0])))
     _write_manifest(out, "eval", argv, None)
     if blank:
@@ -195,6 +157,7 @@ def cmd_convergence(args, argv) -> int:
             raise ValueError(f"--methods lists {m} more than once")
         if not ks[m]:
             raise ValueError(f"{m} has no achievable K in [{args.kmin}, {args.kmax}]")
+    check_run_knobs(args.cap, args.seed)
     grid = _grid_for_function(args.fn, args.order)
     cells = [(m, k) for m in methods for k in ks[m]]
     # one selection run per adaptive method, to its largest K; a run that
@@ -216,14 +179,11 @@ def cmd_convergence(args, argv) -> int:
         except (*NUMERICAL_ERRORS, ValueError) as exc:
             errors.append(_failed_cell(m, k, exc))
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "convergence.csv", "w", newline="") as fh:
-        fh.write("# error = relative L2 against the sampled reference"
-                 " (absolute when the reference norm is 0);"
-                 " K counts fitted coefficients\n")
-        writer = _csv_writer(fh)
-        writer.writerow(["method", "K", "error"])
-        for (m, k), err in zip(cells, errors):
-            writer.writerow([m, k, repr(float(err))])
+    write_csv(out / "convergence.csv", ["method", "K", "error"],
+              ([m, k, repr(float(err))] for (m, k), err in zip(cells, errors)),
+              comment="error = relative L2 against the sampled reference"
+                      " (absolute when the reference norm is 0);"
+                      " K counts fitted coefficients")
     _write_manifest(out, "convergence", argv, args.seed)
     print(f"wrote {len(cells)} cells for {args.fn}")
     return 0
@@ -290,19 +250,14 @@ def cmd_denoise(args, argv) -> int:
     out.mkdir(parents=True, exist_ok=True)
     fit, values = res.fit, res.reconstructed
     eps_hat = data.values - values
-    with open(out / "reconstruction.csv", "w", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["x", "f_obs", "f_hat", "eps_hat"])
-        columns = (data.nodes, data.values, values, eps_hat)
-        writer.writerows(map(repr, row) for row in zip(*(c.tolist() for c in columns)))
-    doc = {
+    columns = (data.nodes, data.values, values, eps_hat)
+    write_csv(out / "reconstruction.csv", ["x", "f_obs", "f_hat", "eps_hat"],
+              (map(repr, row) for row in zip(*(c.tolist() for c in columns))))
+    write_json(out / "fit.json", {
         "b0": fit.b0, "b1": fit.b1, "c0": fit.c0, "c1": fit.c1,
         "method": fit.method, "residual": fit.residual, "condition": fit.condition,
         "rep": rep_to_dict(fit.as_rep(data.domain)),
-    }
-    with open(out / "fit.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    })
     x = data.nodes
     xc = x - x.mean()
     denom = float(np.linalg.norm(xc) * np.linalg.norm(eps_hat - eps_hat.mean()))
@@ -317,23 +272,14 @@ def cmd_denoise(args, argv) -> int:
     if truth is not None:
         tsigns = np.where(truth > STEP_MID, 1, -1)
         report["mislabel_count"] = int(np.sum(res.index.signs_at(data.nodes) != tsigns))
-    with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "report.json", report)
     _write_manifest(out, "denoise", argv, None)
     print(f"mode={args.mode} b0={fit.b0:.4f} c0={fit.c0:.4f}")
     return 0
 
 
 def cmd_replay(args, argv) -> int:
-    with open(args.manifest) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise DataError(f"{args.manifest}: {exc}") from exc
-    stored = doc.get("argv") if isinstance(doc, dict) else None
-    if not (isinstance(stored, list) and all(isinstance(a, str) for a in stored)):
-        raise DataError(f"{args.manifest}: no 'argv' list of strings")
+    stored = read_manifest(args.manifest)
     if stored[:1] == ["replay"]:
         raise DataError(f"{args.manifest}: a stored replay is not replayed")
     # the new --out takes the place of the stored one and its value, if any

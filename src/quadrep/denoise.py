@@ -12,14 +12,12 @@ reported in raw coordinates.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .dictionary import DataError, SampleGrid, tabulated_grid
+from .dictionary import SampleGrid, tabulated_grid
 from .functions import STEP_HIGH, STEP_JUMP_AT, STEP_LOW, STEP_MID
 from .linalg import RankDeficiencyError, pivoted_qr, weighted_lsq
 from .orthopoly import legendre_row
@@ -53,8 +51,6 @@ __all__ = [
     "project_noise",
     "constraint_residuals",
     "denoise_iterative",
-    "write_dataset",
-    "read_dataset",
     "ALL_CONSTRAINTS",
     "NOISE_PRESETS",
 ]
@@ -129,8 +125,8 @@ def generate_noisy(positions, truth, model: str, sigma: float,
     observation on the ground-truth branch; points whose perturbed
     discriminant goes negative are clamped to the vertex and counted.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not 0 <= sigma < np.inf:
+        raise ValueError("sigma must be finite and >= 0")
     positions = np.asarray(positions, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if truth.shape != positions.shape:
@@ -276,8 +272,8 @@ def debias_moments(noisy: MomentSet, sigma2: float) -> MomentSet:
     sigma^2 * S-terms and the cubic ones 3 sigma^2 times the first-order
     moments.
     """
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be >= 0")
+    if not 0 <= sigma2 < np.inf:
+        raise ValueError("sigma2 must be finite and >= 0")
     return replace(
         noisy,
         m_f2=noisy.m_f2 - sigma2 * noisy.s0,
@@ -403,8 +399,8 @@ def reconstruct(fit: ManifoldFit4, data: SampleGrid, k: int | None) -> Reconstru
 
 def denoise_case3(data: SampleGrid, sigma2: float, k: int = 10) -> Reconstruction:
     """Known-variance pipeline: moments -> de-bias -> 4x4 solve -> vote -> rebuild."""
-    if sigma2 <= 0:
-        raise ValueError("case 3 needs a known sigma2 > 0")
+    if not 0 < sigma2 < np.inf:
+        raise ValueError("case 3 needs a known finite sigma2 > 0")
     fit = solve_moment_system(debias_moments(compute_noisy_moments(data), sigma2))
     return reconstruct(fit, data, k)
 
@@ -512,6 +508,8 @@ def denoise_iterative(data: SampleGrid,
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
     t = data.unit_nodes
     if init in ("case1", "case2"):
         res = reconstruct(fit_manifold_ls(data), data, k)
@@ -558,43 +556,3 @@ def denoise_iterative(data: SampleGrid,
                    max_constraint_residual=max_constraint_residual,
                    coefficient_trace=tuple(trace))
 
-
-# --------------------------------------------------------------------------
-# CSV + metadata sidecar
-# --------------------------------------------------------------------------
-
-
-def _sidecar_path(path: str) -> str:
-    stem = path[:-4] if str(path).endswith(".csv") else str(path)
-    return f"{stem}.meta.json"
-
-
-def write_dataset(path, data: SampleGrid, metadata: dict) -> None:
-    """CSV with header ``x,f`` plus the metadata as a sidecar JSON, written
-    for readers of the data; no command reads the sidecar back."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "f"])
-        writer.writerows(map(repr, row)
-                         for row in zip(data.nodes.tolist(), data.values.tolist()))
-    with open(_sidecar_path(str(path)), "w") as fh:
-        json.dump(metadata, fh, indent=2)
-        fh.write("\n")
-
-
-def read_dataset(path) -> SampleGrid:
-    """The tabulated grid of the CSV ``write_dataset`` writes; DataError,
-    naming the file, when it has no ``x,f`` header (an empty file included),
-    a row without both values, or samples ``tabulated_grid`` rejects."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if [h.strip() for h in header[:2]] != ["x", "f"]:
-            raise DataError(f"{path}: expected 'x,f' header, got {header}")
-        rows = [r for r in reader if r]
-    if any(len(r) < 2 for r in rows):
-        raise DataError(f"{path}: every row needs an x and an f value")
-    try:
-        return tabulated_grid([float(r[0]) for r in rows], [float(r[1]) for r in rows])
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc

@@ -1,0 +1,112 @@
+"""Every file quadrep reads or writes: two writers, ``write_json`` (indented
+by 2, with a trailing newline) and ``write_csv`` (rows ending in a newline),
+and four readers, of a data CSV, rep.json, an ``eval --points`` CSV and
+manifest.json, each raising a ``DataError`` that names the file it rejects.
+"""
+from __future__ import annotations
+
+import csv
+import json
+
+import numpy as np
+
+from .dictionary import DataError, SampleGrid, tabulated_grid
+from .representation import Rep, rep_from_dict, rep_to_dict
+
+__all__ = ["write_json", "write_csv", "write_dataset", "read_dataset", "save_rep", "load_rep",
+           "read_points", "read_manifest"]
+
+
+def write_json(path, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def write_csv(path, header, rows, comment: str | None = None) -> None:
+    """``header`` and then ``rows``, after a ``# comment`` line if given."""
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+
+
+def write_dataset(path, data: SampleGrid, metadata: dict) -> None:
+    """CSV with header ``x,f`` plus the metadata as a sidecar JSON, written
+    for readers of the data; no command reads the sidecar back."""
+    write_csv(path, ["x", "f"], (map(repr, row)
+                                 for row in zip(data.nodes.tolist(), data.values.tolist())))
+    write_json(f"{str(path).removesuffix('.csv')}.meta.json", metadata)
+
+
+def read_dataset(path) -> SampleGrid:
+    """The tabulated grid of the CSV ``write_dataset`` writes; DataError,
+    naming the file, when it has no ``x,f`` header (an empty file included),
+    a row without both values, or samples ``tabulated_grid`` rejects."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if [h.strip() for h in header[:2]] != ["x", "f"]:
+            raise DataError(f"{path}: expected 'x,f' header, got {header}")
+        rows = [r for r in reader if r]
+    if any(len(r) < 2 for r in rows):
+        raise DataError(f"{path}: every row needs an x and an f value")
+    try:
+        return tabulated_grid([float(r[0]) for r in rows], [float(r[1]) for r in rows])
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def save_rep(rep: Rep, path) -> None:
+    write_json(path, rep_to_dict(rep))
+
+
+def load_rep(path) -> Rep:
+    """The rep stored at ``path``; DataError naming the file if it is not
+    JSON, and the error of ``rep_from_dict`` if it is no rep document."""
+    return rep_from_dict(_read_json(path))
+
+
+def read_points(path) -> np.ndarray:
+    """The x values of a one-column CSV, after an optional ``x`` header;
+    DataError naming the file for a row that is not one number, for no
+    rows, or for a non-finite x."""
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r]
+    if rows and rows[0][0].strip().lower() == "x":
+        rows = rows[1:]
+    xs = []
+    for row in rows:
+        if len(row) != 1:
+            raise DataError(f"{path}: row {','.join(row)!r} has {len(row)}"
+                            " fields; expected one x value")
+        try:
+            xs.append(float(row[0]))
+        except ValueError as exc:
+            raise DataError(f"{path}: row {row[0]!r} is not a number") from exc
+    if not xs:
+        raise DataError(f"{path}: no x values")
+    xs = np.array(xs)
+    if not np.all(np.isfinite(xs)):
+        raise DataError(f"{path}: every x must be finite")
+    return xs
+
+
+def read_manifest(path) -> list[str]:
+    """The ``argv`` list of strings that a manifest.json records; DataError
+    naming the file if it is not JSON or has no such list."""
+    doc = _read_json(path)
+    stored = doc.get("argv") if isinstance(doc, dict) else None
+    if not (isinstance(stored, list) and all(isinstance(a, str) for a in stored)):
+        raise DataError(f"{path}: no 'argv' list of strings")
+    return stored

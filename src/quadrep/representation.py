@@ -1,14 +1,14 @@
 """Degree-0/1/2 function representations, their fits, and stable evaluation.
 
-Every representation is one ``Rep``: coefficient polynomials (a, b, c) of
-``a f^2 - b f - c = 0``, of degree 0, 1 or 2 in f, plus at degree 2 a
-per-location sign (the index) choosing between the two quadratic roots.
+Every representation is one ``Rep``: coefficient polynomials of a relation
+of degree 0, 1 or 2 in f, ``f = c`` (a and b unset), ``b f - c = 0`` (a
+unset) or ``a f^2 - b f - c = 0``, plus at degree 2 a per-location sign (the
+index) choosing between the two quadratic roots.
 Roots are always computed with the cancellation-free form of the quadratic
 formula.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -46,8 +46,6 @@ __all__ = [
     "relative_l2",
     "rep_to_dict",
     "rep_from_dict",
-    "save_rep",
-    "load_rep",
 ]
 
 BASIS_LEGENDRE = "legendre-normalized"
@@ -576,7 +574,7 @@ def relative_l2(rep, grid: SampleGrid) -> float:
 
 
 # --------------------------------------------------------------------------
-# JSON serialization
+# rep.json documents (files.save_rep and files.load_rep write and read them)
 # --------------------------------------------------------------------------
 
 def _coeff_list(pc: PolyCoeffs | None):
@@ -636,18 +634,3 @@ def rep_from_dict(doc: dict) -> Rep:
                degeneracy=doc.get("degeneracy") if degree == 2 else None,
                provenance=provenance)
 
-
-def save_rep(rep, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(rep_to_dict(rep), fh, indent=2)
-        fh.write("\n")
-
-
-def load_rep(path):
-    """The rep stored at ``path``; ValueError naming the file if it is not JSON."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-    return rep_from_dict(doc)

@@ -14,7 +14,6 @@ from a run (``fit_method``), a convergence sweep one rep per K (``fit_at_k``).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .representation import (coefficients_to_rep, fit_degree0, fit_degree1,
                              fit_degree2_uniform)
 
 __all__ = [
+    "check_run_knobs",
     "SelectionConfig",
     "StepRecord",
     "GreedyRun",
@@ -44,6 +44,15 @@ _TIE_RTOL = 1e-12
 _DEP_TOL = 1e-13
 
 
+def check_run_knobs(stream_cap: int, rng_seed: int) -> None:
+    """ValueError naming ``stream_cap`` if it is below 1, or ``rng_seed`` if
+    it is no Philox key, an integer in [0, 2**128)."""
+    if stream_cap < 1:
+        raise ValueError("stream_cap must be >= 1")
+    if not 0 <= rng_seed < 2 ** 128:
+        raise ValueError("rng_seed must be >= 0 and < 2**128")
+
+
 @dataclass(frozen=True)
 class SelectionConfig:
     """Knobs for the greedy run; either target_residual or max_terms must stop it."""
@@ -57,11 +66,10 @@ class SelectionConfig:
     def __post_init__(self):
         if self.batch_size not in (1, 3, 5):
             raise ValueError("batch_size must be 1, 3, or 5")
-        if self.stream_cap < 1:
-            raise ValueError("stream_cap must be >= 1")
+        check_run_knobs(self.stream_cap, self.rng_seed)
         if self.target_residual is None and self.max_terms is None:
             raise ValueError("set target_residual and/or max_terms")
-        if self.target_residual is not None and self.target_residual <= 0:
+        if self.target_residual is not None and not self.target_residual > 0:
             raise ValueError("target_residual must be > 0")
         if self.max_terms is not None and self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
@@ -153,10 +161,10 @@ class GreedyRun:
                         "stream_cap": config.stream_cap},
         )
 
-    def trace_json(self, final_residual: float) -> str:
-        """The steps, notes and stop of this run as ``quadrep fit --trace``
-        writes them, with the rep's ``final_residual``."""
-        return json.dumps({
+    def trace_doc(self, final_residual: float) -> dict:
+        """The steps, notes and stop of this run, the trace.json document of
+        ``quadrep fit --trace``, with the rep's ``final_residual``."""
+        return {
             "rng_seed": self.config.rng_seed,
             "final_residual": final_residual,
             "exhausted": self.exhausted,
@@ -173,7 +181,7 @@ class GreedyRun:
                 }
                 for s in self.steps
             ],
-        }, indent=2)
+        }
 
 
 def greedy_select(grid: SampleGrid, config: SelectionConfig) -> GreedyRun:
@@ -291,11 +299,14 @@ class RRQRFactor:
     def tags_at(self, max_terms: int | None = None, truncate_tol: float = 1e-12) -> tuple:
         """The tags of the pivots before the first |R_kk| < truncate_tol *
         |R_11|, at most ``max_terms`` of them.  Raises ValueError for
-        ``max_terms`` < 1, for more terms than a factor truncated at its own
-        ``max_terms`` pivoted (None included), and for an empty truncation.
+        ``max_terms`` < 1, for ``truncate_tol`` outside [0, 1] (so the first
+        pivot is always kept), and for more terms than a factor truncated at
+        its own ``max_terms`` pivoted (None included).
         """
         if max_terms is not None and max_terms < 1:
             raise ValueError("max_terms must be >= 1")
+        if not 0 <= truncate_tol <= 1:
+            raise ValueError("truncate_tol must be in [0, 1]")
         if self.max_terms is not None and (max_terms is None or max_terms > self.max_terms):
             raise ValueError(f"the factor pivoted {self.max_terms} columns and cannot"
                              f" give the rep at max_terms={max_terms}")
@@ -303,8 +314,6 @@ class RRQRFactor:
         rank = fact.rank(truncate_tol)
         if max_terms is not None:
             rank = min(rank, max_terms)
-        if rank == 0:
-            raise ValueError("truncation removed every candidate column")
         return tuple(self.tags[j] for j in fact.perm[:rank])
 
     def rep_at(self, max_terms: int | None = None, truncate_tol: float = 1e-12):

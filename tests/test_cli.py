@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,10 @@ import numpy as np
 import pytest
 
 import quadrep
-from quadrep import dictionary, orthopoly, representation
+from quadrep import dictionary, orthopoly, representation, selection
 from quadrep.cli import main
 from quadrep.functions import get_builtin
-from quadrep.representation import load_rep
+from quadrep.files import load_rep
 from quadrep.selection import SelectionConfig, greedy_select, rrqr_select
 
 
@@ -426,6 +427,33 @@ def inputs(tmp_path_factory):
             "empty": str(root / "empty.csv")}
 
 
+_FIT = ["fit", "--fn", "relu", "--order", "100", "--method"]
+_GREEDY = [*_FIT, "deg2-greedy", "--max-terms", "3"]
+_ITERATIVE = ["denoise", "--input", "{data}", "--mode", "iterative"]
+_CONVERGENCE = ["convergence", "--fn", "relu", "--kmax", "3"]
+# numeric flags at values out of their range: (argv, the parameter its error names)
+BAD_NUMBERS = {
+    f"{case}-{value}": ([*base, flag, value], name)
+    for case, base, flag, values, name in (
+        ("greedy-target-residual", _GREEDY, "--target-residual", ("0", "-1", "nan"),
+         "target_residual"),
+        ("greedy-seed", _GREEDY, "--seed", ("-1",), "rng_seed"),
+        ("greedy-cap", _GREEDY, "--cap", ("0", "-1"), "stream_cap"),
+        ("rrqr-tol", [*_FIT, "deg2-rrqr"], "--tol", ("-1", "nan", "inf", "2"), "truncate_tol"),
+        ("iterative-tol", _ITERATIVE, "--tol", ("0", "-1", "nan"), "tol"),
+        ("iterative-max-iter", _ITERATIVE, "--max-iter", ("0", "-1"), "max_iter"),
+        ("debias-sigma2", ["denoise", "--input", "{data}", "--mode", "debias+vote"], "--sigma2",
+         ("0", "-1", "nan", "inf"), "sigma2"),
+        ("case3-sigma2", [*_ITERATIVE, "--init", "case3"], "--sigma2", ("nan", "inf"), "sigma2"),
+        ("generate-sigma", ["generate", "--target", "function", "--seed", "0"], "--sigma",
+         ("-1", "nan", "inf"), "sigma"),
+        ("convergence-cap", _CONVERGENCE, "--cap", ("0", "-1"), "stream_cap"),
+        ("convergence-seed", _CONVERGENCE, "--seed", ("-1",), "rng_seed"),
+    )
+    for value in values
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["denoise", "--input", "{data}", "--mode", "debias+vote"],
     ["denoise", "--input", "{data}", "--mode", "iterative", "--init", "case3"],
@@ -448,12 +476,13 @@ def inputs(tmp_path_factory):
     ["convergence", "--fn", "relu", "--methods", "deg2-uniform", "--kmin", "3", "--kmax", "4"],
     ["generate", "--preset", "case1", "--sigma", "-5", "--seed", "0"],
     ["generate", "--preset", "case1", "--target", "function", "--seed", "0"],
+    *(argv for argv, _ in BAD_NUMBERS.values()),
 ], ids=["debias-no-sigma2", "case3-no-sigma2", "generate-no-noise", "eval-branches-deg0",
         "eval-missing-rep", "eval-grid-0", "eval-grid-negative", "fit-missing-input", "denoise-missing-input",
         "debias-nan-x", "ls-nan-x", "fit-nan-x", "ls-inf-x", "eval-points-header-only",
         "eval-points-empty", "convergence-kmax-0", "convergence-kmin-above-kmax",
         "convergence-method-twice", "convergence-method-without-k", "generate-preset-sigma",
-        "generate-preset-target"])
+        "generate-preset-target", *BAD_NUMBERS])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rejected_command_writes_nothing(tmp_path, capsys, inputs, argv):
     out = tmp_path / "out"
@@ -471,6 +500,9 @@ def test_rejected_command_writes_nothing(tmp_path, capsys, inputs, argv):
         assert err == f"error: {points}: no x values\n"
     if "--preset" in argv:
         assert err == f"error: {argv[3]} is not read with --preset\n"
+    for bad, name in BAD_NUMBERS.values():
+        if argv == bad:
+            assert re.search(rf"\b{name}\b", err), err
 
 
 def _dir_files(path):
@@ -642,25 +674,30 @@ def test_convergence_heaviside_sine_reaches_1e10(tmp_path):
     assert errors[20] < 1e-10
 
 
-def test_convergence_failures_stay_in_their_cells(tmp_path, capsys):
+def test_convergence_failures_stay_in_their_cells(tmp_path, capsys, monkeypatch):
     # relu greedy K >= 8 keeps only f^2 columns, so assign_index fails at
-    # those K alone; cap 0 fails each adaptive method's shared selection run
+    # those K alone; a failed shared selection run fails each of its method's cells
     out = tmp_path / "relu"
     assert run(["convergence", "--fn", "relu", "--methods", "deg2-greedy",
                 "--kmin", "6", "--kmax", "9", "--out", str(out)]) == 0
     rows = read_csv(out / "convergence.csv")[1:]
     assert [(r[1], math.isnan(float(r[2]))) for r in rows] == [
         ("6", False), ("7", False), ("8", True), ("9", True)]
-    capped = tmp_path / "capped"
+
+    def no_run(*args, **kwargs):
+        raise np.linalg.LinAlgError("no run")
+    for name in ("greedy_select", "rrqr_select"):
+        monkeypatch.setattr(selection, name, no_run)
+    failed = tmp_path / "failed"
     assert run(["convergence", "--fn", "relu", "--methods", "deg0,deg2-greedy,deg2-rrqr",
-                "--kmin", "2", "--kmax", "3", "--cap", "0", "--out", str(capped)]) == 0
-    rows = read_csv(capped / "convergence.csv")[1:]
+                "--kmin", "2", "--kmax", "3", "--out", str(failed)]) == 0
+    rows = read_csv(failed / "convergence.csv")[1:]
     assert [math.isnan(float(r[2])) for r in rows] == [False, False, True, True, True, True]
     lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("cell ")]
     # in table order: method by method, K rising
     assert lines == (
         [f"cell (deg2-greedy, K={k}) failed: both a(x) and b(x) vanish: no root" for k in (8, 9)]
-        + [f"cell ({m}, K={k}) skipped: stream_cap must be >= 1"
+        + [f"cell ({m}, K={k}) failed: no run"
            for m in ("deg2-greedy", "deg2-rrqr") for k in (2, 3)])
 
 

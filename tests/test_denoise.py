@@ -25,13 +25,12 @@ from quadrep.denoise import (
     noise_constraints,
     normal_stream,
     project_noise,
-    read_dataset,
     reconstruct,
     solve_moment_system,
     step_ground_truth,
-    write_dataset,
 )
 from quadrep.dictionary import tabulated_grid
+from quadrep.files import read_dataset, write_dataset
 from quadrep.linalg import RankDeficiencyError, pivoted_qr
 
 POS = np.arange(0.0, 401.0)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadrep.dictionary import build_grid, tabulated_grid
+from quadrep.files import load_rep, save_rep
 from quadrep.functions import get_builtin
 from quadrep.linalg import RankDeficiencyError
 from quadrep.orthopoly import legendre_row
@@ -28,13 +29,11 @@ from quadrep.representation import (
     fit_degree0,
     fit_degree1,
     fit_degree2_uniform,
-    load_rep,
     relative_l2,
     rep_from_dict,
     rep_to_dict,
     residual_l2,
     roots_at,
-    save_rep,
 )
 
 

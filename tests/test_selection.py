@@ -1,5 +1,4 @@
 import functools
-import json
 import math
 
 import numpy as np
@@ -92,7 +91,7 @@ def test_greedy_tags_unique_and_final_residual_matches():
     tags = [tuple(t) for s in run.steps for t in s.chosen_tags]
     assert len(tags) == len(set(tags))
     assert rep.fit_residual == pytest.approx(run.steps[-1].residual_after, abs=1e-12)
-    assert json.loads(run.trace_json(rep.fit_residual))["final_residual"] == rep.fit_residual
+    assert run.trace_doc(rep.fit_residual)["final_residual"] == rep.fit_residual
 
 
 def test_greedy_is_deterministic():
@@ -101,7 +100,7 @@ def test_greedy_is_deterministic():
     rep1, rep2 = run1.rep_at(8), run2.rep_at(8)
     assert np.array_equal(rep1.b.coeffs, rep2.b.coeffs)
     assert np.array_equal(rep1.c.coeffs, rep2.c.coeffs)
-    assert run1.trace_json(rep1.fit_residual) == run2.trace_json(rep2.fit_residual)
+    assert run1.trace_doc(rep1.fit_residual) == run2.trace_doc(rep2.fit_residual)
 
 
 def test_greedy_batch_modes_run():
@@ -138,7 +137,7 @@ def test_greedy_exponential_decay_on_sigmoid():
 
 def test_greedy_trace_serializes():
     run = greedy_select(SIN_GRID, SelectionConfig(max_terms=3, rng_seed=2))
-    doc = json.loads(run.trace_json(run.rep_at(3).fit_residual))
+    doc = run.trace_doc(run.rep_at(3).fit_residual)
     assert doc["rng_seed"] == 2
     assert len(doc["steps"]) == 3
     assert all("candidates" in s for s in doc["steps"])
@@ -189,13 +188,16 @@ def test_rrqr_mapped_coefficients_reproduce_truncated_fit():
     assert abs(np.linalg.norm(predicted - target) - rep.fit_residual) < 1e-10
 
 
-def test_rrqr_rank_zero_raises():
+def test_rrqr_truncate_tol_outside_unit_interval_raises():
     grid = build_grid(lambda x: 0.0, (-1.0, 1.0), 100)
     factor = rrqr_select(grid, stream_cap=3)
-    # all-zero f wipes streams 2-3; tol=2 kills even the plain stream
+    # all-zero f wipes streams 2-3; tol=1 still keeps the first pivot, and a
+    # tol that would keep none (2) or that no comparison passes (NaN) is refused
+    assert len(factor.tags_at(truncate_tol=1.0)) >= 1
     for ask in (factor.rep_at, factor.tags_at):
-        with pytest.raises(ValueError, match="truncation removed every candidate column"):
-            ask(truncate_tol=2.0)
+        for tol in (2.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=r"truncate_tol must be in \[0, 1\]"):
+                ask(truncate_tol=tol)
 
 
 def test_rrqr_beats_nothing_smaller_than_greedy_documented():
@@ -486,9 +488,9 @@ def greedy_run_reference(grid, config) -> GreedyRun:
 
 def _run_docs(run):
     """The rep at the run's own max_terms (or the error it raises) and the
-    run's trace JSON, whose final residual is the last step's."""
+    run's trace document, whose final residual is the last step's."""
     rep = _rep_doc(lambda: (run.rep_at(run.config.max_terms), run.tags))
-    return rep, run.trace_json(run.steps[-1].residual_after)
+    return rep, run.trace_doc(run.steps[-1].residual_after)
 
 
 # 30 terms: every builtin's run reaches it, in whole batches of 1, 3 and 5
