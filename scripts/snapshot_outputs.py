@@ -7,8 +7,8 @@ Runs, in this process, the three command lists of `perfbench/workloads.py`
 (`sweep`, `fit-eval`, `denoise`, benchmark seed 1), the `denoise` modes the
 benchmark does not run (`DENOISE_MODES`, on every preset at `DENOISE_SEEDS`),
 the `fit` runs it does not run (`FIT_RUNS`: greedy traces, an rrqr
-tolerance and an rrqr truncation past the numerical rank, each with its
-printed lines in `stdout.txt`), the runs that read back what those wrote
+tolerance, alone and with a term budget, and an rrqr truncation past the
+numerical rank, each with its printed lines in `stdout.txt`), the runs that read back what those wrote
 (`READ_BACK`: an `eval --points` on a points file that this script writes,
 and a `replay` of a `fit` and of a `denoise` manifest) and both
 `scripts/run_*_experiments.py`, each under its own directory of OUT, and
@@ -35,6 +35,7 @@ SEED = 1
 # the preset's sigma squared
 DENOISE_MODES = (
     ("ls+vote", ["--mode", "ls+vote", "--k", "3"]),
+    ("ls+vote-default-k", ["--mode", "ls+vote"]),
     ("iterative-case2", ["--mode", "iterative", "--init", "case2"]),
     ("iterative-case3", ["--mode", "iterative", "--init", "case3", "--sigma2", "{sigma2}"]),
     ("iterative-subset", ["--mode", "iterative", "--constraints", "1,x,f,xf"]),
@@ -51,6 +52,8 @@ FIT_RUNS = (
     ("greedy-target", [*_GREEDY, "--target-residual", "1e-6"]),
     ("greedy-cap8", [*_GREEDY, "--max-terms", "30", "--cap", "8"]),
     ("rrqr-tol", ["--fn", "sigmoid60", "--method", "deg2-rrqr", "--tol", "1e-10"]),
+    ("rrqr-tol-truncated", ["--fn", "sigmoid60", "--method", "deg2-rrqr", "--max-terms", "20",
+                            "--tol", "1e-3"]),
     ("rrqr-past-rank", ["--fn", "relu", "--method", "deg2-rrqr", "--max-terms", "120"]),
 )
 # the x values of the points file, on sigmoid60's domain [-1, 1], with its

@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__
 from .denoise import (
     NOISE_PRESETS,
-    ALL_CONSTRAINTS,
     NUMERICAL_ERRORS,
     denoise_case3,
     denoise_iterative,
@@ -37,8 +36,8 @@ from .files import (load_rep, read_dataset, read_manifest, read_points, save_rep
                     write_dataset, write_json)
 from .functions import BUILTINS, STEP_MID, get_builtin
 from .representation import branches, eval_rep, poles, relative_l2, rep_to_dict
-from .selection import (FIT_FLAGS, METHODS, GreedyRun, achievable_k, check_run_knobs, fit_at_k,
-                        fit_method, method_run)
+from .selection import (FIT_FLAGS, METHODS, GreedyRun, _set, achievable_k, check_run_knobs,
+                        fit_at_k, fit_method, method_run)
 
 
 def _write_manifest(out: Path, command: str, argv: list[str], seed) -> None:
@@ -51,9 +50,9 @@ def _write_manifest(out: Path, command: str, argv: list[str], seed) -> None:
     })
 
 
-def _grid_for_function(name: str, order: int):
+def _grid_for_function(name: str, order: int | None):
     fn = get_builtin(name)
-    return build_grid(fn.fn, fn.domain, order)
+    return build_grid(fn.fn, fn.domain, **_set(order=order))
 
 
 def _reject_unread(args, dests, where: str) -> None:
@@ -71,7 +70,7 @@ def cmd_fit(args, argv) -> int:
     if args.input is not None:
         _reject_unread(args, ["order"], "with --input")
     if args.fn is not None:
-        grid = _grid_for_function(args.fn, 1000 if args.order is None else args.order)
+        grid = _grid_for_function(args.fn, args.order)
     else:
         grid = read_dataset(args.input)
     rep, k, run = fit_method(grid, args.method, vars(args))
@@ -226,7 +225,6 @@ def _check_denoise_flags(args) -> None:
 def cmd_denoise(args, argv) -> int:
     out = Path(args.out)
     _check_denoise_flags(args)
-    k = 10 if args.k is None else args.k
     data = read_dataset(args.input)
     truth = step_ground_truth(data.nodes) if args.truth == "step" else None
     if args.truth not in (None, "step"):
@@ -234,18 +232,18 @@ def cmd_denoise(args, argv) -> int:
         if not np.array_equal(known.nodes, data.nodes):
             raise DataError(f"{args.truth}: truth positions differ from the data's")
         truth = known.values
+    # a flag not given takes the library's default; all8 names the default constraints
     if args.mode == "debias+vote":
-        res = denoise_case3(data, args.sigma2, k=k)
+        res = denoise_case3(data, args.sigma2, **_set(k=args.k))
     elif args.mode == "iterative":
-        names = ALL_CONSTRAINTS if args.constraints in (None, "all8") else tuple(
+        names = None if args.constraints in (None, "all8") else tuple(
             c.strip() for c in args.constraints.split(","))
-        res = denoise_iterative(data, constraint_names=names, init=args.init or "case1",
-                                sigma2_0=args.sigma2, k=k,
-                                max_iter=50 if args.max_iter is None else args.max_iter,
-                                tol=1e-6 if args.tol is None else args.tol)
+        res = denoise_iterative(data, sigma2_0=args.sigma2, **_set(
+            constraint_names=names, init=args.init, k=args.k, max_iter=args.max_iter,
+            tol=args.tol))
     else:  # ls keeps each sample's nearest root; ls+vote votes on them
         res = reconstruct(fit_manifold_ls(data), data,
-                          k if args.mode == "ls+vote" else None)
+                          **(_set(k=args.k) if args.mode == "ls+vote" else {"k": None}))
 
     out.mkdir(parents=True, exist_ok=True)
     fit, values = res.fit, res.reconstructed
@@ -332,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--methods", default=",".join(METHODS))
     p_conv.add_argument("--kmin", type=int, default=2)
     p_conv.add_argument("--kmax", type=int, default=30)
-    p_conv.add_argument("--order", type=int, default=1000)
+    p_conv.add_argument("--order", type=int)
     p_conv.add_argument("--cap", type=int, default=60)
     p_conv.add_argument("--seed", type=int, default=0)
     p_conv.add_argument("--out", default=".")

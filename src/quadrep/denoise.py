@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 ALL_CONSTRAINTS = ("1", "x", "x2", "f", "xf", "x2f", "f2", "xf2")
+_VOTE_K = 10  # neighbors per k-NN vote
 _VOTE_ROUNDS = 100  # k-NN voting stops after this many rounds
 _MOMENT_METHOD = "debias"  # label of every moment-system fit
 
@@ -95,6 +96,8 @@ def normal_stream(seed: int, n: int) -> np.ndarray:
     plus Box-Muller, so sequences are reproducible across platforms."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError("seed must be >= 0 and < 2**128")
     if n == 0:
         return np.empty(0)
     pairs = (n + 1) // 2
@@ -335,7 +338,7 @@ def _knn_windows(raw: bytes, k: int) -> np.ndarray:
     return starts
 
 
-def knn_vote_index(signs, positions, k: int = 10):
+def knn_vote_index(signs, positions, k: int = _VOTE_K):
     """Iterated majority vote of each point with its k nearest neighbors.
 
     Rounds are synchronous; voting stops when a round changes nothing, or
@@ -380,7 +383,7 @@ class Reconstruction:
     coefficient_trace: tuple = ()
 
 
-def reconstruct(fit: ManifoldFit4, data: SampleGrid, k: int | None) -> Reconstruction:
+def reconstruct(fit: ManifoldFit4, data: SampleGrid, k: int | None = _VOTE_K) -> Reconstruction:
     """Each sample's nearest root on ``fit``'s manifold, their k-NN vote (none
     when ``k`` is None), and the roots the index selects, all read from one
     branch table.  A sample with complex roots gets the vertex b/(2a), the
@@ -397,7 +400,7 @@ def reconstruct(fit: ManifoldFit4, data: SampleGrid, k: int | None) -> Reconstru
                           clamped_points=int(np.sum(table.complex)), vote_rounds=rounds)
 
 
-def denoise_case3(data: SampleGrid, sigma2: float, k: int = 10) -> Reconstruction:
+def denoise_case3(data: SampleGrid, sigma2: float, k: int = _VOTE_K) -> Reconstruction:
     """Known-variance pipeline: moments -> de-bias -> 4x4 solve -> vote -> rebuild."""
     if not 0 < sigma2 < np.inf:
         raise ValueError("case 3 needs a known finite sigma2 > 0")
@@ -493,7 +496,7 @@ def denoise_iterative(data: SampleGrid,
                       constraint_names: tuple[str, ...] = ALL_CONSTRAINTS,
                       init: str = "case1",
                       sigma2_0: float | None = None,
-                      k: int = 10,
+                      k: int = _VOTE_K,
                       max_iter: int = 50,
                       tol: float = 1e-6) -> Reconstruction:
     """Iterative noise projection (Case 4).

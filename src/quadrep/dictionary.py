@@ -19,6 +19,7 @@ __all__ = [
     "build_grid",
     "tabulated_grid",
     "Dictionary",
+    "check_degrees",
     "assemble",
     "STREAM_PLAIN",
     "STREAM_F",
@@ -135,13 +136,19 @@ class Dictionary:
     tags: tuple[tuple[int, int], ...]
 
 
+def check_degrees(**degrees: int) -> None:
+    """ValueError naming the first of the polynomial ``degrees`` below 0."""
+    for name, n in degrees.items():
+        if n < 0:
+            raise ValueError(f"{name} must be >= 0")
+
+
 def assemble(grid: SampleGrid, n0: int, n1: int, n2: int) -> Dictionary:
     """Dictionary with streams up to degrees n0 / n1 / n2 and target f^2*L_0.
 
     K = n0 + n1 + n2 + 2 columns in total; stream 3 starts at degree 1.
     """
-    if min(n0, n1, n2) < 0:
-        raise ValueError("stream degrees must be >= 0")
+    check_degrees(n0=n0, n1=n1, n2=n2)
     f = grid.values
     max_deg = max(n0, n1, n2)
     table = grid.legendre_table(max_deg)

@@ -10,6 +10,7 @@ formula.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -17,7 +18,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from numpy.polynomial import polynomial as nppoly
 
-from .dictionary import SampleGrid, assemble, STREAM_PLAIN, STREAM_F, STREAM_F2
+from .dictionary import SampleGrid, assemble, check_degrees, STREAM_PLAIN, STREAM_F, STREAM_F2
 from .linalg import RankDeficiencyError, weighted_lsq
 from .orthopoly import legendre_row
 
@@ -92,9 +93,12 @@ class PolyCoeffs:
             raise ValueError("coeffs must be a nonempty 1-D array")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
-        lo, hi = float(self.domain[0]), float(self.domain[1])
+        ends = self.domain if isinstance(self.domain, (tuple, list)) else ()
+        if len(ends) != 2 or not all(isinstance(end, numbers.Real) for end in ends):
+            raise ValueError(f"domain {self.domain!r} is not two numbers")
+        lo, hi = float(ends[0]), float(ends[1])
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"degenerate domain {self.domain}")
+            raise ValueError(f"degenerate domain {(lo, hi)}")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "domain", (lo, hi))
 
@@ -176,12 +180,15 @@ class IndexFunction:
 
     def __post_init__(self):
         bp = np.atleast_1d(np.asarray(self.breakpoints, dtype=float))
+        undefined = np.atleast_1d(np.asarray(self.undefined, dtype=float))
+        if not (np.isfinite(bp).all() and np.isfinite(undefined).all()):
+            raise ValueError("breakpoints and undefined positions must be finite")
         if bp.size and np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
-        if self.first_sign not in (-1, 1):
+        if type(self.first_sign) is not int or self.first_sign not in (-1, 1):
             raise ValueError("first_sign must be -1 or +1")
         object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "undefined", np.atleast_1d(np.asarray(self.undefined, dtype=float)))
+        object.__setattr__(self, "undefined", undefined)
 
     @classmethod
     def from_dense(cls, positions, signs, undefined=()) -> "IndexFunction":
@@ -227,6 +234,9 @@ class Rep:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not (isinstance(self.provenance, dict) and isinstance(self.degeneracy, dict | None)):
+            raise ValueError("provenance and degeneracy must be objects")
+        object.__setattr__(self, "fit_residual", float(self.fit_residual))
         if self.a is not None and self.b is None:
             raise ValueError("a needs b: a degree-2 representation sets a, b and c")
         polys = [p for p in (self.a, self.b, self.c) if p is not None]
@@ -448,6 +458,7 @@ def fit_degree0(grid: SampleGrid, n: int) -> Rep:
     orthonormal shortcut: n + 1 <= order makes the rule exact to degree
     2n); otherwise a weighted QR solve is used.
     """
+    check_degrees(n=n)
     if n + 1 > grid.size:
         raise ValueError("more coefficients than samples")
     table = grid.legendre_table(n)
@@ -469,6 +480,7 @@ def fit_degree0(grid: SampleGrid, n: int) -> Rep:
 def fit_degree1(grid: SampleGrid, n0: int, n1: int) -> Rep:
     """Rational fit min || b(x) f - c(x) || with the constant f-term folded into
     the target, which pins the denominator's constant term to 1."""
+    check_degrees(n0=n0, n1=n1)
     if n0 + n1 + 1 > grid.size:
         raise ValueError("more coefficients than samples")
     table = grid.legendre_table(max(n0, n1))
@@ -577,29 +589,25 @@ def relative_l2(rep, grid: SampleGrid) -> float:
 # rep.json documents (files.save_rep and files.load_rep write and read them)
 # --------------------------------------------------------------------------
 
-def _coeff_list(pc: PolyCoeffs | None):
-    return None if pc is None else [float(v) for v in pc.coeffs]
-
-
 def rep_to_dict(rep: Rep) -> dict:
     doc = {
         "type": f"degree{rep.degree}",
-        "domain": [float(rep.domain[0]), float(rep.domain[1])],
+        "domain": list(rep.domain),
         "basis": rep.c.basis,
-        "a": _coeff_list(rep.a),
-        "b": _coeff_list(rep.b),
-        "c": _coeff_list(rep.c),
+        "a": None if rep.a is None else rep.a.coeffs.tolist(),
+        "b": None if rep.b is None else rep.b.coeffs.tolist(),
+        "c": rep.c.coeffs.tolist(),
         "index": None,
-        "fit_residual": float(rep.fit_residual),
+        "fit_residual": rep.fit_residual,
         "provenance": rep.provenance,
     }
     if rep.index is not None:
         doc["index"] = {
-            "breakpoints": [float(v) for v in rep.index.breakpoints],
-            "first_sign": int(rep.index.first_sign),
+            "breakpoints": rep.index.breakpoints.tolist(),
+            "first_sign": rep.index.first_sign,
         }
         if rep.index.undefined.size:
-            doc["index"]["undefined"] = [float(v) for v in rep.index.undefined]
+            doc["index"]["undefined"] = rep.index.undefined.tolist()
     if rep.degeneracy is not None:
         doc["degeneracy"] = rep.degeneracy
     return doc
@@ -607,30 +615,20 @@ def rep_to_dict(rep: Rep) -> dict:
 
 def rep_from_dict(doc: dict) -> Rep:
     """The Rep of a rep.json document, read from the fields its type has: a
-    only at degree 2, b from degree 1, index and degeneracy only at degree 2."""
-    kind = doc["type"]
-    domain = (float(doc["domain"][0]), float(doc["domain"][1]))
-    basis = doc["basis"]
-
-    def pc(values):
-        return PolyCoeffs(basis, np.asarray(values, dtype=float), domain)
-
-    residual = float(doc.get("fit_residual", float("nan")))
-    provenance = doc.get("provenance", {})
+    only at degree 2, b from degree 1, index and degeneracy only at degree 2.
+    The fields go to the records as they are; each converts and checks its own."""
+    kind, domain, basis = doc["type"], doc["domain"], doc["basis"]
     types = ("degree0", "degree1", "degree2")
     if kind not in types:
         raise ValueError(f"unknown representation type {kind!r}")
     degree = types.index(kind)
-    index = None
-    if degree == 2 and doc.get("index") is not None:
-        index = IndexFunction(
-            breakpoints=np.asarray(doc["index"]["breakpoints"], dtype=float),
-            first_sign=int(doc["index"]["first_sign"]),
-            undefined=np.asarray(doc["index"].get("undefined", []), dtype=float),
-        )
-    return Rep(a=pc(doc["a"]) if degree == 2 else None,
-               b=pc(doc["b"]) if degree >= 1 else None,
-               c=pc(doc["c"]), index=index, fit_residual=residual,
+    index = doc.get("index") if degree == 2 else None
+    if index is not None:
+        index = IndexFunction(index["breakpoints"], index["first_sign"],
+                              **{k: index[k] for k in ("undefined",) if k in index})
+    return Rep(a=PolyCoeffs(basis, doc["a"], domain) if degree == 2 else None,
+               b=PolyCoeffs(basis, doc["b"], domain) if degree >= 1 else None,
+               c=PolyCoeffs(basis, doc["c"], domain), index=index,
                degeneracy=doc.get("degeneracy") if degree == 2 else None,
-               provenance=provenance)
+               **{k: doc[k] for k in ("fit_residual", "provenance") if k in doc})
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import SampleGrid, assemble, STREAM_PLAIN, STREAM_F, STREAM_F2
-from .linalg import PivotedQR, householder_qr, pivoted_qr, qr_solve
+from .linalg import DEFAULT_RANK_TOL, PivotedQR, householder_qr, pivoted_qr, qr_solve
 from .representation import (coefficients_to_rep, fit_degree0, fit_degree1,
                              fit_degree2_uniform)
 
@@ -279,70 +279,68 @@ def greedy_select(grid: SampleGrid, config: SelectionConfig) -> GreedyRun:
 
 @dataclass(frozen=True)
 class RRQRFactor:
-    """The pivoted QR of one grid's weighted candidate matrix.
+    """The pivoted QR of one grid's weighted candidate matrix, and the
+    columns it keeps: the pivots before the first |R_kk| < truncate_tol * |R_11|.
 
     Column pivoting chooses its pivots without looking at the truncation
     rank, so this one factorization serves every ``max_terms`` up to its own:
-    ``tags_at`` truncates it and ``rep_at`` solves.  A factor made with
-    ``max_terms=m`` stopped pivoting after m columns (its ``fact`` holds the
-    first m pivots of the full factorization, bit for bit), so it gives the
-    rep at every K <= m and at no other.
+    ``tags_at`` cuts the kept columns and ``rep_at`` solves.  A factor made
+    with ``max_terms=m`` stopped pivoting after m columns (its ``fact`` holds
+    the first m pivots of the full factorization, bit for bit), so it gives
+    the rep at every K <= m and at no other.
     """
 
     grid: SampleGrid
     stream_cap: int
     max_terms: int | None  # pivots made; None for the full factorization
-    tags: tuple  # candidate tags in dictionary column order
+    truncate_tol: float
+    tags: tuple  # the kept columns' tags, in pivot order
     fact: PivotedQR
     target: np.ndarray  # W-scaled target
 
-    def tags_at(self, max_terms: int | None = None, truncate_tol: float = 1e-12) -> tuple:
-        """The tags of the pivots before the first |R_kk| < truncate_tol *
-        |R_11|, at most ``max_terms`` of them.  Raises ValueError for
-        ``max_terms`` < 1, for ``truncate_tol`` outside [0, 1] (so the first
-        pivot is always kept), and for more terms than a factor truncated at
-        its own ``max_terms`` pivoted (None included).
+    def tags_at(self, max_terms: int | None = None) -> tuple:
+        """The first ``max_terms`` kept tags (all of them for None).  Raises
+        ValueError for ``max_terms`` < 1, and for more terms than a factor
+        truncated at its own ``max_terms`` pivoted (None included).
         """
         if max_terms is not None and max_terms < 1:
             raise ValueError("max_terms must be >= 1")
-        if not 0 <= truncate_tol <= 1:
-            raise ValueError("truncate_tol must be in [0, 1]")
         if self.max_terms is not None and (max_terms is None or max_terms > self.max_terms):
             raise ValueError(f"the factor pivoted {self.max_terms} columns and cannot"
                              f" give the rep at max_terms={max_terms}")
-        fact = self.fact
-        rank = fact.rank(truncate_tol)
-        if max_terms is not None:
-            rank = min(rank, max_terms)
-        return tuple(self.tags[j] for j in fact.perm[:rank])
+        return self.tags[:max_terms]
 
-    def rep_at(self, max_terms: int | None = None, truncate_tol: float = 1e-12):
+    def rep_at(self, max_terms: int | None = None):
         """The degree-2 rep fitted in the orthogonal basis of ``tags_at``,
         mapped back through R and the permutation (columns pivoted out of the
         truncation get zero coefficients)."""
-        tags = self.tags_at(max_terms, truncate_tol)
+        tags = self.tags_at(max_terms)
         gamma, residual = self.fact.solve(self.target, len(tags))
         return coefficients_to_rep(
             self.grid, tags, gamma, residual,
             provenance={"method": "rrqr", "stream_cap": self.stream_cap,
-                        "truncate_tol": truncate_tol, "max_terms": max_terms},
+                        "truncate_tol": self.truncate_tol, "max_terms": max_terms},
         )
 
 
-def rrqr_select(grid: SampleGrid, stream_cap: int = 60,
-                max_terms: int | None = None) -> RRQRFactor:
+def rrqr_select(grid: SampleGrid, stream_cap: int = 60, max_terms: int | None = None,
+                truncate_tol: float = DEFAULT_RANK_TOL) -> RRQRFactor:
     """Pivoted-QR basis ranking: assemble the candidate matrix, W-scale it and
     factor it with column pivoting, stopped after ``max_terms`` pivots (all of
-    them when None): the largest K that the factor is asked for."""
+    them when None): the largest K that the factor is asked for.  A
+    ``truncate_tol`` outside [0, 1] is refused before any assembly."""
     if stream_cap < 1:
         raise ValueError("stream_cap must be >= 1")
     if max_terms is not None and max_terms < 1:
         raise ValueError("max_terms must be >= 1")
+    if not 0 <= truncate_tol <= 1:
+        raise ValueError("truncate_tol must be in [0, 1]")
     d = assemble(grid, stream_cap, stream_cap, stream_cap)
     sw = np.sqrt(grid.weights)
     fact = pivoted_qr(d.columns * sw[:, None], steps=max_terms)
-    return RRQRFactor(grid=grid, stream_cap=stream_cap, max_terms=max_terms, tags=d.tags,
-                      fact=fact, target=d.target * sw)
+    tags = tuple(d.tags[j] for j in fact.perm[:fact.rank(truncate_tol)])
+    return RRQRFactor(grid=grid, stream_cap=stream_cap, max_terms=max_terms,
+                      truncate_tol=truncate_tol, tags=tags, fact=fact, target=d.target * sw)
 
 
 # The method table: the five methods that the convergence comparison fits at
@@ -384,7 +382,8 @@ def _selection_run(grid: SampleGrid, method: str, flags: dict):
         return greedy_select(grid, SelectionConfig(**common, **_set(
             batch_size=flags.get("batch"), target_residual=flags.get("target_residual"),
             rng_seed=flags.get("seed"))))
-    return rrqr_select(grid, **common) if method == "deg2-rrqr" else None
+    tol = _set(truncate_tol=flags.get("tol"))
+    return rrqr_select(grid, **common, **tol) if method == "deg2-rrqr" else None
 
 
 def fit_method(grid: SampleGrid, method: str, flags: dict, run=None):
@@ -397,8 +396,7 @@ def fit_method(grid: SampleGrid, method: str, flags: dict, run=None):
         degrees = {n: 0 if d is None else d for n, d in flags.items()}
         return _FIXED[method][0](grid, **degrees), sum(degrees.values()) + offset, None
     run = _selection_run(grid, method, flags) if run is None else run
-    at = (flags["max_terms"], *_set(truncate_tol=flags.get("tol")).values())
-    return run.rep_at(*at), len(run.tags_at(*at)), run
+    return run.rep_at(flags["max_terms"]), len(run.tags_at(flags["max_terms"])), run
 
 
 def achievable_k(method: str, kmin: int, kmax: int) -> list[int]:

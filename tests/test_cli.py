@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -271,6 +272,52 @@ def test_eval_rep_of_the_wrong_shape_is_a_bad_document(tmp_path, capsys, doc):
     assert not out.exists()
 
 
+# the 25/255 step manifold, (f - 25)(f - 255) = 0, as a rep.json document that
+# eval reads, and mutations of it that eval rejects: (index or None, field, value)
+STEP_REP = {"type": "degree2", "domain": [0.0, 400.0], "basis": "monomial", "a": [1.0],
+            "b": [280.0], "c": [-6375.0], "fit_residual": 0.0, "provenance": {},
+            "index": {"breakpoints": [140.5], "first_sign": -1, "undefined": [3.0]}}
+BAD_REPS = {
+    "first-sign-1.7": ("index", "first_sign", 1.7),
+    "first-sign-string": ("index", "first_sign", "1"),
+    "first-sign-true": ("index", "first_sign", True),
+    "first-sign-0": ("index", "first_sign", 0),
+    "nan-breakpoint": ("index", "breakpoints", [100.0, math.nan]),
+    "decreasing-breakpoints": ("index", "breakpoints", [200.0, 100.0]),
+    "nan-undefined": ("index", "undefined", [3.0, math.nan]),
+    "three-entry-domain": (None, "domain", [0.0, 200.0, 400.0]),
+    "one-entry-domain": (None, "domain", [0.0]),
+    "string-domain": (None, "domain", ["0", "400"]),
+    "reversed-domain": (None, "domain", [400.0, 0.0]),
+    "list-provenance": (None, "provenance", ["fit"]),
+    "null-provenance": (None, "provenance", None),
+    "unknown-type": (None, "type", "degree3"),
+    "unknown-basis": (None, "basis", "chebyshev"),
+    "nan-coefficient": (None, "b", [280.0, math.nan]),
+    "a-not-pinned": (None, "a", [2.0]),
+    "string-residual": (None, "fit_residual", "small"),
+}
+
+
+@pytest.mark.parametrize("mutation", BAD_REPS)
+def test_eval_rejects_each_mutated_rep_document(tmp_path, capsys, mutation):
+    assert run(["eval", "--rep", _write_rep(tmp_path / "rep.json", STEP_REP),
+                "--out", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    doc = copy.deepcopy(STEP_REP)
+    section, field, value = BAD_REPS[mutation]
+    (doc[section] if section else doc)[field] = value
+    out = tmp_path / "o"
+    assert run(["eval", "--rep", _write_rep(tmp_path / "bad.json", doc),
+                "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure in eval: bad representation document: ")
+    assert err.count("\n") == 1 and err.count("bad representation document") == 1
+    assert not out.exists()
+    if field == "domain":
+        assert "domain" in err
+
+
 def test_eval_rep_that_is_not_json_names_the_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("not json\n")
@@ -447,6 +494,17 @@ BAD_NUMBERS = {
         ("case3-sigma2", [*_ITERATIVE, "--init", "case3"], "--sigma2", ("nan", "inf"), "sigma2"),
         ("generate-sigma", ["generate", "--target", "function", "--seed", "0"], "--sigma",
          ("-1", "nan", "inf"), "sigma"),
+        ("generate-seed", ["generate", "--target", "function", "--sigma", "1"], "--seed",
+         ("-1",), "seed"),
+        ("deg0-n", [*_FIT, "deg0"], "--n", ("-1",), "n"),
+        ("deg1-n0", [*_FIT, "deg1", "--n1", "2"], "--n0", ("-1",), "n0"),
+        ("deg1-n1", [*_FIT, "deg1", "--n0", "2"], "--n1", ("-1",), "n1"),
+        ("uniform-n0", [*_FIT, "deg2-uniform", "--n1", "2", "--n2", "1"], "--n0", ("-1",), "n0"),
+        ("uniform-n1", [*_FIT, "deg2-uniform", "--n0", "2", "--n2", "1"], "--n1", ("-1",), "n1"),
+        ("uniform-n2", [*_FIT, "deg2-uniform", "--n0", "2", "--n1", "2"], "--n2", ("-1",), "n2"),
+        # 401 is the sample count of generated data
+        ("vote-k", ["denoise", "--input", "{data}", "--mode", "ls+vote"], "--k", ("0", "401"),
+         "k"),
         ("convergence-cap", _CONVERGENCE, "--cap", ("0", "-1"), "stream_cap"),
         ("convergence-seed", _CONVERGENCE, "--seed", ("-1",), "rng_seed"),
     )

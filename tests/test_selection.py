@@ -145,15 +145,15 @@ def test_greedy_trace_serializes():
 
 def test_rrqr_polynomial_target_is_exact():
     grid = build_grid(lambda x: 0.3 - 0.8 * x + 0.5 * x**3, (-1.0, 1.0), 400)
-    rep = rrqr_select(grid, stream_cap=10).rep_at(truncate_tol=1e-12)
+    rep = rrqr_select(grid, stream_cap=10, truncate_tol=1e-12).rep_at()
     assert rep.fit_residual < 1e-12
 
 
 def test_rrqr_rank_report_on_dependent_dictionary():
     grid = build_grid(lambda x: x, (-1.0, 1.0), 400)
-    factor = rrqr_select(grid, stream_cap=6)
-    assert isinstance(factor.rep_at(truncate_tol=1e-10), Rep)
-    assert len(factor.tags_at(truncate_tol=1e-10)) < len(factor.tags)
+    factor = rrqr_select(grid, stream_cap=6, truncate_tol=1e-10)
+    assert isinstance(factor.rep_at(), Rep)
+    assert len(factor.tags_at()) < len(assemble(grid, 6, 6, 6).tags)
     assert np.all(np.diff(factor.fact.diag) <= 1e-14)
 
 
@@ -167,15 +167,15 @@ def test_rrqr_prefers_the_orthonormal_plain_stream():
 
 def test_rrqr_mapped_coefficients_reproduce_truncated_fit():
     cap, tol = 40, 1e-12
-    factor = rrqr_select(SIG_GRID, stream_cap=cap)
-    rep = factor.rep_at(truncate_tol=tol)
+    factor = rrqr_select(SIG_GRID, stream_cap=cap, truncate_tol=tol)
+    rep = factor.rep_at()
     d = assemble(SIG_GRID, cap, cap, cap)
     sw = np.sqrt(SIG_GRID.weights)
     # prediction through the mapped-back coefficients
     beta = np.zeros(len(d.tags))
     tag_to_col = {tag: j for j, tag in enumerate(d.tags)}
     coeffs = {1: rep.c.coeffs, 2: rep.b.coeffs}
-    for (stream, degree) in factor.tags_at(truncate_tol=tol):
+    for (stream, degree) in factor.tags_at():
         if stream == 1:
             beta[tag_to_col[(stream, degree)]] = rep.c.coeffs[degree]
         elif stream == 2:
@@ -190,14 +190,34 @@ def test_rrqr_mapped_coefficients_reproduce_truncated_fit():
 
 def test_rrqr_truncate_tol_outside_unit_interval_raises():
     grid = build_grid(lambda x: 0.0, (-1.0, 1.0), 100)
-    factor = rrqr_select(grid, stream_cap=3)
     # all-zero f wipes streams 2-3; tol=1 still keeps the first pivot, and a
     # tol that would keep none (2) or that no comparison passes (NaN) is refused
-    assert len(factor.tags_at(truncate_tol=1.0)) >= 1
-    for ask in (factor.rep_at, factor.tags_at):
-        for tol in (2.0, -1.0, math.nan):
-            with pytest.raises(ValueError, match=r"truncate_tol must be in \[0, 1\]"):
-                ask(truncate_tol=tol)
+    assert len(rrqr_select(grid, stream_cap=3, truncate_tol=1.0).tags_at()) >= 1
+    for tol in (2.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=r"truncate_tol must be in \[0, 1\]"):
+            rrqr_select(grid, stream_cap=3, truncate_tol=tol)
+
+
+def test_rrqr_bad_truncate_tol_raises_before_assembly(monkeypatch):
+    calls = []
+    monkeypatch.setattr(selection, "assemble", lambda *a: calls.append(a))
+    for tol in (2.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="truncate_tol"):
+            rrqr_select(SIG_GRID, truncate_tol=tol)
+        with pytest.raises(ValueError, match="truncate_tol"):
+            fit_method(SIG_GRID, "deg2-rrqr", {"tol": tol})
+    assert calls == []
+
+
+def test_both_runs_keep_their_columns_in_selection_order():
+    # tags are the kept columns on either run: the greedy's in the order
+    # chosen, the factor's in pivot order, cut at its numerical rank
+    greedy = greedy_select(SIG_GRID, SelectionConfig(max_terms=9, rng_seed=0))
+    assert greedy.tags_at(9) == greedy.tags and len(greedy.tags) == 9
+    factor = rrqr_select(SIG_GRID, stream_cap=40, truncate_tol=1e-6)
+    d = assemble(SIG_GRID, 40, 40, 40)
+    assert factor.tags == tuple(d.tags[j] for j in factor.fact.perm[:factor.fact.rank(1e-6)])
+    assert factor.tags_at() == factor.tags and factor.tags_at(5) == factor.tags[:5]
 
 
 def test_rrqr_beats_nothing_smaller_than_greedy_documented():
@@ -345,7 +365,7 @@ def test_method_run_gives_the_select_reps():
     ("deg2-greedy", {"max_terms": 6, "seed": 2, "trace": True, "tol": 0.5},
      6, lambda grid: greedy_select(grid, SelectionConfig(max_terms=6, rng_seed=2)).rep_at(6)),
     ("deg2-rrqr", {"max_terms": 6, "cap": 20, "tol": 1e-3, "seed": None, "batch": 3},
-     6, lambda grid: rrqr_select(grid, stream_cap=20).rep_at(6, 1e-3)),
+     6, lambda grid: rrqr_select(grid, stream_cap=20, truncate_tol=1e-3).rep_at(6)),
 ])
 def test_fit_method_reads_its_own_flags_and_defaults_the_rest(method, flags, k, direct):
     # a flag that the method does not read is ignored; one that it reads and
