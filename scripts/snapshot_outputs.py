@@ -8,11 +8,17 @@ Runs, in this process, the three command lists of `perfbench/workloads.py`
 benchmark does not run (`DENOISE_MODES`, on every preset at `DENOISE_SEEDS`),
 the `fit` runs it does not run (`FIT_RUNS`: greedy traces, an rrqr
 tolerance, alone and with a term budget, and an rrqr truncation past the
-numerical rank, each with its printed lines in `stdout.txt`), the runs that read back what those wrote
-(`READ_BACK`: an `eval --points` on a points file that this script writes,
-and a `replay` of a `fit` and of a `denoise` manifest) and both
-`scripts/run_*_experiments.py`, each under its own directory of OUT, and
-writes every command's exit code to OUT/exit_codes.txt.  Two checkouts give
+numerical rank), the runs on generated data and on failing cells
+(`DATA_RUNS`: `generate --target`, `fit --input` with four methods,
+`denoise --truth` on a CSV, and a convergence table whose greedy cells
+fail), the runs that read back what those wrote (`READ_BACK`: an
+`eval --points` on a points file that this script writes, and a `replay` of
+a `fit` and of a `denoise` manifest) and both `scripts/run_*_experiments.py`,
+each under its own directory of OUT.  It writes every command's exit code to
+OUT/exit_codes.txt, and what each command prints to
+OUT/printed/<its --out under OUT>/stdout.txt and stderr.txt (the experiment
+scripts' to OUT/printed/<script>/), with OUT and this checkout's path
+masked, and so the line numbers of Python warnings.  Two checkouts give
 the same results when
 
     diff -r -x manifest.json A B
@@ -26,7 +32,9 @@ from __future__ import annotations
 import contextlib
 import importlib
 import io
+import re
 import sys
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +63,24 @@ FIT_RUNS = (
     ("rrqr-tol-truncated", ["--fn", "sigmoid60", "--method", "deg2-rrqr", "--max-terms", "20",
                             "--tol", "1e-3"]),
     ("rrqr-past-rank", ["--fn", "relu", "--method", "deg2-rrqr", "--max-terms", "120"]),
+)
+# runs on generated data, and a convergence table whose greedy cells fail from
+# K = 8 on: (directory, arguments), "{out}" standing for OUT; the exact
+# (sigma 0) data is also the truth CSV of the denoise run
+_DATA = "{out}/data-runs/manifold/data.csv"
+DATA_RUNS = (
+    ("exact", ["generate", "--target", "function", "--sigma", "0", "--seed", "0"]),
+    ("manifold", ["generate", "--target", "manifold", "--sigma", "5000", "--seed", "3"]),
+    ("fit-deg0", ["fit", "--input", _DATA, "--method", "deg0", "--n", "8"]),
+    ("fit-deg1", ["fit", "--input", _DATA, "--method", "deg1", "--n0", "4", "--n1", "4"]),
+    ("fit-deg2-uniform", ["fit", "--input", _DATA, "--method", "deg2-uniform",
+                          "--n0", "3", "--n1", "3", "--n2", "3"]),
+    ("fit-deg2-greedy", ["fit", "--input", _DATA, "--method", "deg2-greedy",
+                         "--max-terms", "10"]),
+    ("denoise-truth-csv", ["denoise", "--input", _DATA, "--mode", "ls+vote",
+                           "--truth", "{out}/data-runs/exact/data.csv"]),
+    ("convergence-failed-cells", ["convergence", "--fn", "relu", "--methods",
+                                  "deg0,deg2-greedy", "--kmin", "6", "--kmax", "10"]),
 )
 # the x values of the points file, on sigmoid60's domain [-1, 1], with its
 # ends and points on its steep rise at 0
@@ -87,6 +113,27 @@ def denoise_commands(out: Path) -> list[list[str]]:
     return cmds
 
 
+def _mask(text: str, out: Path) -> str:
+    """``text`` with OUT, this checkout and warning line numbers masked."""
+    text = text.replace(str(out), "OUT").replace(str(ROOT), "ROOT")
+    return re.sub(r"\.py:\d+: (\w*Warning)", r".py:N: \1", text)
+
+
+def captured(out: Path, label: str, call) -> int:
+    """``call()``'s exit code; what it prints is appended, masked, to
+    OUT/printed/<label>/.  Warnings show as in a process of their own."""
+    printed = {"stdout.txt": io.StringIO(), "stderr.txt": io.StringIO()}
+    with contextlib.redirect_stdout(printed["stdout.txt"]), \
+            contextlib.redirect_stderr(printed["stderr.txt"]), warnings.catch_warnings():
+        code = call()
+    where = out / "printed" / label
+    where.mkdir(parents=True, exist_ok=True)
+    for name, text in printed.items():
+        with open(where / name, "a") as fh:
+            fh.write(_mask(text.getvalue(), out))
+    return code
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -101,27 +148,27 @@ def main(argv: list[str]) -> int:
     import workloads
 
     codes = []
-    with contextlib.redirect_stdout(io.StringIO()):
-        for name, workload in workloads.WORKLOADS.items():
-            for cmd in workload(SEED).commands(out / name):
-                codes.append((" ".join(cmd.argv).replace(str(out), "OUT"), cli_main(cmd.argv)))
-        for argv in denoise_commands(out / "denoise-modes"):
-            codes.append((" ".join(argv).replace(str(out), "OUT"), cli_main(argv)))
-        for name, args in FIT_RUNS:
-            run_out = out / "fit-runs" / name
-            argv = ["fit", *args, "--out", str(run_out)]
-            printed = io.StringIO()
-            with contextlib.redirect_stdout(printed):
-                codes.append((" ".join(argv).replace(str(out), "OUT"), cli_main(argv)))
-            run_out.mkdir(parents=True, exist_ok=True)
-            (run_out / "stdout.txt").write_text(printed.getvalue())
-        (out / "points.csv").write_text("x\n" + "".join(f"{x!r}\n" for x in POINTS))
-        for name, args in READ_BACK:
-            argv = [a.format(out=out) for a in args] + ["--out", str(out / "read-back" / name)]
-            codes.append((" ".join(argv).replace(str(out), "OUT"), cli_main(argv)))
-        for script in ("run_convergence_experiments", "run_denoise_experiments"):
-            code = importlib.import_module(script).run(out / script)
-            codes.append((script, code))
+
+    def run(argv):
+        label = Path(argv[argv.index("--out") + 1]).relative_to(out)
+        codes.append((" ".join(argv).replace(str(out), "OUT"),
+                      captured(out, str(label), lambda: cli_main(argv))))
+
+    for name, workload in workloads.WORKLOADS.items():
+        for cmd in workload(SEED).commands(out / name):
+            run(cmd.argv)
+    for argv in denoise_commands(out / "denoise-modes"):
+        run(argv)
+    for name, args in FIT_RUNS:
+        run(["fit", *args, "--out", str(out / "fit-runs" / name)])
+    for name, args in DATA_RUNS:
+        run([a.format(out=out) for a in args] + ["--out", str(out / "data-runs" / name)])
+    (out / "points.csv").write_text("x\n" + "".join(f"{x!r}\n" for x in POINTS))
+    for name, args in READ_BACK:
+        run([a.format(out=out) for a in args] + ["--out", str(out / "read-back" / name)])
+    for script in ("run_convergence_experiments", "run_denoise_experiments"):
+        module = importlib.import_module(script)
+        codes.append((script, captured(out, script, lambda: module.run(out / script))))
     (out / "exit_codes.txt").write_text("".join(f"{c}\t{a}\n" for a, c in codes))
     return 0
 

@@ -32,22 +32,12 @@ from .denoise import (
     step_ground_truth,
 )
 from .dictionary import DataError, build_grid
-from .files import (load_rep, read_dataset, read_manifest, read_points, save_rep, write_csv,
-                    write_dataset, write_json)
+from .files import (dataset_table, load_rep, read_dataset, read_manifest, read_points,
+                    write_csv, write_json)
 from .functions import BUILTINS, STEP_MID, get_builtin
-from .representation import branches, eval_rep, poles, relative_l2, rep_to_dict
+from .representation import EvaluationError, branches, eval_rep, poles, relative_l2, rep_to_dict
 from .selection import (FIT_FLAGS, METHODS, GreedyRun, _set, achievable_k, check_run_knobs,
                         fit_at_k, fit_method, method_run)
-
-
-def _write_manifest(out: Path, command: str, argv: list[str], seed) -> None:
-    write_json(out / "manifest.json", {
-        "command": command,
-        "argv": argv,
-        "seed": seed,
-        "version": __version__,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    })
 
 
 def _grid_for_function(name: str, order: int | None):
@@ -63,8 +53,7 @@ def _reject_unread(args, dests, where: str) -> None:
             raise ValueError(f"--{dest.replace('_', '-')} is not read {where}")
 
 
-def cmd_fit(args, argv) -> int:
-    out = Path(args.out)
+def cmd_fit(args):
     _reject_unread(args, [f for flags in FIT_FLAGS.values() for f in flags
                           if f not in FIT_FLAGS[args.method]], f"by --method {args.method}")
     if args.input is not None:
@@ -74,17 +63,14 @@ def cmd_fit(args, argv) -> int:
     else:
         grid = read_dataset(args.input)
     rep, k, run = fit_method(grid, args.method, vars(args))
-    out.mkdir(parents=True, exist_ok=True)
-    save_rep(rep, out / "rep.json")
+    docs = {"rep.json": rep_to_dict(rep)}
     if args.trace:
-        write_json(out / "trace.json", run.trace_doc(rep.fit_residual))
-    _write_manifest(out, "fit", argv,
-                    run.config.rng_seed if isinstance(run, GreedyRun) else args.seed)
+        docs["trace.json"] = run.trace_doc(rep.fit_residual)
     print(f"K={k} residual={rep.fit_residual:.6e}")
     if run is not None and k - 1 < grid.size:
         baseline = fit_at_k(grid, "deg0", k)
         print(f"deg0 residual at K={k}: {baseline.fit_residual:.6e}")
-    return 0
+    return docs, run.config.rng_seed if isinstance(run, GreedyRun) else args.seed
 
 
 def _eval_table(rep, xs):
@@ -103,21 +89,19 @@ def _eval_table(rep, xs):
     return values, None
 
 
-def _cell(v: float) -> str:
-    """A CSV value; blank where there is none."""
-    return "" if math.isnan(v) else repr(v)
+def _point_table(header, xs, columns):
+    """``xs`` and each column's value there as a CSV table, a NaN left blank."""
+    return header, ([repr(x), *("" if math.isnan(v) else repr(v) for v in row)]
+                    for x, *row in zip(xs.tolist(), *(c.tolist() for c in columns)))
 
 
-def cmd_eval(args, argv) -> int:
-    out = Path(args.out)
+def cmd_eval(args):
     if args.grid < 1:
         raise ValueError("--grid must be >= 1")
     try:
         rep = load_rep(args.rep)
     except (ValueError, KeyError, TypeError) as exc:
-        print(f"numerical failure in eval: bad representation document: {exc}",
-              file=sys.stderr)
-        return 3
+        raise EvaluationError(f"bad representation document: {exc}") from exc
     if args.branches and rep.degree != 2:
         raise ValueError("branch table requires a degree-2 representation")
     if args.points is not None:
@@ -125,20 +109,14 @@ def cmd_eval(args, argv) -> int:
     else:
         xs = np.linspace(*rep.domain, args.grid)
     values, roots = _eval_table(rep, xs)
-    tables = [("eval.csv", ["x", "value"], [values])]
+    docs = {"eval.csv": _point_table(["x", "value"], xs, [values])}
     if args.branches:
-        tables.append(("branches.csv", ["x", "root_lo", "root_hi"], roots))
-    out.mkdir(parents=True, exist_ok=True)
-    blank = 0
-    for name, header, columns in tables:
-        write_csv(out / name, header, ([repr(x), *map(_cell, row)] for x, *row
-                                       in zip(xs.tolist(), *(c.tolist() for c in columns))))
-        blank += int(np.sum(np.isnan(columns[0])))
-    _write_manifest(out, "eval", argv, None)
+        docs["branches.csv"] = _point_table(["x", "root_lo", "root_hi"], xs, roots)
+    blank = int(np.sum(np.isnan(values)))
     if blank:
         print(f"warning: {blank} points had no real value", file=sys.stderr)
     print(f"evaluated {xs.size} points")
-    return 0
+    return docs, None
 
 
 def _failed_cell(method: str, k: int, exc: Exception) -> float:
@@ -147,8 +125,7 @@ def _failed_cell(method: str, k: int, exc: Exception) -> float:
     return float("nan")
 
 
-def cmd_convergence(args, argv) -> int:
-    out = Path(args.out)
+def cmd_convergence(args):
     methods = [m.strip() for m in args.methods.split(",")]
     ks = {m: achievable_k(m, args.kmin, args.kmax) for m in methods}
     for m in methods:
@@ -177,19 +154,15 @@ def cmd_convergence(args, argv) -> int:
             errors.append(relative_l2(fit_at_k(grid, m, k, runs[m]), grid))
         except (*NUMERICAL_ERRORS, ValueError) as exc:
             errors.append(_failed_cell(m, k, exc))
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "convergence.csv", ["method", "K", "error"],
-              ([m, k, repr(float(err))] for (m, k), err in zip(cells, errors)),
-              comment="error = relative L2 against the sampled reference"
-                      " (absolute when the reference norm is 0);"
-                      " K counts fitted coefficients")
-    _write_manifest(out, "convergence", argv, args.seed)
     print(f"wrote {len(cells)} cells for {args.fn}")
-    return 0
+    return {"convergence.csv": (
+        ["method", "K", "error"],
+        ([m, k, repr(float(err))] for (m, k), err in zip(cells, errors)),
+        "error = relative L2 against the sampled reference (absolute when the reference"
+        " norm is 0); K counts fitted coefficients")}, args.seed
 
 
-def cmd_generate(args, argv) -> int:
-    out = Path(args.out)
+def cmd_generate(args):
     if args.preset is not None:
         _reject_unread(args, ["target", "sigma"], "with --preset")
         model, sigma = NOISE_PRESETS[args.preset]
@@ -200,11 +173,9 @@ def cmd_generate(args, argv) -> int:
     positions = np.arange(0.0, 401.0)
     truth = step_ground_truth(positions)
     data, metadata = generate_noisy(positions, truth, model, sigma, args.seed)
-    out.mkdir(parents=True, exist_ok=True)
-    write_dataset(out / "data.csv", data, metadata)
-    _write_manifest(out, "generate", argv, args.seed)
     print(f"wrote {data.size} samples (model={model}, sigma={sigma})")
-    return 0
+    # the metadata is a sidecar for readers of the data; no command reads it back
+    return {"data.csv": dataset_table(data), "data.meta.json": metadata}, args.seed
 
 
 def _check_denoise_flags(args) -> None:
@@ -222,8 +193,7 @@ def _check_denoise_flags(args) -> None:
     _reject_unread(args, unread, f"by --mode {args.mode}")
 
 
-def cmd_denoise(args, argv) -> int:
-    out = Path(args.out)
+def cmd_denoise(args):
     _check_denoise_flags(args)
     data = read_dataset(args.input)
     truth = step_ground_truth(data.nodes) if args.truth == "step" else None
@@ -245,17 +215,14 @@ def cmd_denoise(args, argv) -> int:
         res = reconstruct(fit_manifold_ls(data), data,
                           **(_set(k=args.k) if args.mode == "ls+vote" else {"k": None}))
 
-    out.mkdir(parents=True, exist_ok=True)
     fit, values = res.fit, res.reconstructed
     eps_hat = data.values - values
     columns = (data.nodes, data.values, values, eps_hat)
-    write_csv(out / "reconstruction.csv", ["x", "f_obs", "f_hat", "eps_hat"],
-              (map(repr, row) for row in zip(*(c.tolist() for c in columns))))
-    write_json(out / "fit.json", {
+    fit_doc = {
         "b0": fit.b0, "b1": fit.b1, "c0": fit.c0, "c1": fit.c1,
         "method": fit.method, "residual": fit.residual, "condition": fit.condition,
         "rep": rep_to_dict(fit.as_rep(data.domain)),
-    })
+    }
     x = data.nodes
     xc = x - x.mean()
     denom = float(np.linalg.norm(xc) * np.linalg.norm(eps_hat - eps_hat.mean()))
@@ -270,26 +237,16 @@ def cmd_denoise(args, argv) -> int:
     if truth is not None:
         tsigns = np.where(truth > STEP_MID, 1, -1)
         report["mislabel_count"] = int(np.sum(res.index.signs_at(data.nodes) != tsigns))
-    write_json(out / "report.json", report)
-    _write_manifest(out, "denoise", argv, None)
     print(f"mode={args.mode} b0={fit.b0:.4f} c0={fit.c0:.4f}")
-    return 0
-
-
-def cmd_replay(args, argv) -> int:
-    stored = read_manifest(args.manifest)
-    if stored[:1] == ["replay"]:
-        raise DataError(f"{args.manifest}: a stored replay is not replayed")
-    # the new --out takes the place of the stored one and its value, if any
-    i = stored.index("--out") if "--out" in stored else len(stored)
-    stored[i:i + 2] = ["--out", args.out]
-    return main(stored)
+    return {"reconstruction.csv": (["x", "f_obs", "f_hat", "eps_hat"],
+                                   (map(repr, row) for row in zip(*(c.tolist() for c in columns)))),
+            "fit.json": fit_doc, "report.json": report}, None
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process (``replay`` re-enters
-    ``main``); ``parse_args`` leaves it unchanged."""
+    """The command-line parser, built once per process; ``parse_args``
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="quadrep",
                                      description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -371,23 +328,43 @@ _HANDLERS = {
     "convergence": cmd_convergence,
     "generate": cmd_generate,
     "denoise": cmd_denoise,
-    "replay": cmd_replay,
 }
 
 
 def main(argv=None) -> int:
+    """Run one command (``replay``: the argv its manifest stores).  Its handler
+    returns its documents, each file name's JSON dict or CSV ``(header, rows[,
+    comment])``, and its seed; only then is ``--out`` made, so a failure writes nothing."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
-        return handler(args, argv)
+        if args.command == "replay":
+            stored = read_manifest(args.manifest)
+            if stored[:1] == ["replay"]:
+                raise DataError(f"{args.manifest}: a stored replay is not replayed")
+            # the new --out takes the place of the stored one and its value, if any
+            i = stored.index("--out") if "--out" in stored else len(stored)
+            stored[i:i + 2] = ["--out", args.out]
+            argv, args = stored, parser.parse_args(stored)
+        docs, seed = _HANDLERS[args.command](args)
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure in {args.command}: {exc}", file=sys.stderr)
         return 3
     except (DataError, FileNotFoundError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, doc in docs.items():
+        if isinstance(doc, dict):
+            write_json(out / name, doc)
+        else:
+            write_csv(out / name, *doc)
+    write_json(out / "manifest.json", {
+        "command": args.command, "argv": argv, "seed": seed, "version": __version__,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()})
+    return 0
 
 
 if __name__ == "__main__":

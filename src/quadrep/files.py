@@ -1,7 +1,8 @@
 """Every file quadrep reads or writes: two writers, ``write_json`` (indented
 by 2, with a trailing newline) and ``write_csv`` (rows ending in a newline),
-and four readers, of a data CSV, rep.json, an ``eval --points`` CSV and
-manifest.json, each raising a ``DataError`` that names the file it rejects.
+the table of a data CSV (``dataset_table``), and four readers, of a data
+CSV, rep.json, an ``eval --points`` CSV and manifest.json, each raising a
+``DataError`` that names the file it rejects.
 """
 from __future__ import annotations
 
@@ -11,9 +12,9 @@ import json
 import numpy as np
 
 from .dictionary import DataError, SampleGrid, tabulated_grid
-from .representation import Rep, rep_from_dict, rep_to_dict
+from .representation import Rep, rep_from_dict
 
-__all__ = ["write_json", "write_csv", "write_dataset", "read_dataset", "save_rep", "load_rep",
+__all__ = ["write_json", "write_csv", "dataset_table", "read_dataset", "load_rep",
            "read_points", "read_manifest"]
 
 
@@ -41,16 +42,14 @@ def _read_json(path):
             raise DataError(f"{path}: {exc}") from exc
 
 
-def write_dataset(path, data: SampleGrid, metadata: dict) -> None:
-    """CSV with header ``x,f`` plus the metadata as a sidecar JSON, written
-    for readers of the data; no command reads the sidecar back."""
-    write_csv(path, ["x", "f"], (map(repr, row)
-                                 for row in zip(data.nodes.tolist(), data.values.tolist())))
-    write_json(f"{str(path).removesuffix('.csv')}.meta.json", metadata)
+def dataset_table(data: SampleGrid):
+    """The data CSV of ``data``, ``(header, rows)`` for ``write_csv``: a row
+    ``x,f`` per sample, under the header ``x,f``."""
+    return ["x", "f"], (map(repr, row) for row in zip(data.nodes.tolist(), data.values.tolist()))
 
 
 def read_dataset(path) -> SampleGrid:
-    """The tabulated grid of the CSV ``write_dataset`` writes; DataError,
+    """The tabulated grid of a data CSV (``dataset_table``); DataError,
     naming the file, when it has no ``x,f`` header (an empty file included),
     a row without both values, or samples ``tabulated_grid`` rejects."""
     with open(path, newline="") as fh:
@@ -65,10 +64,6 @@ def read_dataset(path) -> SampleGrid:
         return tabulated_grid([float(r[0]) for r in rows], [float(r[1]) for r in rows])
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
-
-
-def save_rep(rep: Rep, path) -> None:
-    write_json(path, rep_to_dict(rep))
 
 
 def load_rep(path) -> Rep:

@@ -586,7 +586,7 @@ def relative_l2(rep, grid: SampleGrid) -> float:
 
 
 # --------------------------------------------------------------------------
-# rep.json documents (files.save_rep and files.load_rep write and read them)
+# rep.json documents (quadrep fit writes them; files.load_rep reads them)
 # --------------------------------------------------------------------------
 
 def rep_to_dict(rep: Rep) -> dict:

@@ -1,5 +1,8 @@
+import argparse
 import copy
 import csv
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -12,7 +15,7 @@ import numpy as np
 import pytest
 
 import quadrep
-from quadrep import dictionary, orthopoly, representation, selection
+from quadrep import cli, denoise, dictionary, orthopoly, representation, selection
 from quadrep.cli import main
 from quadrep.functions import get_builtin
 from quadrep.files import load_rep
@@ -216,7 +219,7 @@ def test_eval_complex_node_blanks_only_its_rows(tmp_path, capsys):
         "index": {"breakpoints": [], "first_sign": 1}})
     ev = tmp_path / "ev"
     assert run(["eval", "--rep", rep, "--grid", "11", "--branches", "--out", str(ev)]) == 0
-    assert "warning: 2 points had no real value" in capsys.readouterr().err
+    assert "warning: 1 points had no real value" in capsys.readouterr().err
     values = read_csv(ev / "eval.csv")[1:]
     roots = read_csv(ev / "branches.csv")[1:]
     for (x, v), (_, lo, hi) in zip(values, roots):
@@ -563,6 +566,26 @@ def test_rejected_command_writes_nothing(tmp_path, capsys, inputs, argv):
             assert re.search(rf"\b{name}\b", err), err
 
 
+def _raise_arithmetic(*args, **kwargs):
+    raise ArithmeticError("patched to fail")
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("quadrep.selection.GreedyRun.trace_doc",
+     ["fit", "--fn", "relu", "--order", "100", "--method", "deg2-greedy", "--max-terms", "3",
+      "--trace"]),
+    ("quadrep.cli.rep_to_dict", ["denoise", "--input", "{data}", "--mode", "ls"]),
+], ids=["fit-trace", "denoise-fit-document"])
+def test_failure_while_assembling_documents_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                           inputs, target, argv):
+    # the documents fail after the results are computed, before any is written
+    monkeypatch.setattr(target, _raise_arithmetic)
+    out = tmp_path / "out"
+    assert run([a.format(**inputs) for a in argv] + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err.endswith(": patched to fail\n")
+    assert not out.exists()
+
+
 def _dir_files(path):
     """The bytes of every file in ``path`` but its manifest, which records paths."""
     return {p.name: p.read_bytes() for p in sorted(path.iterdir()) if p.name != "manifest.json"}
@@ -899,3 +922,37 @@ def test_manifest_contents(tmp_path):
     assert doc["seed"] == 5
     assert "--seed" in doc["argv"]
     assert "version" in doc and "timestamp" in doc
+
+
+def _options(command):
+    """The parser's actions of ``command``, by destination."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest: action for action in sub.choices[command]._actions}
+
+
+def _help_default(action) -> str:
+    """The default that ``action``'s help names: "(default X)" or "X (default)"."""
+    found = re.search(r"\(default (\S+)\)|(\S+) \(default\)", action.help)
+    return found[1] or found[2]
+
+
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+def test_restated_defaults_are_the_library_defaults():
+    # the parser leaves these flags to the library; its help and its two
+    # convergence defaults restate the library's values, which must agree
+    fit, conv, den = (_options(c) for c in ("fit", "convergence", "denoise"))
+    assert int(_help_default(fit["order"])) == _default(dictionary.build_grid, "order")
+    assert int(_help_default(den["k"])) == _default(denoise.reconstruct, "k") \
+        == _default(denoise.denoise_case3, "k") == _default(denoise.denoise_iterative, "k")
+    assert _help_default(den["init"]) == _default(denoise.denoise_iterative, "init")
+    assert int(_help_default(den["max_iter"])) == _default(denoise.denoise_iterative, "max_iter")
+    assert float(_help_default(den["tol"])) == _default(denoise.denoise_iterative, "tol")
+    assert _help_default(den["constraints"]) == f"all{len(denoise.ALL_CONSTRAINTS)}"
+    assert _default(denoise.denoise_iterative, "constraint_names") == denoise.ALL_CONSTRAINTS
+    config = {field.name: field.default for field in dataclasses.fields(SelectionConfig)}
+    assert conv["cap"].default == config["stream_cap"] == _default(rrqr_select, "stream_cap")
+    assert conv["seed"].default == config["rng_seed"]

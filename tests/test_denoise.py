@@ -30,7 +30,7 @@ from quadrep.denoise import (
     step_ground_truth,
 )
 from quadrep.dictionary import tabulated_grid
-from quadrep.files import read_dataset, write_dataset
+from quadrep.files import dataset_table, read_dataset, write_csv
 from quadrep.linalg import RankDeficiencyError, pivoted_qr
 
 POS = np.arange(0.0, 401.0)
@@ -560,9 +560,9 @@ def test_iterative_case3_initialization():
 
 
 def test_dataset_csv_round_trip(tmp_path):
-    data, meta = generate_noisy(POS, TRUTH, "function", 30.0, seed=6)
+    data, _ = generate_noisy(POS, TRUTH, "function", 30.0, seed=6)
     path = tmp_path / "data.csv"
-    write_dataset(path, data, meta)
+    write_csv(path, *dataset_table(data))
     again = read_dataset(path)
     assert np.array_equal(again.nodes, data.nodes)
     assert np.array_equal(again.values, data.values)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadrep.dictionary import build_grid, tabulated_grid
-from quadrep.files import load_rep, save_rep
+from quadrep.files import load_rep, write_json
 from quadrep.functions import get_builtin
 from quadrep.linalg import RankDeficiencyError
 from quadrep.orthopoly import legendre_row
@@ -549,7 +549,7 @@ def test_round_trip_all_types(tmp_path):
     ]
     for i, rep in enumerate(reps):
         path = tmp_path / f"rep{i}.json"
-        save_rep(rep, path)
+        write_json(path, rep_to_dict(rep))
         loaded = load_rep(path)
         assert rep_to_dict(loaded) == rep_to_dict(rep)
         # bit-exact coefficient round trip through the JSON text
