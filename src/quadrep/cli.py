@@ -22,6 +22,8 @@ import numpy as np
 
 from . import __version__
 from .denoise import (
+    INIT_MODES,
+    NOISE_MODELS,
     NOISE_PRESETS,
     NUMERICAL_ERRORS,
     denoise_case3,
@@ -31,12 +33,12 @@ from .denoise import (
     reconstruct,
     step_ground_truth,
 )
-from .dictionary import DataError, build_grid
+from .dictionary import DataError, build_grid, check_counts, check_philox_key
 from .files import (dataset_table, load_rep, read_dataset, read_manifest, read_points,
                     write_csv, write_json)
 from .functions import BUILTINS, STEP_MID, get_builtin
 from .representation import EvaluationError, branches, eval_rep, poles, relative_l2, rep_to_dict
-from .selection import (FIT_FLAGS, METHODS, GreedyRun, _set, achievable_k, check_run_knobs,
+from .selection import (BATCH_SIZES, FIT_FLAGS, METHODS, GreedyRun, _set, achievable_k,
                         fit_at_k, fit_method, method_run)
 
 
@@ -133,7 +135,8 @@ def cmd_convergence(args):
             raise ValueError(f"--methods lists {m} more than once")
         if not ks[m]:
             raise ValueError(f"{m} has no achievable K in [{args.kmin}, {args.kmax}]")
-    check_run_knobs(args.cap, args.seed)
+    check_counts(stream_cap=args.cap)
+    check_philox_key(rng_seed=args.seed)
     grid = _grid_for_function(args.fn, args.order)
     cells = [(m, k) for m in methods for k in ks[m]]
     # one selection run per adaptive method, to its largest K; a run that
@@ -265,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--n2", type=int, help="deg2-uniform: degree of a")
     p_fit.add_argument("--max-terms", type=int, help="deg2-greedy, deg2-rrqr")
     p_fit.add_argument("--target-residual", type=float, help="deg2-greedy")
-    p_fit.add_argument("--batch", type=int, choices=(1, 3, 5), help="deg2-greedy")
+    p_fit.add_argument("--batch", type=int, choices=BATCH_SIZES, help="deg2-greedy")
     p_fit.add_argument("--cap", type=int, help="deg2-greedy, deg2-rrqr: columns per stream")
     p_fit.add_argument("--tol", type=float, help="deg2-rrqr: truncation, relative to |R_11|")
     p_fit.add_argument("--seed", type=int, help="deg2-greedy; deg2-rrqr accepts it unused")
@@ -294,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="synthesize noisy step data")
     p_gen.add_argument("--preset", choices=sorted(NOISE_PRESETS), default=None)
-    p_gen.add_argument("--target", choices=("function", "manifold"), default=None)
+    p_gen.add_argument("--target", choices=NOISE_MODELS, default=None)
     p_gen.add_argument("--sigma", type=float, default=None)
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--out", default=".")
@@ -308,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="neighbors per k-NN vote (default 10); not read by --mode ls")
     # no parser defaults, so that a flag given to another mode is seen
     p_den.add_argument("--constraints", help="iterative only: all8 (default) or a comma list")
-    p_den.add_argument("--init", choices=("case1", "case2", "case3"),
+    p_den.add_argument("--init", choices=INIT_MODES,
                        help="iterative only (default case1)")
     p_den.add_argument("--max-iter", type=int, help="iterative only (default 50)")
     p_den.add_argument("--tol", type=float, help="iterative only (default 1e-6)")
@@ -334,7 +337,9 @@ _HANDLERS = {
 def main(argv=None) -> int:
     """Run one command (``replay``: the argv its manifest stores).  Its handler
     returns its documents, each file name's JSON dict or CSV ``(header, rows[,
-    comment])``, and its seed; only then is ``--out`` made, so a failure writes nothing."""
+    comment])``, and its seed; only then is ``--out`` made, so a failure writes
+    nothing.  An input or ``--out`` path that cannot be opened or made is a
+    usage error."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -348,14 +353,14 @@ def main(argv=None) -> int:
             stored[i:i + 2] = ["--out", args.out]
             argv, args = stored, parser.parse_args(stored)
         docs, seed = _HANDLERS[args.command](args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure in {args.command}: {exc}", file=sys.stderr)
         return 3
-    except (DataError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for name, doc in docs.items():
         if isinstance(doc, dict):
             write_json(out / name, doc)

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dictionary import SampleGrid, tabulated_grid
+from .dictionary import SampleGrid, check_philox_key, tabulated_grid
 from .functions import STEP_HIGH, STEP_JUMP_AT, STEP_LOW, STEP_MID
 from .linalg import RankDeficiencyError, pivoted_qr, weighted_lsq
 from .orthopoly import legendre_row
@@ -52,10 +52,14 @@ __all__ = [
     "constraint_residuals",
     "denoise_iterative",
     "ALL_CONSTRAINTS",
+    "INIT_MODES",
+    "NOISE_MODELS",
     "NOISE_PRESETS",
 ]
 
 ALL_CONSTRAINTS = ("1", "x", "x2", "f", "xf", "x2f", "f2", "xf2")
+INIT_MODES = ("case1", "case2", "case3")  # the initial fits of denoise_iterative
+NOISE_MODELS = ("function", "manifold")  # see generate_noisy
 _VOTE_K = 10  # neighbors per k-NN vote
 _VOTE_ROUNDS = 100  # k-NN voting stops after this many rounds
 _MOMENT_METHOD = "debias"  # label of every moment-system fit
@@ -96,8 +100,7 @@ def normal_stream(seed: int, n: int) -> np.ndarray:
     plus Box-Muller, so sequences are reproducible across platforms."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if not 0 <= seed < 2 ** 128:
-        raise ValueError("seed must be >= 0 and < 2**128")
+    check_philox_key(seed=seed)
     if n == 0:
         return np.empty(0)
     pairs = (n + 1) // 2
@@ -130,6 +133,8 @@ def generate_noisy(positions, truth, model: str, sigma: float,
     """
     if not 0 <= sigma < np.inf:
         raise ValueError("sigma must be finite and >= 0")
+    if model not in NOISE_MODELS:
+        raise ValueError(f"unknown noise model {model!r}")
     positions = np.asarray(positions, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if truth.shape != positions.shape:
@@ -139,7 +144,7 @@ def generate_noisy(positions, truth, model: str, sigma: float,
     meta = {"noise_model": model, "sigma": float(sigma), "seed": int(seed)}
     if model == "function":
         observed = truth + eps
-    elif model == "manifold":
+    else:
         mid = STEP_MID
         half = 0.5 * (STEP_HIGH - STEP_LOW)
         disc = half * half + eps
@@ -148,8 +153,6 @@ def generate_noisy(positions, truth, model: str, sigma: float,
         on_high = truth > mid
         observed = np.where(on_high, mid + root_offset, mid - root_offset)
         meta["clamped_points"] = int(np.sum(clamped))
-    else:
-        raise ValueError(f"unknown noise model {model!r}")
     return tabulated_grid(positions, observed), meta
 
 
@@ -513,15 +516,15 @@ def denoise_iterative(data: SampleGrid,
         raise ValueError("max_iter must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be > 0")
+    if init not in INIT_MODES:
+        raise ValueError(f"unknown init mode {init!r}")
     t = data.unit_nodes
-    if init in ("case1", "case2"):
-        res = reconstruct(fit_manifold_ls(data), data, k)
-    elif init == "case3":
+    if init == "case3":
         if sigma2_0 is None:
             raise ValueError("case3 initialization needs sigma2_0")
         res = denoise_case3(data, sigma2_0, k)
     else:
-        raise ValueError(f"unknown init mode {init!r}")
+        res = reconstruct(fit_manifold_ls(data), data, k)
 
     prev_coeffs = np.array([res.fit.b0, res.fit.b1, res.fit.c0, res.fit.c1])
     prev_signs = res.index.signs_at(data.nodes)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orthopoly import QuadratureRule, gauss_legendre, legendre_row
+from .orthopoly import gauss_legendre, legendre_row, to_unit
 
 __all__ = [
     "DataError",
@@ -20,6 +20,8 @@ __all__ = [
     "tabulated_grid",
     "Dictionary",
     "check_degrees",
+    "check_counts",
+    "check_philox_key",
     "assemble",
     "STREAM_PLAIN",
     "STREAM_F",
@@ -48,7 +50,7 @@ class SampleGrid:
     nodes: np.ndarray
     values: np.ndarray
     weights: np.ndarray
-    rule: QuadratureRule | None = None
+    is_quadrature: bool = False
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -75,14 +77,9 @@ class SampleGrid:
     def size(self) -> int:
         return self.nodes.size
 
-    @property
-    def is_quadrature(self) -> bool:
-        return self.rule is not None
-
     def to_unit(self, x):
         """Affine map domain -> [-1, 1]."""
-        lo, hi = self.domain
-        return (2.0 * np.asarray(x, dtype=float) - (lo + hi)) / (hi - lo)
+        return to_unit(self.domain, x)
 
     @property
     def unit_nodes(self) -> np.ndarray:
@@ -105,7 +102,8 @@ def build_grid(f, domain: tuple[float, float] = (-1.0, 1.0), order: int = 1000) 
     nodes = 0.5 * (hi - lo) * rule.nodes + 0.5 * (lo + hi)
     values = np.asarray([f(x) for x in nodes], dtype=float)
     weights = rule.weights * 0.5 * (hi - lo)
-    return SampleGrid(domain=(lo, hi), nodes=nodes, values=values, weights=weights, rule=rule)
+    return SampleGrid(domain=(lo, hi), nodes=nodes, values=values, weights=weights,
+                      is_quadrature=True)
 
 
 def tabulated_grid(positions, values) -> SampleGrid:
@@ -119,7 +117,6 @@ def tabulated_grid(positions, values) -> SampleGrid:
         nodes=positions,
         values=values,
         weights=np.ones_like(positions),
-        rule=None,
     )
 
 
@@ -141,6 +138,20 @@ def check_degrees(**degrees: int) -> None:
     for name, n in degrees.items():
         if n < 0:
             raise ValueError(f"{name} must be >= 0")
+
+
+def check_counts(**counts: int | None) -> None:
+    """ValueError naming the first of the column ``counts`` below 1; None passes."""
+    for name, n in counts.items():
+        if n is not None and n < 1:
+            raise ValueError(f"{name} must be >= 1")
+
+
+def check_philox_key(**keys: int) -> None:
+    """ValueError naming the first of ``keys`` outside [0, 2**128), the Philox keys."""
+    for name, key in keys.items():
+        if not 0 <= key < 2 ** 128:
+            raise ValueError(f"{name} must be >= 0 and < 2**128")
 
 
 def assemble(grid: SampleGrid, n0: int, n1: int, n2: int) -> Dictionary:

@@ -42,6 +42,16 @@ def _read_json(path):
             raise DataError(f"{path}: {exc}") from exc
 
 
+def _read_csv(path) -> list[list[str]]:
+    """The rows of the CSV at ``path``; DataError naming the file if it is
+    not UTF-8."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            return list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+
+
 def dataset_table(data: SampleGrid):
     """The data CSV of ``data``, ``(header, rows)`` for ``write_csv``: a row
     ``x,f`` per sample, under the header ``x,f``."""
@@ -50,14 +60,13 @@ def dataset_table(data: SampleGrid):
 
 def read_dataset(path) -> SampleGrid:
     """The tabulated grid of a data CSV (``dataset_table``); DataError,
-    naming the file, when it has no ``x,f`` header (an empty file included),
-    a row without both values, or samples ``tabulated_grid`` rejects."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if [h.strip() for h in header[:2]] != ["x", "f"]:
-            raise DataError(f"{path}: expected 'x,f' header, got {header}")
-        rows = [r for r in reader if r]
+    naming the file, when it is not UTF-8, has no ``x,f`` header (an empty
+    file included), a row without both values, or samples ``tabulated_grid``
+    rejects."""
+    header, *rows = _read_csv(path) or [[]]
+    if [h.strip() for h in header[:2]] != ["x", "f"]:
+        raise DataError(f"{path}: expected 'x,f' header, got {header}")
+    rows = [r for r in rows if r]
     if any(len(r) < 2 for r in rows):
         raise DataError(f"{path}: every row needs an x and an f value")
     try:
@@ -74,10 +83,9 @@ def load_rep(path) -> Rep:
 
 def read_points(path) -> np.ndarray:
     """The x values of a one-column CSV, after an optional ``x`` header;
-    DataError naming the file for a row that is not one number, for no
-    rows, or for a non-finite x."""
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
+    DataError naming the file if it is not UTF-8, for a row that is not one
+    number, for no rows, or for a non-finite x."""
+    rows = [r for r in _read_csv(path) if r]
     if rows and rows[0][0].strip().lower() == "x":
         rows = rows[1:]
     xs = []

@@ -9,39 +9,35 @@ from __future__ import annotations
 import functools
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "QuadratureRule",
     "gauss_legendre",
+    "legendre_norms",
     "legendre_row",
+    "to_unit",
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre nodes/weights of a fixed order on the open interval (-1, 1)."""
+class QuadratureRule(NamedTuple):
+    """Gauss-Legendre nodes (increasing, inside (-1, 1)) and their weights."""
 
     nodes: np.ndarray
     weights: np.ndarray
 
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if nodes.ndim != 1 or nodes.shape != weights.shape:
-            raise ValueError("nodes and weights must be 1-D arrays of equal length")
-        if nodes.size == 0:
-            raise ValueError("empty quadrature rule")
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
-        if nodes[0] <= -1.0 or nodes[-1] >= 1.0:
-            raise ValueError("nodes must lie strictly inside (-1, 1)")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
+
+def to_unit(domain: tuple[float, float], x) -> np.ndarray:
+    """The affine map of ``domain`` onto [-1, 1], at ``x``."""
+    lo, hi = domain
+    return (2.0 * np.asarray(x, dtype=float) - (lo + hi)) / (hi - lo)
+
+
+def legendre_norms(n: int) -> np.ndarray:
+    """sqrt((2k+1)/2) for k < n: L_k is P_k times the k-th of them."""
+    return np.sqrt((2 * np.arange(n) + 1) / 2.0)
 
 
 def _legendre_and_derivative(order: int, x: np.ndarray):
@@ -84,7 +80,7 @@ def gauss_legendre(order: int) -> QuadratureRule:
     nodes, weights = x[idx], w[idx]
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return QuadratureRule(nodes=nodes, weights=weights)
+    return QuadratureRule(nodes, weights)
 
 
 def _check_domain(x: np.ndarray) -> None:
@@ -117,7 +113,7 @@ def _legendre_table(max_degree: int, arr: np.ndarray) -> np.ndarray:
         table[:, 1] = arr
     for k in range(2, max_degree + 1):
         table[:, k] = ((2 * k - 1) * arr * table[:, k - 1] - (k - 1) * table[:, k - 2]) / k
-    table *= np.sqrt((2 * np.arange(max_degree + 1) + 1) / 2.0)
+    table *= legendre_norms(max_degree + 1)
     return table
 
 

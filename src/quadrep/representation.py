@@ -20,7 +20,7 @@ from numpy.polynomial import polynomial as nppoly
 
 from .dictionary import SampleGrid, assemble, check_degrees, STREAM_PLAIN, STREAM_F, STREAM_F2
 from .linalg import RankDeficiencyError, weighted_lsq
-from .orthopoly import legendre_row
+from .orthopoly import legendre_norms, legendre_row, to_unit
 
 __all__ = [
     "BASIS_LEGENDRE",
@@ -108,8 +108,7 @@ class PolyCoeffs:
 
     def evaluate(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        lo, hi = self.domain
-        t = (2.0 * arr - (lo + hi)) / (hi - lo)
+        t = to_unit(self.domain, arr)
         # both bases: tolerate endpoint roundoff, reject genuine overshoot
         if np.any(np.abs(t) > 1.0 + 4 * np.finfo(float).eps):
             raise ValueError(f"evaluation outside domain {self.domain}")
@@ -131,10 +130,6 @@ def _affine_compose(coeffs: np.ndarray, shift: float, scale: float) -> np.ndarra
     return np.atleast_1d(out)
 
 
-def _leg_norms(n: int) -> np.ndarray:
-    return np.sqrt((2 * np.arange(n) + 1) / 2.0)
-
-
 def basis_convert(coeffs: PolyCoeffs, target_basis: str) -> PolyCoeffs:
     """Exact linear change of basis (degree <= 60), domain-aware."""
     if target_basis not in (BASIS_LEGENDRE, BASIS_MONOMIAL):
@@ -146,7 +141,7 @@ def basis_convert(coeffs: PolyCoeffs, target_basis: str) -> PolyCoeffs:
     lo, hi = coeffs.domain
     identity = lo == -1.0 and hi == 1.0
     if coeffs.basis == BASIS_LEGENDRE:
-        classical = coeffs.coeffs * _leg_norms(coeffs.coeffs.size)
+        classical = coeffs.coeffs * legendre_norms(coeffs.coeffs.size)
         mono_t = npleg.leg2poly(classical)
         if identity:
             mono_x = mono_t
@@ -161,7 +156,7 @@ def basis_convert(coeffs: PolyCoeffs, target_basis: str) -> PolyCoeffs:
         # x(t) = (hi-lo)/2 * t + (lo+hi)/2
         mono_t = _affine_compose(mono_x, (lo + hi) / 2.0, (hi - lo) / 2.0)
     classical = npleg.poly2leg(mono_t)
-    normalized = classical / _leg_norms(classical.size)
+    normalized = classical / legendre_norms(classical.size)
     return PolyCoeffs(BASIS_LEGENDRE, normalized, coeffs.domain)
 
 
@@ -436,12 +431,12 @@ def compose_piecewise_manifold(p_minus: PolyCoeffs, p_plus: PolyCoeffs) -> Rep:
         c = -nppoly.polymul(p_minus.coeffs, p_plus.coeffs)
     else:
         # a == [1] denotes a(x) = L_0 = 1/sqrt(2); scale b, c to match
-        lm = p_minus.coeffs * _leg_norms(p_minus.coeffs.size)
-        lp = p_plus.coeffs * _leg_norms(p_plus.coeffs.size)
+        lm = p_minus.coeffs * legendre_norms(p_minus.coeffs.size)
+        lp = p_plus.coeffs * legendre_norms(p_plus.coeffs.size)
         b_cl = npleg.legadd(lm, lp) / SQRT2
         c_cl = -npleg.legmul(lm, lp) / SQRT2
-        b = b_cl / _leg_norms(b_cl.size)
-        c = c_cl / _leg_norms(c_cl.size)
+        b = b_cl / legendre_norms(b_cl.size)
+        c = c_cl / legendre_norms(c_cl.size)
     return Rep(
         a=PolyCoeffs(basis, [1.0], domain),
         b=PolyCoeffs(basis, b, domain),

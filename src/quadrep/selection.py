@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import SampleGrid, assemble, STREAM_PLAIN, STREAM_F, STREAM_F2
+from .dictionary import (SampleGrid, assemble, check_counts, check_philox_key, STREAM_PLAIN,
+                         STREAM_F, STREAM_F2)
 from .linalg import DEFAULT_RANK_TOL, PivotedQR, householder_qr, pivoted_qr, qr_solve
 from .representation import (coefficients_to_rep, fit_degree0, fit_degree1,
                              fit_degree2_uniform)
 
 __all__ = [
-    "check_run_knobs",
+    "BATCH_SIZES",
     "SelectionConfig",
     "StepRecord",
     "GreedyRun",
@@ -40,17 +41,9 @@ __all__ = [
 ]
 
 _STREAMS = (STREAM_PLAIN, STREAM_F, STREAM_F2)
+BATCH_SIZES = (1, 3, 5)  # columns drawn per stream and greedy step
 _TIE_RTOL = 1e-12
 _DEP_TOL = 1e-13
-
-
-def check_run_knobs(stream_cap: int, rng_seed: int) -> None:
-    """ValueError naming ``stream_cap`` if it is below 1, or ``rng_seed`` if
-    it is no Philox key, an integer in [0, 2**128)."""
-    if stream_cap < 1:
-        raise ValueError("stream_cap must be >= 1")
-    if not 0 <= rng_seed < 2 ** 128:
-        raise ValueError("rng_seed must be >= 0 and < 2**128")
 
 
 @dataclass(frozen=True)
@@ -64,15 +57,16 @@ class SelectionConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size not in (1, 3, 5):
-            raise ValueError("batch_size must be 1, 3, or 5")
-        check_run_knobs(self.stream_cap, self.rng_seed)
+        if self.batch_size not in BATCH_SIZES:
+            *most, last = BATCH_SIZES
+            raise ValueError(f"batch_size must be {', '.join(map(str, most))}, or {last}")
+        check_counts(stream_cap=self.stream_cap)
+        check_philox_key(rng_seed=self.rng_seed)
         if self.target_residual is None and self.max_terms is None:
             raise ValueError("set target_residual and/or max_terms")
         if self.target_residual is not None and not self.target_residual > 0:
             raise ValueError("target_residual must be > 0")
-        if self.max_terms is not None and self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
+        check_counts(max_terms=self.max_terms)
 
 
 @dataclass(frozen=True)
@@ -127,8 +121,7 @@ class GreedyRun:
         whose last batch would be cut to the budget, or more terms than a run
         stopped at its own ``max_terms`` kept.
         """
-        if max_terms is not None and max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
+        check_counts(max_terms=max_terms)
         n = len(self.tags)
         k = n
         if max_terms != self.config.max_terms:
@@ -303,8 +296,7 @@ class RRQRFactor:
         ValueError for ``max_terms`` < 1, and for more terms than a factor
         truncated at its own ``max_terms`` pivoted (None included).
         """
-        if max_terms is not None and max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
+        check_counts(max_terms=max_terms)
         if self.max_terms is not None and (max_terms is None or max_terms > self.max_terms):
             raise ValueError(f"the factor pivoted {self.max_terms} columns and cannot"
                              f" give the rep at max_terms={max_terms}")
@@ -329,10 +321,7 @@ def rrqr_select(grid: SampleGrid, stream_cap: int = 60, max_terms: int | None = 
     factor it with column pivoting, stopped after ``max_terms`` pivots (all of
     them when None): the largest K that the factor is asked for.  A
     ``truncate_tol`` outside [0, 1] is refused before any assembly."""
-    if stream_cap < 1:
-        raise ValueError("stream_cap must be >= 1")
-    if max_terms is not None and max_terms < 1:
-        raise ValueError("max_terms must be >= 1")
+    check_counts(stream_cap=stream_cap, max_terms=max_terms)
     if not 0 <= truncate_tol <= 1:
         raise ValueError("truncate_tol must be in [0, 1]")
     d = assemble(grid, stream_cap, stream_cap, stream_cap)

@@ -458,8 +458,9 @@ def test_denoise_debias_requires_sigma2(tmp_path):
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """A case3 data.csv, copies of it with a NaN x in a middle row and an
-    infinite last x, a degree-0 rep.json, and points files holding only the
-    header and nothing at all, for the rejected commands."""
+    infinite last x, a degree-0 rep.json, points files holding only the
+    header and nothing at all, a directory, and a file that is not UTF-8,
+    for the rejected commands."""
     root = tmp_path_factory.mktemp("inputs")
     assert run(["generate", "--preset", "case3", "--seed", "0", "--out", str(root / "gen")]) == 0
     assert run(["fit", "--fn", "relu", "--method", "deg0", "--n", "5",
@@ -471,16 +472,33 @@ def inputs(tmp_path_factory):
         (root / f"{name}.csv").write_text("".join(bad))
     for name, text in (("header_only", "x\n"), ("empty", "")):
         (root / f"{name}.csv").write_text(text)
+    (root / "a_dir").mkdir()
+    (root / "latin1.csv").write_bytes(b"x,f\n\xff,1\n")
     return {"data": str(root / "gen" / "data.csv"), "deg0": str(root / "deg0" / "rep.json"),
             "missing": str(root / "missing"), "nan_x": str(root / "nan_x.csv"),
             "inf_x": str(root / "inf_x.csv"), "header_only": str(root / "header_only.csv"),
-            "empty": str(root / "empty.csv")}
+            "empty": str(root / "empty.csv"), "dir": str(root / "a_dir"),
+            "latin1": str(root / "latin1.csv")}
 
 
 _FIT = ["fit", "--fn", "relu", "--order", "100", "--method"]
 _GREEDY = [*_FIT, "deg2-greedy", "--max-terms", "3"]
 _ITERATIVE = ["denoise", "--input", "{data}", "--mode", "iterative"]
 _CONVERGENCE = ["convergence", "--fn", "relu", "--kmax", "3"]
+# each input path flag given a directory, and each CSV one a file that is not UTF-8
+UNREADABLE = {
+    "fit-input-dir": ["fit", "--input", "{dir}", "--method", "deg0", "--n", "2"],
+    "fit-input-latin1": ["fit", "--input", "{latin1}", "--method", "deg0", "--n", "2"],
+    "denoise-input-dir": ["denoise", "--input", "{dir}", "--mode", "ls"],
+    "denoise-input-latin1": ["denoise", "--input", "{latin1}", "--mode", "ls"],
+    "denoise-truth-dir": ["denoise", "--input", "{data}", "--mode", "ls", "--truth", "{dir}"],
+    "denoise-truth-latin1": ["denoise", "--input", "{data}", "--mode", "ls", "--truth",
+                             "{latin1}"],
+    "eval-points-dir": ["eval", "--rep", "{deg0}", "--points", "{dir}"],
+    "eval-points-latin1": ["eval", "--rep", "{deg0}", "--points", "{latin1}"],
+    "eval-rep-dir": ["eval", "--rep", "{dir}"],
+    "replay-manifest-dir": ["replay", "--manifest", "{dir}"],
+}
 # numeric flags at values out of their range: (argv, the parameter its error names)
 BAD_NUMBERS = {
     f"{case}-{value}": ([*base, flag, value], name)
@@ -538,12 +556,13 @@ BAD_NUMBERS = {
     ["generate", "--preset", "case1", "--sigma", "-5", "--seed", "0"],
     ["generate", "--preset", "case1", "--target", "function", "--seed", "0"],
     *(argv for argv, _ in BAD_NUMBERS.values()),
+    *UNREADABLE.values(),
 ], ids=["debias-no-sigma2", "case3-no-sigma2", "generate-no-noise", "eval-branches-deg0",
         "eval-missing-rep", "eval-grid-0", "eval-grid-negative", "fit-missing-input", "denoise-missing-input",
         "debias-nan-x", "ls-nan-x", "fit-nan-x", "ls-inf-x", "eval-points-header-only",
         "eval-points-empty", "convergence-kmax-0", "convergence-kmin-above-kmax",
         "convergence-method-twice", "convergence-method-without-k", "generate-preset-sigma",
-        "generate-preset-target", *BAD_NUMBERS])
+        "generate-preset-target", *BAD_NUMBERS, *UNREADABLE])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rejected_command_writes_nothing(tmp_path, capsys, inputs, argv):
     out = tmp_path / "out"
@@ -556,14 +575,30 @@ def test_rejected_command_writes_nothing(tmp_path, capsys, inputs, argv):
             assert err.startswith(f"error: {inputs[bad]}: non-finite sample positions"), err
     if "--grid" in argv:
         assert err == "error: --grid must be >= 1\n"
-    if "--points" in argv:
+    if "--points" in argv and argv not in UNREADABLE.values():
         points = argv[argv.index("--points") + 1].format(**inputs)
         assert err == f"error: {points}: no x values\n"
+    for bad in ("dir", "latin1"):
+        if f"{{{bad}}}" in argv:
+            assert inputs[bad] in err, err
     if "--preset" in argv:
         assert err == f"error: {argv[3]} is not read with --preset\n"
     for bad, name in BAD_NUMBERS.values():
         if argv == bad:
             assert re.search(rf"\b{name}\b", err), err
+
+
+@pytest.mark.parametrize("below", [(), ("sub",), ("sub", "deeper")],
+                         ids=["file", "through-file", "two-below-file"])
+def test_out_that_is_a_file_is_a_usage_error(tmp_path, capsys, below):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken.joinpath(*below)
+    assert run(["generate", "--preset", "case1", "--seed", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert taken.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [taken]
 
 
 def _raise_arithmetic(*args, **kwargs):
@@ -939,6 +974,17 @@ def _help_default(action) -> str:
 
 def _default(fn, name):
     return inspect.signature(fn).parameters[name].default
+
+
+def test_choice_sets_are_the_tuples_the_library_checks():
+    assert _options("fit")["batch"].choices is selection.BATCH_SIZES
+    assert _options("generate")["target"].choices is denoise.NOISE_MODELS
+    assert _options("denoise")["init"].choices is denoise.INIT_MODES
+    data = dictionary.tabulated_grid(np.arange(6.0), np.arange(6.0) ** 2)
+    with pytest.raises(ValueError, match="^unknown noise model 'uniform'$"):
+        denoise.generate_noisy(data.nodes, data.values, "uniform", 1.0, 0)
+    with pytest.raises(ValueError, match="^unknown init mode 'case4'$"):
+        denoise.denoise_iterative(data, init="case4")
 
 
 def test_restated_defaults_are_the_library_defaults():

@@ -19,6 +19,7 @@ from quadrep.dictionary import (
 def test_linear_function_order_two_values():
     grid = build_grid(lambda x: x, (-1.0, 1.0), 2)
     assert np.allclose(grid.values, [-1 / math.sqrt(3), 1 / math.sqrt(3)], atol=1e-15)
+    assert grid.is_quadrature is True
 
 
 def test_step_data_on_integer_positions():

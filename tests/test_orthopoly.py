@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from quadrep import orthopoly
 from quadrep.orthopoly import (
-    QuadratureRule,
     gauss_legendre,
     legendre_row,
 )
@@ -101,15 +100,6 @@ def test_rule_matches_eigenvalue_oracle(m):
     nodes, weights = npleg.leggauss(m)
     assert np.max(np.abs(rule.nodes - nodes)) < 1e-14
     assert np.max(np.abs(rule.weights - weights)) < 1e-12
-
-
-def test_rule_invariant_validation():
-    with pytest.raises(ValueError):
-        QuadratureRule(nodes=np.array([0.3, 0.1]), weights=np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        QuadratureRule(nodes=np.array([-1.0, 0.5]), weights=np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        QuadratureRule(nodes=np.array([-0.5, 0.5]), weights=np.array([1.0, -1.0]))
 
 
 def test_eval_constant_and_linear():

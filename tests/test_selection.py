@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quadrep import selection
+from quadrep.denoise import normal_stream
 from quadrep.dictionary import STREAM_F, STREAM_F2, STREAM_PLAIN, assemble, build_grid
 from quadrep.functions import BUILTINS, get_builtin
 from quadrep.linalg import weighted_lsq
@@ -311,6 +312,31 @@ def test_rrqr_factor_refuses_reps_it_does_not_determine():
     for k in (0, -5):
         with pytest.raises(ValueError, match="max_terms must be >= 1"):
             rrqr_select(SIG_GRID, stream_cap=40, max_terms=k)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SelectionConfig(max_terms=0), "max_terms must be >= 1"),
+    (lambda: SelectionConfig(max_terms=3, stream_cap=0), "stream_cap must be >= 1"),
+    (lambda: SelectionConfig(max_terms=3, rng_seed=-1), "rng_seed must be >= 0 and < 2**128"),
+    (lambda: SelectionConfig(max_terms=3, rng_seed=2 ** 128),
+     "rng_seed must be >= 0 and < 2**128"),
+    (lambda: rrqr_select(SIG_GRID, stream_cap=0), "stream_cap must be >= 1"),
+    (lambda: rrqr_select(SIG_GRID, stream_cap=0, max_terms=0), "stream_cap must be >= 1"),
+    (lambda: normal_stream(-1, 3), "seed must be >= 0 and < 2**128"),
+    (lambda: normal_stream(2 ** 128, 3), "seed must be >= 0 and < 2**128"),
+    (lambda: SelectionConfig(batch_size=2, max_terms=3), "batch_size must be 1, 3, or 5"),
+], ids=["config-max-terms", "config-cap", "config-seed-below", "config-seed-above",
+        "rrqr-cap", "rrqr-cap-first", "stream-seed-below", "stream-seed-above", "config-batch"])
+def test_each_knob_range_keeps_its_message(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+def test_knob_ranges_accept_their_bounds():
+    for batch in selection.BATCH_SIZES:
+        SelectionConfig(batch_size=batch, max_terms=1, stream_cap=1, rng_seed=2 ** 128 - 1)
+    assert normal_stream(2 ** 128 - 1, 2).shape == (2,)
 
 
 def test_greedy_run_stopped_by_target_gives_every_larger_budget():
