@@ -338,8 +338,8 @@ def main(argv=None) -> int:
     """Run one command (``replay``: the argv its manifest stores).  Its handler
     returns its documents, each file name's JSON dict or CSV ``(header, rows[,
     comment])``, and its seed; only then is ``--out`` made, so a failure writes
-    nothing.  An input or ``--out`` path that cannot be opened or made is a
-    usage error."""
+    nothing.  A path that cannot be opened, made or written is a usage error;
+    a failed write leaves the documents before it, and no manifest."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -355,20 +355,20 @@ def main(argv=None) -> int:
         docs, seed = _HANDLERS[args.command](args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        for name, doc in docs.items():
+            if isinstance(doc, dict):
+                write_json(out / name, doc)
+            else:
+                write_csv(out / name, *doc)
+        write_json(out / "manifest.json", {
+            "command": args.command, "argv": argv, "seed": seed, "version": __version__,
+            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()})
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure in {args.command}: {exc}", file=sys.stderr)
         return 3
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for name, doc in docs.items():
-        if isinstance(doc, dict):
-            write_json(out / name, doc)
-        else:
-            write_csv(out / name, *doc)
-    write_json(out / "manifest.json", {
-        "command": args.command, "argv": argv, "seed": seed, "version": __version__,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()})
     return 0
 
 

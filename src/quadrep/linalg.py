@@ -1,4 +1,5 @@
-"""Dense weighted least squares and column-pivoted QR, on one Householder QR.
+"""Dense weighted least squares and column-pivoted QR, on one Householder QR,
+and the one triangular solve that ends every least-squares fit.
 
 Normal equations are never formed: the candidate dictionaries this package
 fits against are near-linearly-dependent by construction, so everything goes
@@ -17,7 +18,7 @@ __all__ = [
     "weighted_lsq",
     "pivoted_qr",
     "householder_qr",
-    "qr_solve",
+    "back_substitute",
 ]
 
 DEFAULT_RANK_TOL = 1e-12
@@ -52,15 +53,14 @@ class PivotedQR:
     def solve(self, y, rank: int):
         """Least squares on the first ``rank`` pivoted columns: (coefficients
         of columns ``perm[:rank]``, residual norm)."""
-        return qr_solve(self.q[:, :rank], self.r[:rank, :rank], y)
+        q = self.q[:, :rank]
+        proj = q.T @ y
+        return back_substitute(self.r[:rank, :rank], proj), float(np.linalg.norm(y - q @ proj))
 
 
-def qr_solve(q, r, y):
-    """Least squares min ||A c - y|| from a thin QR, A = q r with r upper
-    triangular: (coefficients, residual norm)."""
-    proj = q.T @ y
-    residual = float(np.linalg.norm(y - q @ proj))
-    return solve_triangular(r, proj, lower=False), residual
+def back_substitute(r, c):
+    """x with r x = c, r upper triangular: the one triangular solve."""
+    return solve_triangular(r, c, lower=False)
 
 
 def householder_qr(a):
@@ -189,6 +189,6 @@ def weighted_lsq(v, y, w):
         raise RankDeficiencyError(
             f"rank-deficient design: numerical rank {rank} of {k} columns", rank, fact
         )
-    coef = solve_triangular(r, q.T @ (y * sw), lower=False)
+    coef = back_substitute(r, q.T @ (y * sw))
     resid = float(np.linalg.norm(sw * (v @ coef - y)))
     return coef, resid

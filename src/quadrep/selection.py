@@ -20,7 +20,7 @@ import numpy as np
 
 from .dictionary import (SampleGrid, assemble, check_counts, check_philox_key, STREAM_PLAIN,
                          STREAM_F, STREAM_F2)
-from .linalg import DEFAULT_RANK_TOL, PivotedQR, householder_qr, pivoted_qr, qr_solve
+from .linalg import DEFAULT_RANK_TOL, PivotedQR, back_substitute, pivoted_qr
 from .representation import (coefficients_to_rep, fit_degree0, fit_degree1,
                              fit_degree2_uniform)
 
@@ -79,21 +79,23 @@ class StepRecord:
 
 
 def _orthonormalize(basis: np.ndarray, col: np.ndarray):
-    """CGS2: ``col`` with its components along the orthonormal columns of
-    ``basis`` removed twice, normalized; None if nothing independent is left."""
-    u = col
-    if basis.shape[1]:
-        u = u - basis @ (basis.T @ u)
-        u = u - basis @ (basis.T @ u)
+    """CGS2: (q, R column): ``col`` with its components along the orthonormal
+    columns of ``basis`` removed twice, normalized, and the two passes'
+    coefficients summed, then the norm; None if nothing independent is left."""
+    u, coef = col, np.zeros(basis.shape[1])
+    for _ in range(2):  # twice is enough: q is orthogonal to working precision
+        c = basis.T @ u
+        u, coef = u - basis @ c, coef + c
     rho = np.linalg.norm(u)
     if rho < _DEP_TOL * np.linalg.norm(col) or rho == 0.0:
         return None
-    return u / rho
+    return u / rho, np.append(coef, rho)
 
 
 @dataclass(frozen=True)
 class GreedyRun:
-    """One stream-competition run: the kept columns in selection order.
+    """One stream-competition run: the kept columns in selection order, and
+    the CGS2 factor that chose them: the W-scaled unit columns are Q ``r``.
 
     With ``batch_size=1`` a run is prefix-consistent: the run stopped at
     ``max_terms=K`` keeps exactly the first K columns of any longer run on
@@ -105,9 +107,10 @@ class GreedyRun:
     grid: SampleGrid
     config: SelectionConfig
     tags: tuple
-    columns: np.ndarray  # kept W-scaled columns, each divided by its norm
-    norms: np.ndarray
-    target: np.ndarray  # W-scaled target
+    norms: np.ndarray  # the kept columns' W-norms
+    r: np.ndarray  # K x K upper triangle
+    qty: np.ndarray  # Q^T y, y the W-scaled target
+    residuals: np.ndarray  # ||y - Q Q^T y|| after each kept column
     steps: tuple
     notes: tuple
     exhausted: bool
@@ -140,13 +143,14 @@ class GreedyRun:
         return self.tags[:k]
 
     def rep_at(self, max_terms: int | None):
-        """The rep fitted on the (normalized) columns of ``tags_at``."""
+        """The rep fitted on the (normalized) columns of ``tags_at``, by back
+        substitution on the leading K x K block of ``r``."""
         tags = self.tags_at(max_terms)
         k = len(tags)
-        eta_hat, final_residual = qr_solve(*householder_qr(self.columns[:, :k]), self.target)
+        eta_hat = back_substitute(self.r[:k, :k], self.qty[:k])
         config = self.config
         return coefficients_to_rep(
-            self.grid, tags, eta_hat / self.norms[:k], final_residual,
+            self.grid, tags, eta_hat / self.norms[:k], float(self.residuals[k - 1]),
             provenance={"method": "greedy", "seed": config.rng_seed,
                         "batch_size": config.batch_size,
                         "max_terms": max_terms,
@@ -200,9 +204,8 @@ def greedy_select(grid: SampleGrid, config: SelectionConfig) -> GreedyRun:
     q_basis = np.empty((grid.size, 0))
     resid_vec = y.copy()
     cursors = {s: 0 for s in _STREAMS}
-    kept: list = []
-    steps = []
-    notes = []
+    kept, r_cols, qty, residuals = [], [], [], []
+    steps, notes = [], []
     exhausted = False
     stopped_at_max_terms = False
     step_no = 0
@@ -223,19 +226,19 @@ def greedy_select(grid: SampleGrid, config: SelectionConfig) -> GreedyRun:
                 candidates[s] = {"tags": [], "residual": None, "note": "exhausted"}
                 continue
             ctags = [list(d.tags[j]) for j in idx]
-            basis, qs = q_basis, []
+            basis, qrs = q_basis, []
             for j in idx:
-                q = None if units[j] is None else _orthonormalize(basis, units[j])
-                qs.append(q)
-                if q is not None:
-                    basis = np.column_stack([basis, q])
-            if all(q is None for q in qs):
+                qr = None if units[j] is None else _orthonormalize(basis, units[j])
+                qrs.append(qr)
+                if qr is not None:
+                    basis = np.column_stack([basis, qr[0]])
+            if all(qr is None for qr in qrs):
                 candidates[s] = {"tags": ctags, "residual": None, "note": "dependent"}
                 continue
-            reduction = sum(float(q @ resid_vec) ** 2 for q in qs if q is not None)
+            reduction = sum(float(qr[0] @ resid_vec) ** 2 for qr in qrs if qr is not None)
             cand_resid = float(np.sqrt(max(float(resid_vec @ resid_vec) - reduction, 0.0)))
             candidates[s] = {"tags": ctags, "residual": cand_resid}
-            drawn[s] = (idx, qs, basis)
+            drawn[s] = (idx, qrs, basis)
         if not drawn:
             exhausted = True
             notes.append("all candidate streams exhausted or dependent")
@@ -245,28 +248,34 @@ def greedy_select(grid: SampleGrid, config: SelectionConfig) -> GreedyRun:
         tied = [s for s in _STREAMS if s in drawn
                 and resids[s] - rmin <= _TIE_RTOL * max(rmin, 1e-300)]
         chosen = tied[0] if len(tied) == 1 else tied[int(rng.integers(len(tied)))]
-        idx, qs, q_basis = drawn[chosen]
+        idx, qrs, q_basis = drawn[chosen]
         chosen_tags = []
-        for j, q in zip(idx, qs):
-            if q is None:
+        for j, qr in zip(idx, qrs):
+            if qr is None:
                 kind = "zero" if units[j] is None else "dependent"
                 notes.append(f"skipped {kind} column {d.tags[j]}")
                 continue
+            q, r_col = qr
             resid_vec = resid_vec - q * (q @ resid_vec)
             kept.append(j)
+            r_cols.append(r_col)
+            qty.append(q @ y)
+            residuals.append(float(np.linalg.norm(resid_vec)))
             chosen_tags.append(d.tags[j])
         cursors[chosen] += len(idx)
-        residual_after = float(np.linalg.norm(resid_vec))
         steps.append(StepRecord(step=step_no, candidates=candidates,
                                 chosen_stream=chosen, chosen_tags=tuple(chosen_tags),
-                                residual_after=residual_after))
-        if config.target_residual is not None and residual_after <= config.target_residual:
+                                residual_after=residuals[-1]))
+        if config.target_residual is not None and residuals[-1] <= config.target_residual:
             break
 
-    columns = np.column_stack([units[j] for j in kept]) if kept else np.empty((grid.size, 0))
+    r = np.zeros((len(kept), len(kept)))
+    for i, r_col in enumerate(r_cols):
+        r[:i + 1, i] = r_col
     return GreedyRun(grid=grid, config=config, tags=tuple(d.tags[j] for j in kept),
-                     columns=columns, norms=np.asarray([norms[j] for j in kept], dtype=float),
-                     target=y, steps=tuple(steps), notes=tuple(notes), exhausted=exhausted,
+                     norms=np.asarray([norms[j] for j in kept], dtype=float), r=r,
+                     qty=np.asarray(qty, dtype=float), residuals=np.asarray(residuals),
+                     steps=tuple(steps), notes=tuple(notes), exhausted=exhausted,
                      stopped_at_max_terms=stopped_at_max_terms)
 
 

@@ -601,6 +601,17 @@ def test_out_that_is_a_file_is_a_usage_error(tmp_path, capsys, below):
     assert list(tmp_path.iterdir()) == [taken]
 
 
+def test_failed_write_is_a_usage_error_and_writes_no_manifest(tmp_path, capsys):
+    # the data file's name is taken by a directory: writing it fails
+    out = tmp_path / "o"
+    (out / "data.csv").mkdir(parents=True)
+    assert run(["generate", "--preset", "case1", "--seed", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(out / "data.csv") in err
+    assert not (out / "manifest.json").exists()
+
+
 def _raise_arithmetic(*args, **kwargs):
     raise ArithmeticError("patched to fail")
 
