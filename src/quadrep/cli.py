@@ -37,9 +37,9 @@ from .dictionary import DataError, build_grid, check_counts, check_philox_key
 from .files import (dataset_table, load_rep, read_dataset, read_manifest, read_points,
                     write_csv, write_json)
 from .functions import BUILTINS, STEP_MID, get_builtin
-from .representation import EvaluationError, branches, eval_rep, poles, relative_l2, rep_to_dict
+from .representation import EvaluationError, branches, eval_rep, poles, rep_to_dict
 from .selection import (BATCH_SIZES, FIT_FLAGS, METHODS, GreedyRun, _set, achievable_k,
-                        fit_at_k, fit_method, method_run)
+                        error_at_k, fit_at_k, fit_method, method_run)
 
 
 def _grid_for_function(name: str, order: int | None):
@@ -64,7 +64,7 @@ def cmd_fit(args):
         grid = _grid_for_function(args.fn, args.order)
     else:
         grid = read_dataset(args.input)
-    rep, k, run = fit_method(grid, args.method, vars(args))
+    rep, k, run, _ = fit_method(grid, args.method, vars(args))
     docs = {"rep.json": rep_to_dict(rep)}
     if args.trace:
         docs["trace.json"] = run.trace_doc(rep.fit_residual)
@@ -154,7 +154,7 @@ def cmd_convergence(args):
             errors.append(_failed_cell(m, k, runs[m]))
             continue
         try:
-            errors.append(relative_l2(fit_at_k(grid, m, k, runs[m]), grid))
+            errors.append(error_at_k(grid, m, k, runs[m]))
         except (*NUMERICAL_ERRORS, ValueError) as exc:
             errors.append(_failed_cell(m, k, exc))
     print(f"wrote {len(cells)} cells for {args.fn}")

@@ -4,13 +4,15 @@ and the one triangular solve that ends every least-squares fit.
 Normal equations are never formed: the candidate dictionaries this package
 fits against are near-linearly-dependent by construction, so everything goes
 through orthogonal factorizations.
+
+SciPy is imported by the two functions that call it, on their first call, so
+a command that never factors or solves (``eval``, ``generate``) does not load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
 
 __all__ = [
     "RankDeficiencyError",
@@ -60,6 +62,8 @@ class PivotedQR:
 
 def back_substitute(r, c):
     """x with r x = c, r upper triangular: the one triangular solve."""
+    from scipy.linalg import solve_triangular
+
     return solve_triangular(r, c, lower=False)
 
 
@@ -73,6 +77,8 @@ def householder_qr(a):
 
     Raises ValueError on a non-finite entry: LAPACK does not check.
     """
+    from scipy.linalg import lapack
+
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("expected a nonempty 2-D matrix")

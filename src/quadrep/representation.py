@@ -45,6 +45,7 @@ __all__ = [
     "compose_piecewise_manifold",
     "residual_l2",
     "relative_l2",
+    "table_relative_l2",
     "rep_to_dict",
     "rep_from_dict",
 ]
@@ -191,7 +192,7 @@ class IndexFunction:
         signs = np.asarray(signs, dtype=int)
         if positions.shape != signs.shape or positions.ndim != 1 or positions.size == 0:
             raise ValueError("positions and signs must be matching nonempty 1-D arrays")
-        if not np.all(np.isin(signs, (-1, 1))):
+        if not np.all((signs == 1) | (signs == -1)):
             raise ValueError("signs must be +-1")
         flips = np.nonzero(signs[1:] != signs[:-1])[0]
         breakpoints = 0.5 * (positions[flips] + positions[flips + 1])
@@ -294,6 +295,12 @@ class BranchTable:
         """The plus branch where ``signs`` > 0, else the minus branch."""
         return np.where(np.asarray(signs) > 0, self.plus, self.minus)
 
+    def pick(self, index: IndexFunction, x) -> np.ndarray:
+        """The root that ``index`` picks at each point of ``x``, the points
+        this table was built at; raises as ``require_real``."""
+        self.require_real()
+        return self.select(index.signs_at(x))
+
     def nearest_signs(self, values) -> np.ndarray:
         """Per point, +1 if the plus root is nearer ``values`` (ties +1), else
         -1.  A point with complex roots inherits the previous point's sign (+1
@@ -374,8 +381,10 @@ def roots_at(rep: Rep, x) -> RootResult:
                       linear=bool(br.linear[0]), clamped=bool(br.clamped[0]))
 
 
-def assign_index(rep: Rep, grid: SampleGrid) -> IndexFunction:
-    """Per-node sign whose root is nearest the sample value (ties -> +1).
+def assign_index(rep: Rep, grid: SampleGrid) -> tuple[IndexFunction, BranchTable]:
+    """(index, table): the per-node sign whose root is nearest the sample
+    value (ties -> +1), and the branch table at the grid's nodes that it was
+    read from.
 
     Nodes with complex roots get no meaningful selection; they inherit the
     previous node's sign and are reported in ``undefined``.
@@ -384,7 +393,7 @@ def assign_index(rep: Rep, grid: SampleGrid) -> IndexFunction:
         raise ValueError("representation and grid domains differ")
     br = branches(rep, grid.nodes)
     signs = br.nearest_signs(grid.values)
-    return IndexFunction.from_dense(grid.nodes, signs, undefined=grid.nodes[br.complex])
+    return IndexFunction.from_dense(grid.nodes, signs, undefined=grid.nodes[br.complex]), br
 
 
 def poles(rep: Rep, x) -> np.ndarray:
@@ -408,9 +417,7 @@ def eval_rep(rep: Rep, x):
     else:
         if rep.index is None:
             raise EvaluationError("degree-2 representation has no index assigned")
-        br = branches(rep, arr)
-        br.require_real()
-        out = br.select(rep.index.signs_at(arr))
+        out = branches(rep, arr).pick(rep.index, arr)
     return float(out[0]) if scalar else out
 
 
@@ -497,9 +504,10 @@ def fit_degree1(grid: SampleGrid, n0: int, n1: int) -> Rep:
 
 def coefficients_to_rep(grid: SampleGrid, tags, values, fit_residual: float,
                         degeneracy: dict | None = None,
-                        provenance: dict | None = None) -> Rep:
-    """Package per-column dictionary coefficients into a degree-2 Rep, with the
-    index ``assign_index`` gives on the grid.
+                        provenance: dict | None = None) -> tuple[Rep, BranchTable]:
+    """(rep, table): per-column dictionary coefficients packaged into a
+    degree-2 Rep, with the index ``assign_index`` gives on the grid, and the
+    branch table at the grid's nodes that the index was read from.
 
     ``values`` are the least-squares coefficients of the raw dictionary
     columns listed in ``tags``; stream-3 coefficients enter a(x) negated,
@@ -529,11 +537,15 @@ def coefficients_to_rep(grid: SampleGrid, tags, values, fit_residual: float,
         degeneracy=degeneracy,
         provenance=provenance or {},
     )
-    return replace(rep, index=assign_index(rep, grid))
+    index, table = assign_index(rep, grid)
+    return replace(rep, index=index), table
 
 
-def fit_degree2_uniform(grid: SampleGrid, n0: int, n1: int, n2: int) -> Rep:
-    """Non-adaptive degree-2 fit over the full (n0, n1, n2) dictionary.
+def fit_degree2_uniform(grid: SampleGrid, n0: int, n1: int,
+                        n2: int) -> tuple[Rep, BranchTable]:
+    """(rep, table): the non-adaptive degree-2 fit over the full (n0, n1, n2)
+    dictionary, and the branch table at the grid's nodes that its index was
+    read from (see ``coefficients_to_rep``).
 
     A rank-deficient dictionary does not fail the fit: the solve falls back
     to the numerically independent pivoted subset and the dropped columns are
@@ -559,25 +571,42 @@ def fit_degree2_uniform(grid: SampleGrid, n0: int, n1: int, n2: int) -> Rep:
                                degeneracy=degeneracy, provenance=provenance)
 
 
-def residual_l2(rep, grid: SampleGrid) -> float:
-    """Weighted L2 distance between the representation and the grid's samples.
-
-    Evaluation failures (poles, complex roots) count as +inf with a warning.
-    """
+def _residual(values_at, grid: SampleGrid) -> float:
+    """Weighted L2 distance between ``values_at(grid.nodes)`` and the grid's
+    samples; an evaluation failure counts as +inf with a warning."""
     try:
-        vals = eval_rep(rep, grid.nodes)
+        vals = values_at(grid.nodes)
     except (ComplexRootError, PoleError, EvaluationError) as exc:
         warnings.warn(f"evaluation failed, residual reported as inf: {exc}")
         return float("inf")
     return float(np.sqrt(np.sum(grid.weights * (vals - grid.values) ** 2)))
 
 
-def relative_l2(rep, grid: SampleGrid) -> float:
-    """residual_l2 normalized by the samples' norm (when nonzero)."""
+def _relative(err: float, grid: SampleGrid) -> float:
+    """``err`` normalized by the samples' norm (when nonzero)."""
     ref = grid.values
     denom = float(np.sqrt(np.sum(grid.weights * ref * ref)))
-    err = residual_l2(rep, grid)
     return err / denom if denom > 0 else err
+
+
+def residual_l2(rep, grid: SampleGrid) -> float:
+    """Weighted L2 distance between the representation and the grid's samples.
+
+    Evaluation failures (poles, complex roots) count as +inf with a warning.
+    """
+    return _residual(lambda x: eval_rep(rep, x), grid)
+
+
+def relative_l2(rep, grid: SampleGrid) -> float:
+    """residual_l2 normalized by the samples' norm (when nonzero)."""
+    return _relative(residual_l2(rep, grid), grid)
+
+
+def table_relative_l2(rep: Rep, table: BranchTable, grid: SampleGrid) -> float:
+    """``relative_l2`` of a degree-2 rep, read from ``table``: the branch table
+    at the grid's nodes that its index was read from, as
+    ``coefficients_to_rep`` returns it.  Builds no table of its own."""
+    return _relative(_residual(lambda x: table.pick(rep.index, x), grid), grid)
 
 
 # --------------------------------------------------------------------------

@@ -9,8 +9,10 @@ Each runs in two stages: ``greedy_select`` and ``rrqr_select`` make the
 selection run, which does not depend on the number of terms kept (a
 ``GreedyRun``, an ``RRQRFactor``).  At a given ``max_terms`` either run's
 ``tags_at`` gives the columns of the rep, and its ``rep_at`` the rep fitted
-on them.  Through the method table at the end, ``quadrep fit`` takes one rep
-from a run (``fit_method``), a convergence sweep one rep per K (``fit_at_k``).
+on them, with the branch table at the grid's nodes that its index was read
+from.  Through the method table at the end, ``quadrep fit`` takes one rep
+from a run (``fit_method``), a convergence sweep one rep per K (``fit_at_k``)
+and its error (``error_at_k``).
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from .dictionary import (SampleGrid, assemble, check_counts, check_philox_key, S
                          STREAM_F, STREAM_F2)
 from .linalg import DEFAULT_RANK_TOL, PivotedQR, back_substitute, pivoted_qr
 from .representation import (coefficients_to_rep, fit_degree0, fit_degree1,
-                             fit_degree2_uniform)
+                             fit_degree2_uniform, relative_l2, table_relative_l2)
 
 __all__ = [
     "BATCH_SIZES",
@@ -38,6 +40,7 @@ __all__ = [
     "achievable_k",
     "method_run",
     "fit_at_k",
+    "error_at_k",
 ]
 
 _STREAMS = (STREAM_PLAIN, STREAM_F, STREAM_F2)
@@ -143,8 +146,9 @@ class GreedyRun:
         return self.tags[:k]
 
     def rep_at(self, max_terms: int | None):
-        """The rep fitted on the (normalized) columns of ``tags_at``, by back
-        substitution on the leading K x K block of ``r``."""
+        """(rep, table): the rep fitted on the (normalized) columns of
+        ``tags_at``, by back substitution on the leading K x K block of ``r``,
+        and the branch table at the grid's nodes that its index was read from."""
         tags = self.tags_at(max_terms)
         k = len(tags)
         eta_hat = back_substitute(self.r[:k, :k], self.qty[:k])
@@ -312,9 +316,10 @@ class RRQRFactor:
         return self.tags[:max_terms]
 
     def rep_at(self, max_terms: int | None = None):
-        """The degree-2 rep fitted in the orthogonal basis of ``tags_at``,
-        mapped back through R and the permutation (columns pivoted out of the
-        truncation get zero coefficients)."""
+        """(rep, table): the degree-2 rep fitted in the orthogonal basis of
+        ``tags_at``, mapped back through R and the permutation (columns
+        pivoted out of the truncation get zero coefficients), and the branch
+        table at the grid's nodes that its index was read from."""
         tags = self.tags_at(max_terms)
         gamma, residual = self.fact.solve(self.target, len(tags))
         return coefficients_to_rep(
@@ -354,9 +359,11 @@ FIT_FLAGS = {
     "deg2-rrqr": ("max_terms", "cap", "tol", "seed"),
 }
 METHODS = tuple(FIT_FLAGS)
-# each fixed-degree method's fit, and its K less the sum of its degrees (one
-# coefficient per polynomial beyond its degree, less the one that it pins)
-_FIXED = {"deg0": (fit_degree0, 1), "deg1": (fit_degree1, 1),
+# each fixed-degree method's fit as (rep, branch table at the grid's nodes;
+# None below degree 2), and its K less the sum of its degrees (one coefficient
+# per polynomial beyond its degree, less the one that it pins)
+_FIXED = {"deg0": (lambda grid, **degrees: (fit_degree0(grid, **degrees), None), 1),
+          "deg1": (lambda grid, **degrees: (fit_degree1(grid, **degrees), None), 1),
           "deg2-uniform": (fit_degree2_uniform, 2)}
 
 
@@ -385,16 +392,20 @@ def _selection_run(grid: SampleGrid, method: str, flags: dict):
 
 
 def fit_method(grid: SampleGrid, method: str, flags: dict, run=None):
-    """(rep, K, run): ``method``'s rep with its ``FIT_FLAGS`` in ``flags`` (a
-    flag missing or None takes its default), its K, and the run it truncates:
-    ``run`` if given, else its own to ``max_terms``; None for fixed degrees."""
+    """(rep, K, run, table): ``method``'s rep with its ``FIT_FLAGS`` in
+    ``flags`` (a flag missing or None takes its default), its K, the run it
+    truncates (``run`` if given, else its own to ``max_terms``; None for fixed
+    degrees), and the branch table at the grid's nodes that a degree-2 rep's
+    index was read from (None for deg0 and deg1)."""
     _, offset = _k_rule(method)
     flags = {f: flags.get(f) for f in FIT_FLAGS[method]}
     if method in _FIXED:
         degrees = {n: 0 if d is None else d for n, d in flags.items()}
-        return _FIXED[method][0](grid, **degrees), sum(degrees.values()) + offset, None
+        rep, table = _FIXED[method][0](grid, **degrees)
+        return rep, sum(degrees.values()) + offset, None, table
     run = _selection_run(grid, method, flags) if run is None else run
-    return run.rep_at(flags["max_terms"]), len(run.tags_at(flags["max_terms"])), run
+    rep, table = run.rep_at(flags["max_terms"])
+    return rep, len(run.tags_at(flags["max_terms"])), run, table
 
 
 def achievable_k(method: str, kmin: int, kmax: int) -> list[int]:
@@ -413,9 +424,22 @@ def method_run(grid: SampleGrid, method: str, kmax: int, seed: int, cap: int):
     return _selection_run(grid, method, {"max_terms": kmax, "seed": seed, "cap": cap})
 
 
+def _fit_k(grid: SampleGrid, method: str, k: int, run):
+    """``fit_method`` at the flags that give ``method`` K coefficients."""
+    names, offset = _k_rule(method)
+    return fit_method(grid, method, dict.fromkeys(names, (k - offset) // len(names)), run)
+
+
 def fit_at_k(grid: SampleGrid, method: str, k: int, run=None):
     """The rep ``method`` fits with K coefficients; at a K that ``achievable_k``
     skips, the rep at the largest achievable K below it.  An adaptive method
     truncates ``run``, its ``method_run`` to at least K terms."""
-    names, offset = _k_rule(method)
-    return fit_method(grid, method, dict.fromkeys(names, (k - offset) // len(names)), run)[0]
+    return _fit_k(grid, method, k, run)[0]
+
+
+def error_at_k(grid: SampleGrid, method: str, k: int, run=None) -> float:
+    """``relative_l2`` of ``fit_at_k``'s rep on ``grid``.  A degree-2 rep is
+    read from the branch table that its index was assigned from, so the cell
+    builds one table."""
+    rep, _, _, table = _fit_k(grid, method, k, run)
+    return relative_l2(rep, grid) if table is None else table_relative_l2(rep, table, grid)

@@ -79,7 +79,7 @@ def test_criterion_02_exact_manifold_identities():
     start = time.perf_counter()
     # ReLU: b(x) = x, c = 0 after normalizing a to the constant 1
     grid = grid_of("relu", 500)
-    rep = fit_degree2_uniform(grid, 0, 1, 0)
+    rep, _ = fit_degree2_uniform(grid, 0, 1, 0)
     a0 = rep.a.evaluate(0.0)
     b_mono = basis_convert(rep.b, BASIS_MONOMIAL).coeffs / a0
     c_mono = basis_convert(rep.c, BASIS_MONOMIAL).coeffs / a0
@@ -87,7 +87,7 @@ def test_criterion_02_exact_manifold_identities():
                    float(np.max(np.abs(c_mono))))
     # sign-type step: f^2 = 1
     sgrid = build_grid(lambda x: 1.0 if x >= 0 else -1.0, (-1.0, 1.0), 500)
-    srep = fit_degree2_uniform(sgrid, 0, 0, 0)
+    srep, _ = fit_degree2_uniform(sgrid, 0, 0, 0)
     sign_err = max(abs(srep.c.evaluate(0.3) / srep.a.evaluate(0.3) - 1.0),
                    abs(srep.b.evaluate(0.3) / srep.a.evaluate(0.3)))
     # composition of the constant branches 25 and 255
@@ -119,7 +119,7 @@ def test_criterion_03_discontinuous_convergence():
     # same K -> (n, n, n) mapping as `quadrep convergence` and criterion 6
     for n in range(1, 10):
         k = 3 * n + 2
-        rep = fit_degree2_uniform(grid, n, n, n)
+        rep, _ = fit_degree2_uniform(grid, n, n, n)
         ks.append(k)
         resids.append(rep.fit_residual)
         deg0_errs.append(relative_l2(fit_degree0(grid, k - 1), grid))
@@ -159,7 +159,7 @@ def test_criterion_04_oscillatory_threshold():
 def test_criterion_05_two_term_oscillatory():
     start = time.perf_counter()
     grid = grid_of("sin10pi")
-    rep = greedy_select(grid, SelectionConfig(max_terms=2, rng_seed=1)).rep_at(2)
+    rep, _ = greedy_select(grid, SelectionConfig(max_terms=2, rng_seed=1)).rep_at(2)
     from quadrep.representation import roots_at
 
     root_dev = 0.0

@@ -906,6 +906,29 @@ def test_convergence_blas_thread_count_invariance(tmp_path):
         assert one == two, name
 
 
+def test_eval_and_generate_do_not_load_scipy(tmp_path):
+    # quadrep.linalg imports scipy on its first QR or triangular solve; eval
+    # and generate make neither, so a process that runs one never loads it
+    src = str(Path(quadrep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    assert run(["fit", "--fn", "sigmoid60", "--method", "deg2-greedy", "--max-terms", "10",
+                "--out", str(tmp_path / "fit")]) == 0
+    commands = {
+        "eval": ["eval", "--rep", str(tmp_path / "fit" / "rep.json"), "--grid", "101",
+                 "--branches"],
+        "generate": ["generate", "--preset", "case1", "--seed", "0"],
+    }
+    for name, argv in commands.items():
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from quadrep.cli import main; "
+             "code = main(sys.argv[1:]); "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+             "sys.exit(code)", *argv, "--out", str(tmp_path / name)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]", name
+
+
 def test_manifest_replay_byte_identical(tmp_path):
     first = tmp_path / "one"
     assert run(["generate", "--preset", "case4", "--seed", "9",

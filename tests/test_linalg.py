@@ -270,7 +270,7 @@ def test_rank_deficient_fallback_pivots_the_triangle_it_has(monkeypatch):
         14: (38, {(2, 1), (2, 9), (3, 8), (2, 4), (2, 5), (3, 1)}),
     }
     for n, (rank, dropped) in expected.items():
-        deg = fit_degree2_uniform(grid, n, n, n).degeneracy
+        deg = fit_degree2_uniform(grid, n, n, n)[0].degeneracy
         assert deg["numerical_rank"] == rank
         assert {tuple(t) for t in deg["dropped_tags"]} == dropped
         assert len(deg["dropped_tags"]) == len(dropped)
@@ -316,4 +316,4 @@ def test_least_squares_solves_make_no_numpy_qr_call(monkeypatch):
     run = greedy_select(build_grid(fn.fn, fn.domain, 200),
                      SelectionConfig(max_terms=8, stream_cap=10))
     for k in (5, 8):
-        assert np.isfinite(run.rep_at(k).fit_residual)
+        assert np.isfinite(run.rep_at(k)[0].fit_residual)

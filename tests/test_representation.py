@@ -126,7 +126,7 @@ def test_degree1_pole_error():
 
 def test_relu_manifold_identities():
     grid = grid_of("relu")
-    rep = fit_degree2_uniform(grid, 0, 1, 0)
+    rep, _ = fit_degree2_uniform(grid, 0, 1, 0)
     assert rep.fit_residual < 1e-12
     for x in (-0.9, -0.25, 0.4, 0.8):
         av, bv, cv = rep.a.evaluate(x), rep.b.evaluate(x), rep.c.evaluate(x)
@@ -138,7 +138,7 @@ def test_relu_manifold_identities():
 
 def test_sign_step_manifold():
     grid = build_grid(lambda x: 1.0 if x >= 0 else -1.0, (-1.0, 1.0), 500)
-    rep = fit_degree2_uniform(grid, 0, 0, 0)
+    rep, _ = fit_degree2_uniform(grid, 0, 0, 0)
     for x in (-0.7, 0.2):
         av, bv, cv = rep.a.evaluate(x), rep.b.evaluate(x), rep.c.evaluate(x)
         assert abs(cv / av - 1.0) < 1e-12
@@ -147,14 +147,14 @@ def test_sign_step_manifold():
 
 def test_heaviside_sine_machine_precision_fit():
     grid = grid_of("heaviside-sine")
-    rep = fit_degree2_uniform(grid, 14, 14, 0)
+    rep, _ = fit_degree2_uniform(grid, 14, 14, 0)
     assert rep.fit_residual < 1e-10
 
 
 def test_rank_deficient_dictionary_reports_degeneracy():
     # for a +-1 step, f^2*L_n duplicates L_n exactly
     grid = build_grid(lambda x: 1.0 if x >= 0 else -1.0, (-1.0, 1.0), 300)
-    rep = fit_degree2_uniform(grid, 3, 3, 3)
+    rep, _ = fit_degree2_uniform(grid, 3, 3, 3)
     assert rep.degeneracy is not None
     assert rep.degeneracy["numerical_rank"] < 3 + 3 + 3 + 2
     assert rep.degeneracy["dropped_tags"]
@@ -187,7 +187,7 @@ def test_roots_step_manifold_example():
 
 def test_roots_ordering_and_identity_on_fitted_reps():
     grid = grid_of("cos-one-jump")
-    rep = fit_degree2_uniform(grid, 4, 4, 0)
+    rep, _ = fit_degree2_uniform(grid, 4, 4, 0)
     for x in np.linspace(-3.0, 3.0, 21):
         r = roots_at(rep, x)
         assert r.lo <= r.hi
@@ -342,7 +342,7 @@ def test_assign_index_step_manifold_clean():
     values = np.where(positions <= 140, 25.0, 255.0)
     grid = tabulated_grid(positions, values)
     rep = monomial_rep([1.0], [280.0], [-6375.0], domain=(0.0, 400.0))
-    idx = assign_index(rep, grid)
+    idx, _ = assign_index(rep, grid)
     assert idx.first_sign == -1
     assert np.allclose(idx.breakpoints, [140.5])
 
@@ -355,7 +355,7 @@ def test_assign_index_noisy_step_matches_clean():
     truth = step_ground_truth(positions)
     noisy, _ = generate_noisy(positions, truth, "function", 30.0, 7)
     rep = monomial_rep([1.0], [280.0], [-6375.0], domain=(0.0, 400.0))
-    idx = assign_index(rep, noisy)
+    idx, _ = assign_index(rep, noisy)
     assert idx.first_sign == -1
     assert np.allclose(idx.breakpoints, [140.5])
 
@@ -364,7 +364,7 @@ def test_assign_index_relu_is_constant_plus():
     # nearest-root selection: the plus branch reproduces max(0, x) everywhere,
     # so no sign flip occurs (ties at x=0 resolve to +1)
     grid = grid_of("relu", 500)
-    rep = fit_degree2_uniform(grid, 0, 1, 0)
+    rep, _ = fit_degree2_uniform(grid, 0, 1, 0)
     assert rep.index.first_sign == 1
     assert rep.index.breakpoints.size == 0
     assert np.max(np.abs(eval_rep(rep, grid.nodes) - grid.values)) < 1e-12
@@ -376,6 +376,13 @@ def test_index_compression_lossless(signs):
     positions = np.arange(len(signs), dtype=float)
     idx = IndexFunction.from_dense(positions, np.array(signs))
     assert idx.signs_at(positions).tolist() == signs
+
+
+@pytest.mark.parametrize("bad", [0, 2, -2])
+def test_index_from_dense_rejects_signs_other_than_plus_minus_one(bad):
+    positions = np.arange(3.0)
+    with pytest.raises(ValueError, match=r"^signs must be \+-1$"):
+        IndexFunction.from_dense(positions, [1, bad, -1])
 
 
 def test_index_piecewise_constant_between_breakpoints():
@@ -408,7 +415,7 @@ def test_eval_requires_index():
 
 def test_eval_single_jump_fit_near_endpoints():
     grid = grid_of("cos-one-jump")
-    rep = fit_degree2_uniform(grid, 4, 4, 0)
+    rep, _ = fit_degree2_uniform(grid, 4, 4, 0)
     # pointwise agreement at x = +-1 within the achieved fit residual
     assert abs(eval_rep(rep, 1.0) - math.cos(1.0)) < rep.fit_residual
     assert abs(eval_rep(rep, -1.0) + math.cos(1.0)) < rep.fit_residual
@@ -446,7 +453,7 @@ def test_composed_relu_reproduces_relu_exactly():
     pp = PolyCoeffs(BASIS_MONOMIAL, [0.0, 1.0], (-1.0, 1.0))
     rep = compose_piecewise_manifold(pm, pp)
     grid = grid_of("relu", 300)
-    idx = assign_index(rep, grid)
+    idx, _ = assign_index(rep, grid)
     vals = eval_rep(
         Rep(a=rep.a, b=rep.b, c=rep.c, index=idx, fit_residual=0.0),
         grid.nodes,
@@ -465,7 +472,7 @@ def test_compose_legendre_branches_exact_identity():
     pm = basis_convert(PolyCoeffs(BASIS_MONOMIAL, [0.3, 0.5], (-1.0, 1.0)), BASIS_LEGENDRE)
     pp = basis_convert(PolyCoeffs(BASIS_MONOMIAL, [1.5, 0.0, -1.0], (-1.0, 1.0)), BASIS_LEGENDRE)
     rep = compose_piecewise_manifold(pm, pp)
-    idx = assign_index(rep, grid)
+    idx, _ = assign_index(rep, grid)
     withidx = Rep(a=rep.a, b=rep.b, c=rep.c, index=idx, fit_residual=0.0)
     assert residual_l2(withidx, grid) < 1e-12
 
@@ -529,7 +536,7 @@ def test_gauge_reduction_degree2_to_degree0_of_fsquared():
     # for odd f the f-column is exactly orthogonal to the even target, so the
     # plain columns carry the whole fit: sqrt(2) * c equals the expansion of f^2
     grid = grid_of("sin10pi")
-    rep = fit_degree2_uniform(grid, 12, 0, 0)
+    rep, _ = fit_degree2_uniform(grid, 12, 0, 0)
     sin10pi = get_builtin("sin10pi").fn
     fsq_grid = build_grid(lambda x: sin10pi(x) ** 2, (-1.0, 1.0), 1000)
     d0 = fit_degree0(fsq_grid, 12)
@@ -545,7 +552,7 @@ def test_round_trip_all_types(tmp_path):
     reps = [
         fit_degree0(grid, 6),
         fit_degree1(grid, 4, 4),
-        fit_degree2_uniform(grid, 3, 3, 3),
+        fit_degree2_uniform(grid, 3, 3, 3)[0],
     ]
     for i, rep in enumerate(reps):
         path = tmp_path / f"rep{i}.json"
@@ -589,7 +596,7 @@ def test_rep_rejects_an_inconsistent_triple(fields, message):
 
 def test_degree2_json_schema_fields(tmp_path):
     grid = grid_of("relu", 200)
-    rep = fit_degree2_uniform(grid, 0, 1, 0)
+    rep, _ = fit_degree2_uniform(grid, 0, 1, 0)
     doc = rep_to_dict(rep)
     assert doc["type"] == "degree2"
     assert set(doc) >= {"type", "domain", "basis", "a", "b", "c", "index",

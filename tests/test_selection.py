@@ -1,13 +1,15 @@
+import csv
 import functools
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from quadrep import linalg, selection
+from quadrep import linalg, representation, selection
 from quadrep.cli import main
-from quadrep.denoise import normal_stream
+from quadrep.denoise import NUMERICAL_ERRORS, normal_stream
 from quadrep.dictionary import STREAM_F, STREAM_F2, STREAM_PLAIN, assemble, build_grid
 from quadrep.functions import BUILTINS, get_builtin
 from quadrep.linalg import weighted_lsq
@@ -58,7 +60,7 @@ def test_config_validation():
 
 def test_two_term_oscillatory_manifold():
     run = greedy_select(SIN_GRID, SelectionConfig(max_terms=2, rng_seed=1))
-    rep = run.rep_at(2)
+    rep, _ = run.rep_at(2)
     assert sum(len(s.chosen_tags) for s in run.steps) == 2
     # the winning manifold is f^2 = 1/2: both roots are +-1/sqrt(2)
     for x in np.linspace(-1, 1, 11):
@@ -91,7 +93,7 @@ def test_greedy_residuals_monotone_and_trace_consistent():
 
 def test_greedy_tags_unique_and_final_residual_matches():
     run = greedy_select(SIG_GRID, SelectionConfig(max_terms=12, rng_seed=3))
-    rep = run.rep_at(12)
+    rep, _ = run.rep_at(12)
     tags = [tuple(t) for s in run.steps for t in s.chosen_tags]
     assert len(tags) == len(set(tags))
     assert rep.fit_residual == pytest.approx(run.steps[-1].residual_after, abs=1e-12)
@@ -101,7 +103,7 @@ def test_greedy_tags_unique_and_final_residual_matches():
 def test_greedy_is_deterministic():
     config = SelectionConfig(max_terms=8, rng_seed=7)
     run1, run2 = greedy_select(SIG_GRID, config), greedy_select(SIG_GRID, config)
-    rep1, rep2 = run1.rep_at(8), run2.rep_at(8)
+    rep1, rep2 = run1.rep_at(8)[0], run2.rep_at(8)[0]
     assert np.array_equal(rep1.b.coeffs, rep2.b.coeffs)
     assert np.array_equal(rep1.c.coeffs, rep2.c.coeffs)
     assert run1.trace_doc(rep1.fit_residual) == run2.trace_doc(rep2.fit_residual)
@@ -117,7 +119,7 @@ def test_greedy_batch_modes_run():
 
 def test_greedy_stops_at_target_residual():
     run = greedy_select(SIG_GRID, SelectionConfig(target_residual=1e-6, rng_seed=0))
-    assert run.rep_at(None).fit_residual <= 1e-6
+    assert run.rep_at(None)[0].fit_residual <= 1e-6
     assert not run.exhausted
     # it stops as soon as the target is met, not at the stream cap
     assert len(run.steps) < 30
@@ -127,7 +129,7 @@ def test_greedy_exhaustion_flag():
     config = SelectionConfig(target_residual=1e-30, stream_cap=2, rng_seed=0)
     run = greedy_select(SIG_GRID, config)
     assert run.exhausted
-    assert run.rep_at(None).fit_residual > 1e-30
+    assert run.rep_at(None)[0].fit_residual > 1e-30
 
 
 def test_greedy_exponential_decay_on_sigmoid():
@@ -141,7 +143,7 @@ def test_greedy_exponential_decay_on_sigmoid():
 
 def test_greedy_trace_serializes():
     run = greedy_select(SIN_GRID, SelectionConfig(max_terms=3, rng_seed=2))
-    doc = run.trace_doc(run.rep_at(3).fit_residual)
+    doc = run.trace_doc(run.rep_at(3)[0].fit_residual)
     assert doc["rng_seed"] == 2
     assert len(doc["steps"]) == 3
     assert all("candidates" in s for s in doc["steps"])
@@ -149,14 +151,14 @@ def test_greedy_trace_serializes():
 
 def test_rrqr_polynomial_target_is_exact():
     grid = build_grid(lambda x: 0.3 - 0.8 * x + 0.5 * x**3, (-1.0, 1.0), 400)
-    rep = rrqr_select(grid, stream_cap=10, truncate_tol=1e-12).rep_at()
+    rep, _ = rrqr_select(grid, stream_cap=10, truncate_tol=1e-12).rep_at()
     assert rep.fit_residual < 1e-12
 
 
 def test_rrqr_rank_report_on_dependent_dictionary():
     grid = build_grid(lambda x: x, (-1.0, 1.0), 400)
     factor = rrqr_select(grid, stream_cap=6, truncate_tol=1e-10)
-    assert isinstance(factor.rep_at(), Rep)
+    assert isinstance(factor.rep_at()[0], Rep)
     assert len(factor.tags_at()) < len(assemble(grid, 6, 6, 6).tags)
     assert np.all(np.diff(factor.fact.diag) <= 1e-14)
 
@@ -172,7 +174,7 @@ def test_rrqr_prefers_the_orthonormal_plain_stream():
 def test_rrqr_mapped_coefficients_reproduce_truncated_fit():
     cap, tol = 40, 1e-12
     factor = rrqr_select(SIG_GRID, stream_cap=cap, truncate_tol=tol)
-    rep = factor.rep_at()
+    rep, _ = factor.rep_at()
     d = assemble(SIG_GRID, cap, cap, cap)
     sw = np.sqrt(SIG_GRID.weights)
     # prediction through the mapped-back coefficients
@@ -228,8 +230,8 @@ def test_rrqr_beats_nothing_smaller_than_greedy_documented():
     # measured behavior: column-norm pivoting cannot outperform the greedy
     # stream competition on the sigmoid at small K (the plain stream wins
     # every pivot), so its reconstruction error stays far above greedy's
-    rep_g = greedy_select(SIG_GRID, SelectionConfig(max_terms=14, rng_seed=1)).rep_at(14)
-    rep_r = rrqr_select(SIG_GRID, stream_cap=40).rep_at(14)
+    rep_g, _ = greedy_select(SIG_GRID, SelectionConfig(max_terms=14, rng_seed=1)).rep_at(14)
+    rep_r, _ = rrqr_select(SIG_GRID, stream_cap=40).rep_at(14)
     err_g = relative_l2(rep_g, SIG_GRID)
     err_r = relative_l2(rep_r, SIG_GRID)
     assert err_g < 1e-2
@@ -260,9 +262,9 @@ def test_greedy_run_prefix_is_greedy_select_at_every_k(name):
 
         def reference():
             fresh = greedy_select(grid, config)
-            return fresh.rep_at(k), [tuple(t) for s in fresh.steps for t in s.chosen_tags]
+            return fresh.rep_at(k)[0], [tuple(t) for s in fresh.steps for t in s.chosen_tags]
 
-        shared = _rep_doc(lambda: (run.rep_at(k), run.tags_at(k)))
+        shared = _rep_doc(lambda: (run.rep_at(k)[0], run.tags_at(k)))
         assert shared == _rep_doc(reference), f"{name} K={k}"
 
 
@@ -275,7 +277,7 @@ def test_rrqr_factor_truncation_is_rrqr_select_at_every_k(name):
     factor = rrqr_select(grid, stream_cap=60)
 
     def doc(run, k):
-        return lambda: (run.rep_at(k), run.tags_at(k))
+        return lambda: (run.rep_at(k)[0], run.tags_at(k))
 
     for k in range(2, kmax + 1):
         shared = _rep_doc(doc(factor, k))
@@ -287,8 +289,8 @@ def test_rrqr_factor_truncation_is_rrqr_select_at_every_k(name):
 
 def test_greedy_run_refuses_reps_it_does_not_determine():
     run = greedy_select(SIG_GRID, SelectionConfig(batch_size=3, max_terms=9, rng_seed=0))
-    assert run.rep_at(9).fit_residual == greedy_select(
-        SIG_GRID, SelectionConfig(batch_size=3, max_terms=9, rng_seed=0)).rep_at(9).fit_residual
+    assert run.rep_at(9)[0].fit_residual == greedy_select(
+        SIG_GRID, SelectionConfig(batch_size=3, max_terms=9, rng_seed=0)).rep_at(9)[0].fit_residual
     # a run cut at 5 terms draws a batch of 2 where the longer run drew 3
     refused = [(run, 5, "prefix-consistent")]
     run = greedy_select(SIG_GRID, SelectionConfig(max_terms=6, rng_seed=0))
@@ -348,8 +350,8 @@ def test_greedy_run_stopped_by_target_gives_every_larger_budget():
     n = len(run.tags)
     for budget in (n, n + 5):
         rep = greedy_select(SIG_GRID, SelectionConfig(target_residual=1e-6, max_terms=budget,
-                                                      rng_seed=0)).rep_at(budget)
-        assert rep_to_dict(run.rep_at(budget)) == rep_to_dict(rep)
+                                                      rng_seed=0)).rep_at(budget)[0]
+        assert rep_to_dict(run.rep_at(budget)[0]) == rep_to_dict(rep)
 
 
 def test_achievable_k_per_method():
@@ -364,10 +366,10 @@ def test_achievable_k_per_method():
 @pytest.mark.parametrize("method, k, direct", [
     ("deg0", 9, lambda grid: fit_degree0(grid, 8)),
     ("deg1", 9, lambda grid: fit_degree1(grid, 4, 4)),
-    ("deg2-uniform", 11, lambda grid: fit_degree2_uniform(grid, 3, 3, 3)),
+    ("deg2-uniform", 11, lambda grid: fit_degree2_uniform(grid, 3, 3, 3)[0]),
     # a K the method cannot reach gives the largest achievable K below it
     ("deg1", 10, lambda grid: fit_degree1(grid, 4, 4)),
-    ("deg2-uniform", 13, lambda grid: fit_degree2_uniform(grid, 3, 3, 3)),
+    ("deg2-uniform", 13, lambda grid: fit_degree2_uniform(grid, 3, 3, 3)[0]),
 ])
 def test_fit_at_k_is_the_direct_fit(method, k, direct):
     run = method_run(SIG_GRID, method, k, 0, 60)
@@ -381,25 +383,25 @@ def test_method_run_gives_the_select_reps():
     rrqr = method_run(SIG_GRID, "deg2-rrqr", 12, 3, 40)
     for k in (5, 12):
         rep = greedy_select(SIG_GRID, SelectionConfig(max_terms=k, rng_seed=3,
-                                                      stream_cap=40)).rep_at(k)
+                                                      stream_cap=40)).rep_at(k)[0]
         assert rep_to_dict(fit_at_k(SIG_GRID, "deg2-greedy", k, greedy)) == rep_to_dict(rep)
-        rep = rrqr_select(SIG_GRID, stream_cap=40).rep_at(k)
+        rep, _ = rrqr_select(SIG_GRID, stream_cap=40).rep_at(k)
         assert rep_to_dict(fit_at_k(SIG_GRID, "deg2-rrqr", k, rrqr)) == rep_to_dict(rep)
 
 
 @pytest.mark.parametrize("method, flags, k, direct", [
     ("deg0", {"n0": 5}, 1, lambda grid: fit_degree0(grid, 0)),
     ("deg1", {"n0": 4, "n1": 2, "n2": 7}, 7, lambda grid: fit_degree1(grid, 4, 2)),
-    ("deg2-uniform", {"n": 5, "n2": 1}, 3, lambda grid: fit_degree2_uniform(grid, 0, 0, 1)),
+    ("deg2-uniform", {"n": 5, "n2": 1}, 3, lambda grid: fit_degree2_uniform(grid, 0, 0, 1)[0]),
     ("deg2-greedy", {"max_terms": 6, "seed": 2, "trace": True, "tol": 0.5},
-     6, lambda grid: greedy_select(grid, SelectionConfig(max_terms=6, rng_seed=2)).rep_at(6)),
+     6, lambda grid: greedy_select(grid, SelectionConfig(max_terms=6, rng_seed=2)).rep_at(6)[0]),
     ("deg2-rrqr", {"max_terms": 6, "cap": 20, "tol": 1e-3, "seed": None, "batch": 3},
-     6, lambda grid: rrqr_select(grid, stream_cap=20, truncate_tol=1e-3).rep_at(6)),
+     6, lambda grid: rrqr_select(grid, stream_cap=20, truncate_tol=1e-3).rep_at(6)[0]),
 ])
 def test_fit_method_reads_its_own_flags_and_defaults_the_rest(method, flags, k, direct):
     # a flag that the method does not read is ignored; one that it reads and
     # is not given (or is None) takes the library's default
-    rep, got_k, run = fit_method(SIG_GRID, method, flags)
+    rep, got_k, run, _ = fit_method(SIG_GRID, method, flags)
     assert got_k == k
     assert (run is None) == (method in ("deg0", "deg1", "deg2-uniform"))
     assert rep_to_dict(rep) == rep_to_dict(direct(SIG_GRID))
@@ -551,7 +553,7 @@ def greedy_run_reference(grid, config) -> GreedyRun:
 def _run_docs(run):
     """The rep at the run's own max_terms (or the error it raises) and the
     run's trace document, whose final residual is the last step's."""
-    rep = _rep_doc(lambda: (run.rep_at(run.config.max_terms), run.tags))
+    rep = _rep_doc(lambda: (run.rep_at(run.config.max_terms)[0], run.tags))
     return rep, run.trace_doc(run.steps[-1].residual_after)
 
 
@@ -619,6 +621,63 @@ def test_greedy_path_runs_no_householder_qr(monkeypatch, tmp_path):
     assert calls == []
 
 
+def test_each_degree2_convergence_cell_builds_one_branch_table(monkeypatch, tmp_path):
+    """A degree-2 cell reads its error from the branch table that its index
+    was assigned from: one ``branches`` call per cell, at the grid's nodes."""
+    calls = []
+    real = representation.branches
+
+    def counted(rep, x):
+        calls.append(np.size(x))
+        return real(rep, x)
+
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "quadrep"]:
+        if getattr(module, "branches", None) is real:
+            monkeypatch.setattr(module, "branches", counted)
+    roots_at(fit_at_k(SIG_GRID, "deg2-uniform", 5), 0.0)
+    assert calls == [SIG_GRID.size, 1]  # the count sees calls through the module
+    calls.clear()
+    methods = ("deg2-uniform", "deg2-greedy", "deg2-rrqr")
+    with warnings.catch_warnings(record=True):  # the infinite cells' warnings
+        assert main(["convergence", "--fn", "sigmoid60", "--kmin", "2", "--kmax", "11",
+                     "--methods", ",".join(methods), "--out", str(tmp_path)]) == 0
+    cells = sum(len(achievable_k(m, 2, 11)) for m in methods)
+    assert calls == [SIG_GRID.size] * cells
+
+
+@pytest.mark.parametrize("name", ["sigmoid60", "relu"])
+def test_convergence_cells_are_the_relative_l2_of_fit_at_k(name, tmp_path):
+    """Each cell of ``convergence --kmax 20`` is ``relative_l2`` of the rep that
+    ``fit_at_k`` gives, which builds a second branch table to evaluate it;
+    each infinite cell warns with the same text.  relu has failed greedy
+    cells and infinite rrqr cells."""
+    grid = grid_of(name)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        assert main(["convergence", "--fn", name, "--kmax", "20", "--out", str(tmp_path)]) == 0
+    rows = [r for r in csv.reader(open(tmp_path / "convergence.csv")) if r[0] in METHODS]
+    expected, warned = [], []
+    for method in METHODS:
+        ks = achievable_k(method, 2, 20)
+        run = method_run(grid, method, ks[-1], 0, 60)
+        for k in ks:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    error = relative_l2(fit_at_k(grid, method, k, run), grid)
+                except (*NUMERICAL_ERRORS, ValueError):
+                    error = math.nan
+            expected.append([method, str(k), repr(float(error))])
+            warned += [str(w.message) for w in caught]
+    assert rows == expected
+    assert [str(w.message) for w in shown] == warned
+    infinite = sum(r[2] == "inf" for r in rows)
+    assert len(warned) == infinite
+    assert all(m.startswith("evaluation failed, residual reported as inf: ") for m in warned)
+    if name == "relu":
+        assert infinite and any(r[2] == "nan" for r in rows)
+
+
 def _dictionary_columns(grid, tags, cap=60):
     d = assemble(grid, cap, cap, cap)
     return np.column_stack([d.columns[:, d.tags.index(tuple(t))] for t in tags]), d.target
@@ -634,7 +693,7 @@ def test_greedy_reps_are_least_squares_optimal_at_the_refit_cells(name):
     run = greedy_select(grid, SelectionConfig(max_terms=kmax, rng_seed=0, stream_cap=60))
     w, f = grid.weights, grid.values
     for k in (3, (2 + kmax) // 2, kmax):
-        rep = run.rep_at(k)
+        rep, _ = run.rep_at(k)
         a, b, c = (p.evaluate(grid.nodes) for p in (rep.a, rep.b, rep.c))
         columns, target = _dictionary_columns(grid, run.tags_at(k))
         inner = np.abs((w * (a * f * f - b * f - c)) @ columns)
@@ -652,8 +711,8 @@ def test_criterion_6_greedy_cells_agree_with_a_second_solve():
         tags = run.tags_at(k)
         columns, target = _dictionary_columns(SIG_GRID, tags)
         eta = np.linalg.lstsq(columns * sw[:, None], target * sw, rcond=None)[0]
-        second = relative_l2(coefficients_to_rep(SIG_GRID, tags, eta, 0.0), SIG_GRID)
-        first = relative_l2(run.rep_at(k), SIG_GRID)
+        second = relative_l2(coefficients_to_rep(SIG_GRID, tags, eta, 0.0)[0], SIG_GRID)
+        first = relative_l2(run.rep_at(k)[0], SIG_GRID)
         assert np.isfinite(first) and abs(first - second) <= 1e-3 * second, f"K={k}"
 
 
