@@ -13,14 +13,14 @@ reported in raw coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dictionary import SampleGrid, check_philox_key, tabulated_grid
+from .dictionary import DataError, SampleGrid, check_philox_key, tabulated_grid
 from .functions import STEP_HIGH, STEP_JUMP_AT, STEP_LOW, STEP_MID
 from .linalg import RankDeficiencyError, pivoted_qr, weighted_lsq
-from .orthopoly import legendre_row
+from .orthopoly import legendre_row, to_unit
 from .representation import (
     BASIS_MONOMIAL,
     IndexFunction,
@@ -196,19 +196,28 @@ def fit_manifold_ls(data: SampleGrid) -> ManifoldFit4:
     """Plain least squares of f~^2 against {f~, x f~, 1, x} (Cases 1 and 2)."""
     if data.size < 4:
         raise ValueError("need at least 4 samples")
-    t = data.unit_nodes
-    f = data.values
-    design = np.column_stack([f, t * f, np.ones_like(t), t])
+    design = _ls_design(data.unit_nodes, data.values)
+    return _ls_solve(design, data.values, data.weights, data.domain, condition=True)
+
+
+def _ls_design(t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The columns {f, t f, 1, t} of ``fit_manifold_ls`` at unit positions ``t``."""
+    return np.column_stack([f, t * f, np.ones_like(t), t])
+
+
+def _ls_solve(design, f, weights, domain, condition: bool = False) -> ManifoldFit4:
+    """``fit_manifold_ls`` on its design; the fit's condition number is NaN
+    unless ``condition`` is set."""
     try:
-        beta, resid = weighted_lsq(design, f * f, data.weights)
+        beta, resid = weighted_lsq(design, f * f, weights)
     except RankDeficiencyError as exc:
         worst = _LS_COLUMN_NAMES[exc.factorization.perm[-1]]
         raise RankDeficiencyError(
             f"degenerate design (column {worst!r} dependent); is f~ constant?",
             exc.numerical_rank, exc.factorization,
         ) from exc
-    cond = float(np.linalg.cond(design))
-    lo, hi = data.domain
+    cond = float(np.linalg.cond(design)) if condition else float("nan")
+    lo, hi = domain
     b0, b1, c0, c1 = _unit_to_raw(beta[0], beta[1], beta[2], beta[3], lo, hi)
     return ManifoldFit4(b0=b0, b1=b1, c0=c0, c1=c1, method="ls",
                         residual=resid, condition=cond)
@@ -354,14 +363,15 @@ def knn_vote_index(signs, positions, k: int = _VOTE_K):
     if positions.shape != signs.shape:
         raise ValueError("signs and positions must match")
     starts = _knn_windows(positions.tobytes(), k)
-    cumlen = k + 1
+    ends = starts + (k + 1)
+    csum = np.zeros(signs.size + 1, dtype=signs.dtype)  # 0, then the running sums
     rounds = 0
     converged = False
     for rounds in range(1, _VOTE_ROUNDS + 1):
-        csum = np.concatenate([[0], np.cumsum(signs)])
-        totals = csum[starts + cumlen] - csum[starts]
-        new = np.where(totals > 0, 1, np.where(totals < 0, -1, signs))
-        if np.array_equal(new, signs):
+        np.cumsum(signs, out=csum[1:])
+        totals = csum[ends] - csum[starts]
+        new = np.where(totals == 0, signs, np.sign(totals))
+        if (new == signs).all():
             converged = True
             break
         signs = new
@@ -391,16 +401,22 @@ def reconstruct(fit: ManifoldFit4, data: SampleGrid, k: int | None = _VOTE_K) ->
     when ``k`` is None), and the roots the index selects, all read from one
     branch table.  A sample with complex roots gets the vertex b/(2a), the
     clamp-to-vertex convention of manifold-noise generation."""
-    table = branches(fit.as_rep(data.domain), data.nodes)
-    signs = table.nearest_signs(data.values)
+    return _reconstruct(fit, data.domain, data.nodes, data.values, k)[0]
+
+
+def _reconstruct(fit, domain, nodes, values, k):
+    """``reconstruct`` on the samples ``values`` at ``nodes`` over ``domain``,
+    and the signs its index gives at the nodes."""
+    table = branches(fit.as_rep(domain), nodes)
+    signs = table.nearest_signs(values)
     if k is None:
-        index, rounds = IndexFunction.from_dense(data.nodes, signs), None
+        index, rounds = IndexFunction.from_dense(nodes, signs), None
     else:
-        index, rounds, _ = knn_vote_index(signs, data.nodes, k=k)
-    values = np.where(table.complex, table.vertex,
-                      table.select(index.signs_at(data.nodes)))
-    return Reconstruction(fit=fit, index=index, reconstructed=values,
-                          clamped_points=int(np.sum(table.complex)), vote_rounds=rounds)
+        index, rounds, _ = knn_vote_index(signs, nodes, k=k)
+    picked = index.signs_at(nodes)
+    out = np.where(table.complex, table.vertex, table.select(picked))
+    return Reconstruction(fit=fit, index=index, reconstructed=out,
+                          clamped_points=int(np.sum(table.complex)), vote_rounds=rounds), picked
 
 
 def denoise_case3(data: SampleGrid, sigma2: float, k: int = _VOTE_K) -> Reconstruction:
@@ -428,6 +444,11 @@ class NoiseConstraintSet:
     names: tuple[str, ...]
     vectors: np.ndarray
     unit_positions: np.ndarray
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """||g_j|| of every constraint vector, taken on first use."""
+        return np.linalg.norm(self.vectors, axis=0)
 
 
 def noise_constraints(unit_positions, f_values,
@@ -465,16 +486,25 @@ def project_noise(residual, constraints: NoiseConstraintSet):
     left unmet and those past the numerical rank of the vectors.
     """
     eps = np.asarray(residual, dtype=float)
-    modes = legendre_row(len(constraints.names) - 1,
-                         np.clip(constraints.unit_positions, -1.0, 1.0))
+    modes = _projection_modes(constraints.unit_positions, len(constraints.names))
+    return _project(eps, float(np.linalg.norm(eps)), constraints, modes)
+
+
+def _projection_modes(unit_positions, count: int) -> np.ndarray:
+    """L_0..L_{count-1} at the unit positions, clipped to [-1, 1]: the modes
+    that ``project_noise`` removes, one per constraint."""
+    return legendre_row(count - 1, np.clip(unit_positions, -1.0, 1.0))
+
+
+def _project(eps, scale: float, constraints: NoiseConstraintSet, modes):
+    """``project_noise`` of ``eps``, whose norm is ``scale``, onto ``modes``."""
     # row-normalize: the constraints are homogeneous and their vectors span
     # wildly different scales (f^2 vs 1), so solve in unit-norm rows
-    g = constraints.vectors / np.linalg.norm(constraints.vectors, axis=0, keepdims=True)
+    g = constraints.vectors / constraints.norms
     system = g.T @ modes
     rhs = g.T @ eps
     coeffs, *_ = np.linalg.lstsq(system, rhs, rcond=1e-10)
     corrected = eps - modes @ coeffs
-    scale = float(np.linalg.norm(eps))
     # constraints are homogeneous: check them per unit constraint-vector norm
     leftover = constraint_residuals(corrected, constraints)
     unmet = leftover > 1e-9 * scale
@@ -490,9 +520,7 @@ def project_noise(residual, constraints: NoiseConstraintSet):
 
 def constraint_residuals(residual, constraints: NoiseConstraintSet) -> np.ndarray:
     """|<g_j, residual>| / ||g_j|| for every constraint vector."""
-    g = constraints.vectors
-    norms = np.linalg.norm(g, axis=0)
-    return np.abs(g.T @ np.asarray(residual, dtype=float)) / norms
+    return np.abs(constraints.vectors.T @ np.asarray(residual, dtype=float)) / constraints.norms
 
 
 def denoise_iterative(data: SampleGrid,
@@ -518,7 +546,8 @@ def denoise_iterative(data: SampleGrid,
         raise ValueError("tol must be > 0")
     if init not in INIT_MODES:
         raise ValueError(f"unknown init mode {init!r}")
-    t = data.unit_nodes
+    if not constraint_names:
+        raise ValueError("need at least one constraint")
     if init == "case3":
         if sigma2_0 is None:
             raise ValueError("case3 initialization needs sigma2_0")
@@ -526,8 +555,18 @@ def denoise_iterative(data: SampleGrid,
     else:
         res = reconstruct(fit_manifold_ls(data), data, k)
 
+    # per run: each iterate is the unit-weight grid that ``tabulated_grid``
+    # makes at the data's nodes, so only its values change and are checked
+    nodes = data.nodes
+    t = data.unit_nodes  # where the constraints are sampled
+    domain = (float(nodes[0]), float(nodes[-1]))
+    grid_t = to_unit(domain, nodes)
+    weights = np.ones_like(nodes)
+    modes = _projection_modes(t, len(constraint_names))
+    design = None  # the LS design of the fit in ``res``, once the loop has one
+
     prev_coeffs = np.array([res.fit.b0, res.fit.b1, res.fit.c0, res.fit.c1])
-    prev_signs = res.index.signs_at(data.nodes)
+    prev_signs = res.index.signs_at(nodes)
     trace = [tuple(prev_coeffs)]
     converged = False
     iterations = 0
@@ -536,19 +575,23 @@ def denoise_iterative(data: SampleGrid,
         est_noise = data.values - res.reconstructed
         try:
             constraints = noise_constraints(t, res.reconstructed, constraint_names)
-            corrected, leftover = project_noise(est_noise, constraints)
-            scale = np.linalg.norm(est_noise)
+            scale = float(np.linalg.norm(est_noise))
+            corrected, leftover = _project(est_noise, scale, constraints, modes)
             if scale > 0:
                 res_now = float(np.max(leftover) / scale)
                 max_constraint_residual = max(max_constraint_residual, res_now)
-            improved = tabulated_grid(data.nodes, data.values - corrected)
-            res = reconstruct(fit_manifold_ls(improved), improved, k)
+            values = data.values - corrected
+            if not np.isfinite(values).all():
+                raise DataError("non-finite sample values")
+            new_design = _ls_design(grid_t, values)
+            fit = _ls_solve(new_design, values, weights, domain)
+            res, signs = _reconstruct(fit, domain, nodes, values, k)
+            design = new_design
         except NUMERICAL_ERRORS:
             # iterate left the representable region: keep the last good one
             break
-        coeffs = np.array([res.fit.b0, res.fit.b1, res.fit.c0, res.fit.c1])
+        coeffs = np.array([fit.b0, fit.b1, fit.c0, fit.c1])
         trace.append(tuple(coeffs))
-        signs = res.index.signs_at(data.nodes)
         # coefficient movement relative to the coefficient scale
         denom = max(float(np.max(np.abs(prev_coeffs))), 1e-12)
         coeff_move = float(np.max(np.abs(coeffs - prev_coeffs)) / denom)
@@ -557,8 +600,9 @@ def denoise_iterative(data: SampleGrid,
         if coeff_move < tol and flips == 0:
             converged = True
             break
-    return replace(res, fit=replace(res.fit, method="iterative"), vote_rounds=None,
-                   converged=converged, iterations=iterations,
+    # the condition number of the returned fit only: the init fit has its own
+    condition = res.fit.condition if design is None else float(np.linalg.cond(design))
+    return replace(res, fit=replace(res.fit, method="iterative", condition=condition),
+                   vote_rounds=None, converged=converged, iterations=iterations,
                    max_constraint_residual=max_constraint_residual,
                    coefficient_trace=tuple(trace))
-

@@ -58,11 +58,17 @@ def dataset_table(data: SampleGrid):
     return ["x", "f"], (map(repr, row) for row in zip(data.nodes.tolist(), data.values.tolist()))
 
 
+# The largest |f| a data CSV may hold.  f^3 is the highest power any fit or
+# denoising mode forms (``denoise.compute_noisy_moments``); at |f| <= 1e100
+# it and its sums over a data set stay finite.
+MAX_ABS_F = 1e100
+
+
 def read_dataset(path) -> SampleGrid:
     """The tabulated grid of a data CSV (``dataset_table``); DataError,
     naming the file, when it is not UTF-8, has no ``x,f`` header (an empty
-    file included), a row without both values, or samples ``tabulated_grid``
-    rejects."""
+    file included), a row without both values, samples ``tabulated_grid``
+    rejects, or an f beyond ``MAX_ABS_F`` in magnitude."""
     header, *rows = _read_csv(path) or [[]]
     if [h.strip() for h in header[:2]] != ["x", "f"]:
         raise DataError(f"{path}: expected 'x,f' header, got {header}")
@@ -70,9 +76,12 @@ def read_dataset(path) -> SampleGrid:
     if any(len(r) < 2 for r in rows):
         raise DataError(f"{path}: every row needs an x and an f value")
     try:
-        return tabulated_grid([float(r[0]) for r in rows], [float(r[1]) for r in rows])
+        grid = tabulated_grid([float(r[0]) for r in rows], [float(r[1]) for r in rows])
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    if np.abs(grid.values).max() > MAX_ABS_F:
+        raise DataError(f"{path}: |f| must be at most {MAX_ABS_F:g}")
+    return grid
 
 
 def load_rep(path) -> Rep:

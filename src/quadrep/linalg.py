@@ -7,10 +7,16 @@ through orthogonal factorizations.
 
 SciPy is imported by the two functions that call it, on their first call, so
 a command that never factors or solves (``eval``, ``generate``) does not load it.
+Both call LAPACK directly: ``householder_qr`` runs ``dgeqrf``/``dorgqr`` with
+scipy's bundled OpenBLAS held at one thread, and ``back_substitute`` runs
+``dtrtrs`` as ``scipy.linalg.solve_triangular`` would, without its wrapper.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -61,14 +67,67 @@ class PivotedQR:
 
 
 def back_substitute(r, c):
-    """x with r x = c, r upper triangular: the one triangular solve."""
-    from scipy.linalg import solve_triangular
+    """x with r x = c, r upper triangular: the one triangular solve.
 
-    return solve_triangular(r, c, lower=False)
+    LAPACK ``dtrtrs`` on the layout ``scipy.linalg.solve_triangular`` gives it,
+    so the bits are that function's: a Fortran-order ``r`` as it is, any other
+    as the lower triangle ``r.T`` solved transposed.  Raises ValueError on a
+    non-finite entry and LinAlgError on an exact zero on the diagonal.
+    """
+    from scipy.linalg import lapack
+
+    r = np.asarray(r, dtype=float)
+    c = np.asarray(c, dtype=float)
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise ValueError("expected square matrix")
+    if r.shape[0] != c.shape[0]:
+        raise ValueError(f"shapes of a {r.shape} and b {c.shape} are incompatible")
+    if not (np.isfinite(r).all() and np.isfinite(c).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if c.size == 0:  # dtrtrs rejects an empty system
+        return np.empty_like(c)
+    if r.flags.f_contiguous:
+        x, info = lapack.dtrtrs(r, c, lower=0, trans=0)
+    else:
+        x, info = lapack.dtrtrs(r.T, c, lower=1, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of scipy's bundled OpenBLAS, through
+    ``ctypes``; None where scipy has no such library or it lacks the symbols."""
+    import scipy
+
+    for path in sorted((Path(scipy.__file__).parent.parent / "scipy.libs")
+                       .glob("libscipy_openblas*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            return lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+def _one_thread(run):
+    """``run()`` with scipy's OpenBLAS at one thread, its count restored
+    after.  The unblocked QR's BLAS-2 calls are slower on more threads."""
+    calls = _openblas_threads()
+    before = 1 if calls is None else calls[0]()
+    if before == 1:
+        return run()
+    calls[1](1)
+    try:
+        return run()
+    finally:
+        calls[1](before)
 
 
 def householder_qr(a):
-    """Thin Householder QR, A = Q R: LAPACK's unblocked ``dgeqrf``/``dorgqr``.
+    """Thin Householder QR, A = Q R: LAPACK's unblocked ``dgeqrf``/``dorgqr``,
+    run at one OpenBLAS thread.
 
     The minimal workspace keeps LAPACK off its blocked path, whose bits depend
     on the BLAS thread count above 128 columns.  Q is returned in C order, as
@@ -79,20 +138,27 @@ def householder_qr(a):
     """
     from scipy.linalg import lapack
 
-    a = np.array(a, dtype=float)
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("expected a nonempty 2-D matrix")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries (NaN or inf)")
     m, n = a.shape
     steps = min(m, n)
-    qr, tau, _, info = lapack.dgeqrf(a, lwork=n)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dgeqrf failed (info={info})")
-    q, _, info = lapack.dorgqr(qr[:, :steps], tau, lwork=steps)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dorgqr failed (info={info})")
-    return np.ascontiguousarray(q), np.triu(qr[:steps])
+
+    def factor():
+        # dgeqrf works on a Fortran-order copy of ``a``; dorgqr may overwrite
+        # the reflectors once R is taken from them
+        qr, tau, _, info = lapack.dgeqrf(a, lwork=n)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgeqrf failed (info={info})")
+        r = np.triu(qr[:steps])
+        q, _, info = lapack.dorgqr(qr[:, :steps], tau, lwork=steps, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dorgqr failed (info={info})")
+        return np.ascontiguousarray(q), r
+
+    return _one_thread(factor)
 
 
 def pivoted_qr(a, steps: int | None = None) -> PivotedQR:

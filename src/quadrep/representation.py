@@ -9,6 +9,7 @@ formula.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import warnings
@@ -54,6 +55,7 @@ BASIS_LEGENDRE = "legendre-normalized"
 BASIS_MONOMIAL = "monomial"
 
 A_DEGENERACY_RTOL = 1e-10  # |a(x)| below this times max|a| -> treat as linear
+_UNIT_SLACK = 1.0 + 4 * np.finfo(float).eps  # |t| past this is outside the domain
 SQRT2 = math.sqrt(2.0)
 
 
@@ -92,10 +94,11 @@ class PolyCoeffs:
         coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("coeffs must be a nonempty 1-D array")
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise ValueError("coefficients must be finite")
         ends = self.domain if isinstance(self.domain, (tuple, list)) else ()
-        if len(ends) != 2 or not all(isinstance(end, numbers.Real) for end in ends):
+        # float first: it skips the slower ABC check in the common case
+        if len(ends) != 2 or not all(isinstance(end, (float, numbers.Real)) for end in ends):
             raise ValueError(f"domain {self.domain!r} is not two numbers")
         lo, hi = float(ends[0]), float(ends[1])
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -109,17 +112,37 @@ class PolyCoeffs:
 
     def evaluate(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        t = to_unit(self.domain, arr)
-        # both bases: tolerate endpoint roundoff, reject genuine overshoot
-        if np.any(np.abs(t) > 1.0 + 4 * np.finfo(float).eps):
-            raise ValueError(f"evaluation outside domain {self.domain}")
-        if self.basis == BASIS_MONOMIAL:  # at the raw x, so in-domain values keep their bits
-            out = nppoly.polyval(arr, self.coeffs)
-        else:
-            out = legendre_row(self.degree, np.clip(t, -1.0, 1.0)) @ self.coeffs
+        out = self._at(arr, _unit_in_domain(self.domain, arr))
         if np.isscalar(x) or np.asarray(x).ndim == 0:
             return float(out[0])
         return out
+
+    def _at(self, arr: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The values at the points ``arr`` of the domain, whose unit
+        coordinates ``_unit_in_domain`` gave as ``t``."""
+        if self.basis == BASIS_MONOMIAL:  # at the raw x, so in-domain values keep their bits
+            return nppoly.polyval(arr, self.coeffs)
+        return legendre_row(self.degree, np.clip(t, -1.0, 1.0)) @ self.coeffs
+
+
+def _unit_in_domain(domain: tuple[float, float], arr: np.ndarray) -> np.ndarray:
+    """The unit coordinates of the points ``arr``; ValueError if one lies
+    outside ``domain`` by more than endpoint roundoff."""
+    t = to_unit(domain, arr)
+    if (np.abs(t) > _UNIT_SLACK).any():
+        raise ValueError(f"evaluation outside domain {domain}")
+    return t
+
+
+@functools.lru_cache(maxsize=8)
+def _a_scale_probes(domain: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The 129 equispaced points of ``domain`` at which ``branches`` takes
+    the scale of a(x), and their unit coordinates; read-only."""
+    probes = np.linspace(domain[0], domain[1], 129)
+    t = _unit_in_domain(domain, probes)
+    probes.flags.writeable = False
+    t.flags.writeable = False
+    return probes, t
 
 
 def _affine_compose(coeffs: np.ndarray, shift: float, scale: float) -> np.ndarray:
@@ -179,7 +202,7 @@ class IndexFunction:
         undefined = np.atleast_1d(np.asarray(self.undefined, dtype=float))
         if not (np.isfinite(bp).all() and np.isfinite(undefined).all()):
             raise ValueError("breakpoints and undefined positions must be finite")
-        if bp.size and np.any(np.diff(bp) <= 0):
+        if bp.size > 1 and (bp[1:] <= bp[:-1]).any():
             raise ValueError("breakpoints must be strictly increasing")
         if type(self.first_sign) is not int or self.first_sign not in (-1, 1):
             raise ValueError("first_sign must be -1 or +1")
@@ -192,7 +215,7 @@ class IndexFunction:
         signs = np.asarray(signs, dtype=int)
         if positions.shape != signs.shape or positions.ndim != 1 or positions.size == 0:
             raise ValueError("positions and signs must be matching nonempty 1-D arrays")
-        if not np.all((signs == 1) | (signs == -1)):
+        if not (np.abs(signs) == 1).all():
             raise ValueError("signs must be +-1")
         flips = np.nonzero(signs[1:] != signs[:-1])[0]
         breakpoints = 0.5 * (positions[flips] + positions[flips + 1])
@@ -328,38 +351,41 @@ def branches(rep: Rep, x) -> BranchTable:
     - ``no_root``, a linear point where |b(x)| < 1e-300: both roots are NaN.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    av, bv, cv = rep.a.evaluate(x), rep.b.evaluate(x), rep.c.evaluate(x)
-    lo, hi = rep.domain
-    a_scale = float(np.max(np.abs(rep.a.evaluate(np.linspace(lo, hi, 129)))))
+    t = _unit_in_domain(rep.domain, x)  # a, b and c share it
+    av, bv, cv = rep.a._at(x, t), rep.b._at(x, t), rep.c._at(x, t)
+    a_scale = float(np.max(np.abs(rep.a._at(*_a_scale_probes(rep.domain)))))
     linear = np.abs(av) < A_DEGENERACY_RTOL * (a_scale if a_scale > 0 else 1.0)
     no_root = linear & (np.abs(bv) < 1e-300)
 
-    disc = bv * bv + 4.0 * av * cv
-    tol_d = 1e-8 * (bv * bv + 4.0 * np.abs(av * cv) + 1.0)
+    bb = bv * bv
+    disc = bb + 4.0 * av * cv
+    tol_d = 1e-8 * (bb + 4.0 * np.abs(av * cv) + 1.0)
     complex_mask = disc < -tol_d
-    clamped = (disc < 0.0) & ~complex_mask
+    negative = disc < 0.0
+    clamped = negative & ~complex_mask
 
-    sq = np.sqrt(np.where(disc < 0.0, 0.0, disc))
-    s = np.where(bv >= 0.0, 1.0, -1.0)
-    q = bv + s * sq
+    sq = np.sqrt(np.where(negative, 0.0, disc))
+    b_up = bv >= 0.0
+    q = bv + np.where(b_up, 1.0, -1.0) * sq
     # each root is computed only where it is kept, so that a point that a
     # mask then discards (a complex one with a subnormal q, say) cannot
     # overflow; 0 where q = 0
     nan = complex_mask | no_root
     quad = ~(nan | linear) & (q != 0.0)
-    r1 = np.divide(q, 2.0 * av, out=np.zeros_like(q), where=quad)
+    two_a = 2.0 * av
+    r1 = np.divide(q, two_a, out=np.zeros_like(q), where=quad)
     r2 = np.divide(-2.0 * cv, q, out=np.zeros_like(q), where=quad & ~clamped)
     # a clamped discriminant leaves the double root b/2a; -2c/b equals it
     # only where D was exactly 0
     r2 = np.where(clamped, r1, r2)
-    plus = np.where(s > 0, r1, r2)
-    minus = np.where(s > 0, r2, r1)
+    plus = np.where(b_up, r1, r2)
+    minus = np.where(b_up, r2, r1)
 
     lin_root = np.divide(-cv, bv, out=np.zeros_like(bv), where=linear & ~nan)
     plus = np.where(nan, np.nan, np.where(linear, lin_root, plus))
     minus = np.where(nan, np.nan, np.where(linear, lin_root, minus))
     with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = bv / (2.0 * av)
+        vertex = bv / two_a
     table = BranchTable(minus=minus, plus=plus, disc=disc, vertex=vertex, linear=linear,
                         clamped=clamped, complex=complex_mask, no_root=no_root)
     for arr in vars(table).values():

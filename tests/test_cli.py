@@ -434,6 +434,27 @@ def test_malformed_data_csv_is_a_usage_error(tmp_path, capsys, text):
         assert err.startswith(f"error: {bad}:") and err.count("\n") == 1, err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_data_csv_whose_powers_overflow_is_a_usage_error(tmp_path, capsys):
+    # at |f| = 1e200, f^2 and f^3 overflow: the reader names the file instead
+    gen = tmp_path / "gen"
+    assert run(["generate", "--preset", "case1", "--seed", "0", "--out", str(gen)]) == 0
+    rows = read_csv(gen / "data.csv")[1:]
+    big = tmp_path / "big.csv"
+    big.write_text("x,f\n" + "".join(f"{x},{float(f) * 1e198!r}\n" for x, f in rows))
+    out = tmp_path / "o"
+    for argv in (["fit", "--input", str(big), "--method", "deg2-uniform",
+                  "--n0", "1", "--n1", "1", "--n2", "1"],
+                 ["denoise", "--input", str(big), "--mode", "ls"],
+                 ["denoise", "--input", str(gen / "data.csv"), "--mode", "ls",
+                  "--truth", str(big)]):
+        capsys.readouterr()
+        assert run([*argv, "--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err == f"error: {big}: |f| must be at most 1e+100\n", err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("count, shift", [(100, 0.0), (401, 0.5)], ids=["100-rows", "shifted"])
 def test_denoise_truth_at_other_positions_writes_nothing(tmp_path, capsys, count, shift):
     gen = tmp_path / "gen"

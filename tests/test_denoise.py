@@ -29,8 +29,8 @@ from quadrep.denoise import (
     solve_moment_system,
     step_ground_truth,
 )
-from quadrep.dictionary import tabulated_grid
-from quadrep.files import dataset_table, read_dataset, write_csv
+from quadrep.dictionary import DataError, SampleGrid, tabulated_grid
+from quadrep.files import MAX_ABS_F, dataset_table, read_dataset, write_csv
 from quadrep.linalg import RankDeficiencyError, pivoted_qr
 
 POS = np.arange(0.0, 401.0)
@@ -556,6 +556,119 @@ def test_iterative_case3_initialization():
         denoise_iterative(data, init="case3")
 
 
+def denoise_iterative_reference(data, init="case1", sigma2_0=None, k=10, max_iter=50,
+                                tol=1e-6):
+    """The Case-4 loop written plainly from the public steps, each called
+    afresh every iteration; the oracle for ``denoise_iterative``'s bits."""
+    t = data.unit_nodes
+    if init == "case3":
+        res = denoise_case3(data, sigma2_0, k)
+    else:
+        res = reconstruct(fit_manifold_ls(data), data, k)
+    prev_coeffs = np.array([res.fit.b0, res.fit.b1, res.fit.c0, res.fit.c1])
+    prev_signs = res.index.signs_at(data.nodes)
+    trace = [tuple(prev_coeffs)]
+    converged = False
+    iterations = 0
+    max_constraint_residual = 0.0
+    for iterations in range(1, max_iter + 1):
+        est_noise = data.values - res.reconstructed
+        try:
+            constraints = noise_constraints(t, res.reconstructed, ALL_CONSTRAINTS)
+            corrected, leftover = project_noise(est_noise, constraints)
+            scale = np.linalg.norm(est_noise)
+            if scale > 0:
+                res_now = float(np.max(leftover) / scale)
+                max_constraint_residual = max(max_constraint_residual, res_now)
+            improved = tabulated_grid(data.nodes, data.values - corrected)
+            res = reconstruct(fit_manifold_ls(improved), improved, k)
+        except denoise_mod.NUMERICAL_ERRORS:
+            break
+        coeffs = np.array([res.fit.b0, res.fit.b1, res.fit.c0, res.fit.c1])
+        trace.append(tuple(coeffs))
+        signs = res.index.signs_at(data.nodes)
+        denom = max(float(np.max(np.abs(prev_coeffs))), 1e-12)
+        coeff_move = float(np.max(np.abs(coeffs - prev_coeffs)) / denom)
+        flips = int(np.sum(signs != prev_signs))
+        prev_coeffs, prev_signs = coeffs, signs
+        if coeff_move < tol and flips == 0:
+            converged = True
+            break
+    return res.fit, res.index, res.reconstructed, {
+        "coefficient_trace": tuple(trace), "iterations": iterations,
+        "converged": converged, "max_constraint_residual": max_constraint_residual}
+
+
+@pytest.mark.parametrize("sigma, seed, init, converges", [
+    (200.0, 0, "case1", False),
+    (200.0, 1, "case1", False),
+    (200.0, 2, "case1", False),
+    (30.0, 4, "case1", True),
+    (30.0, 2, "case3", True),
+    (200.0, 3, "case3", False),
+])
+def test_iterative_matches_the_reference_loop_bit_for_bit(sigma, seed, init, converges):
+    data, _ = generate_noisy(POS, TRUTH, "function", sigma, seed)
+    res = denoise_iterative(data, init=init, sigma2_0=sigma * sigma)
+    fit, index, values, fields = denoise_iterative_reference(data, init, sigma * sigma)
+    assert res.converged is converges
+    assert res.iterations == (fields["iterations"] if converges else 50)
+    assert res.fit == ManifoldFit4(fit.b0, fit.b1, fit.c0, fit.c1, "iterative",
+                                   fit.residual, fit.condition)
+    assert math.isfinite(res.fit.condition)
+    assert np.array_equal(res.reconstructed, values)
+    assert np.array_equal(res.index.breakpoints, index.breakpoints)
+    assert np.array_equal(res.index.undefined, index.undefined)
+    assert res.index.first_sign == index.first_sign
+    assert res.vote_rounds is None
+    for name, want in fields.items():
+        assert getattr(res, name) == want, name
+
+
+def test_iterative_on_a_wider_weighted_grid_matches_the_reference_loop():
+    # the init fit reads the grid's domain and weights; every refit reads the
+    # unit-weight grid over the nodes' own span, as tabulated_grid makes it
+    noisy, _ = generate_noisy(POS, TRUTH, "function", 30.0, 1)
+    data = SampleGrid(domain=(-10.0, 410.0), nodes=POS, values=noisy.values,
+                      weights=np.full(POS.size, 2.0))
+    res = denoise_iterative(data)
+    fit, _, values, fields = denoise_iterative_reference(data)
+    assert res.converged
+    assert (res.fit.b0, res.fit.c0, res.fit.condition) == (fit.b0, fit.c0, fit.condition)
+    assert np.array_equal(res.reconstructed, values)
+    assert res.coefficient_trace == fields["coefficient_trace"]
+
+
+def test_iterative_stopped_in_its_first_iteration_returns_the_init_fit(monkeypatch):
+    # the first refit's branch table fails: the init fit comes back, with
+    # its own condition number
+    from quadrep.representation import ComplexRootError
+
+    data, _ = generate_noisy(POS, TRUTH, "function", 200.0, 3)
+    init = fit_manifold_ls(data)
+    real_branches = denoise_mod.branches
+    tables = []
+
+    def fail_after_the_first(*args, **kwargs):
+        tables.append(1)
+        if len(tables) > 1:
+            raise ComplexRootError("refit left the representable region", -1.0)
+        return real_branches(*args, **kwargs)
+
+    monkeypatch.setattr(denoise_mod, "branches", fail_after_the_first)
+    res = denoise_iterative(data)
+    assert (res.iterations, res.converged, len(tables)) == (1, False, 2)
+    assert res.fit == ManifoldFit4(init.b0, init.b1, init.c0, init.c1, "iterative",
+                                   init.residual, init.condition)
+    assert res.coefficient_trace == ((init.b0, init.b1, init.c0, init.c1),)
+
+
+def test_iterative_needs_a_constraint():
+    data, _ = generate_noisy(POS, TRUTH, "function", 30.0, 2)
+    with pytest.raises(ValueError, match="at least one constraint"):
+        denoise_iterative(data, constraint_names=())
+
+
 # ------------------------------------------------------------- CSV round trip
 
 
@@ -568,3 +681,13 @@ def test_dataset_csv_round_trip(tmp_path):
     assert np.array_equal(again.values, data.values)
     header = path.read_text().splitlines()[0]
     assert header == "x,f"
+
+
+def test_dataset_reads_f_up_to_the_bound(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text(f"x,f\n0.0,{-MAX_ABS_F!r}\n1.0,{MAX_ABS_F!r}\n")
+    assert read_dataset(path).values.tolist() == [-MAX_ABS_F, MAX_ABS_F]
+    path.write_text(f"x,f\n0.0,1.0\n1.0,{float(np.nextafter(MAX_ABS_F, np.inf))!r}\n")
+    with pytest.raises(DataError) as info:
+        read_dataset(path)
+    assert str(info.value).startswith(f"{path}: |f| must be at most")

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import quadrep.linalg
 from quadrep.dictionary import assemble, build_grid
 from quadrep.functions import BUILTINS
-from quadrep.linalg import (PivotedQR, RankDeficiencyError, householder_qr, pivoted_qr,
-                            weighted_lsq)
+from quadrep.linalg import (PivotedQR, RankDeficiencyError, back_substitute, householder_qr,
+                            pivoted_qr, weighted_lsq)
 from quadrep.representation import fit_degree2_uniform
 from quadrep.selection import SelectionConfig, greedy_select
 
@@ -317,3 +317,63 @@ def test_least_squares_solves_make_no_numpy_qr_call(monkeypatch):
                      SelectionConfig(max_terms=8, stream_cap=10))
     for k in (5, 8):
         assert np.isfinite(run.rep_at(k)[0].fit_residual)
+
+
+def _triangle(n, seed, order):
+    """An upper triangle in ``order`` ("C", "F", or "view": the top-left n x n
+    of a wider C-order matrix), with its diagonal off zero, and a right side."""
+    rng = np.random.default_rng(seed)
+    r = np.triu(rng.standard_normal((n + 3, n + 3))) + np.diag(rng.uniform(0.5, 2.0, n + 3))
+    r = r[:n, :n] if order == "view" else np.asarray(r[:n, :n], order=order)
+    return r, rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("order", ["C", "F", "view"])
+@pytest.mark.parametrize("n", [1, 4, 20, 64])
+def test_back_substitute_is_solve_triangular_bit_for_bit(n, order):
+    from scipy.linalg import solve_triangular
+
+    r, c = _triangle(n, 100 + n, order)
+    assert r.flags.f_contiguous == (order == "F" or n == 1)
+    assert np.array_equal(back_substitute(r, c), solve_triangular(r, c, lower=False))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["r", "c"])
+def test_back_substitute_rejects_non_finite(where, bad):
+    r, c = _triangle(4, 7, "C")
+    (r if where == "r" else c)[1] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        back_substitute(r, c)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_back_substitute_zero_on_the_diagonal_is_singular(order):
+    r, c = _triangle(5, 8, order)
+    r[2, 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        back_substitute(r, c)
+    with pytest.raises(ValueError, match="expected square matrix"):
+        back_substitute(r[:, :4], c)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_householder_qr_runs_at_one_thread_and_restores_the_count(monkeypatch, threads):
+    from scipy.linalg import lapack
+
+    calls = quadrep.linalg._openblas_threads()
+    if calls is None:
+        pytest.skip("scipy has no bundled OpenBLAS to set")
+    get, set_ = calls
+    seen = []
+    real = lapack.dgeqrf
+    monkeypatch.setattr(lapack, "dgeqrf", lambda *a, **kw: seen.append(get()) or real(*a, **kw))
+    before = get()
+    try:
+        set_(threads)
+        a = np.random.default_rng(threads).standard_normal((30, 4))
+        householder_qr(a)
+        assert get() == threads
+        assert seen == [1]
+    finally:
+        set_(before)
