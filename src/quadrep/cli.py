@@ -160,7 +160,7 @@ def cmd_convergence(args):
     print(f"wrote {len(cells)} cells for {args.fn}")
     return {"convergence.csv": (
         ["method", "K", "error"],
-        ([m, k, repr(float(err))] for (m, k), err in zip(cells, errors)),
+        ([m, str(k), repr(float(err))] for (m, k), err in zip(cells, errors)),
         "error = relative L2 against the sampled reference (absolute when the reference"
         " norm is 0); K counts fitted coefficients")}, args.seed
 

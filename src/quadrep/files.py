@@ -1,8 +1,8 @@
 """Every file quadrep reads or writes: two writers, ``write_json`` (indented
-by 2, with a trailing newline) and ``write_csv`` (rows ending in a newline),
-the table of a data CSV (``dataset_table``), and four readers, of a data
-CSV, rep.json, an ``eval --points`` CSV and manifest.json, each raising a
-``DataError`` that names the file it rejects.
+by 2, with a trailing newline) and ``write_csv`` (unquoted comma-separated
+rows, each ending in a newline), the table of a data CSV (``dataset_table``),
+and four readers, of a data CSV, rep.json, an ``eval --points`` CSV and
+manifest.json, each raising a ``DataError`` that names the file it rejects.
 """
 from __future__ import annotations
 
@@ -25,13 +25,22 @@ def write_json(path, doc) -> None:
 
 
 def write_csv(path, header, rows, comment: str | None = None) -> None:
-    """``header`` and then ``rows``, after a ``# comment`` line if given."""
+    """``header`` and then ``rows``, each a line of its string fields joined
+    by commas, after a ``# comment`` line if given, in one write: the bytes of
+    ``csv.writer`` for a table that needs no quoting.
+
+    ValueError, before anything is written, when a field holds a comma, a
+    double quote, a carriage return or a line feed, when a line would be
+    empty, or when a row's width is not the header's.
+    """
+    lines = [",".join(header), *map(",".join, rows)]
+    table = "\n".join(lines) + "\n"
+    if ('"' in table or "\r" in table or "" in lines or table.count("\n") != len(lines)
+            or table.count(",") != len(lines) * (len(header) - 1)):
+        raise ValueError(f"{path}: a field would need CSV quoting, a line is empty,"
+                         f" or a row is not {len(header)} fields wide")
     with open(path, "w", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(table if comment is None else f"# {comment}\n{table}")
 
 
 def _read_json(path):

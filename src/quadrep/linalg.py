@@ -5,16 +5,21 @@ Normal equations are never formed: the candidate dictionaries this package
 fits against are near-linearly-dependent by construction, so everything goes
 through orthogonal factorizations.
 
-SciPy is imported by the two functions that call it, on their first call, so
-a command that never factors or solves (``eval``, ``generate``) does not load it.
-Both call LAPACK directly: ``householder_qr`` runs ``dgeqrf``/``dorgqr`` with
-scipy's bundled OpenBLAS held at one thread, and ``back_substitute`` runs
-``dtrtrs`` as ``scipy.linalg.solve_triangular`` would, without its wrapper.
+The QR and the triangular solve call LAPACK directly, through scipy's f2py
+wrappers: ``householder_qr`` runs ``dgeqrf``/``dorgqr`` with scipy's bundled
+OpenBLAS held at one thread, and ``back_substitute`` runs ``dtrtrs`` as
+``scipy.linalg.solve_triangular`` would, without its wrapper.  The wrappers'
+extension module is loaded from its file on the first call (``_lapack``),
+without importing ``scipy`` or ``scipy.linalg``; a command that never factors
+or solves (``eval``, ``generate``) loads nothing of scipy.
 """
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,8 +79,6 @@ def back_substitute(r, c):
     as the lower triangle ``r.T`` solved transposed.  Raises ValueError on a
     non-finite entry and LinAlgError on an exact zero on the diagonal.
     """
-    from scipy.linalg import lapack
-
     r = np.asarray(r, dtype=float)
     c = np.asarray(c, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
@@ -87,22 +90,49 @@ def back_substitute(r, c):
     if c.size == 0:  # dtrtrs rejects an empty system
         return np.empty_like(c)
     if r.flags.f_contiguous:
-        x, info = lapack.dtrtrs(r, c, lower=0, trans=0)
+        x, info = _lapack().dtrtrs(r, c, lower=0, trans=0)
     else:
-        x, info = lapack.dtrtrs(r.T, c, lower=1, trans=1)
+        x, info = _lapack().dtrtrs(r.T, c, lower=1, trans=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     return x
+
+
+def _scipy_dir() -> Path:
+    """The directory of the installed ``scipy`` package, found without
+    importing it; ImportError naming scipy when it is not installed."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("quadrep needs scipy, for its LAPACK wrappers")
+    return Path(spec.submodule_search_locations[0])
+
+
+@functools.cache
+def _lapack():
+    """scipy's f2py LAPACK wrappers, the extension ``scipy.linalg._flapack``,
+    loaded from its file without importing ``scipy`` or ``scipy.linalg``.
+
+    ``scipy.linalg.lapack`` re-exports these very functions, and they run in
+    the same OpenBLAS, so the bits are those of ``scipy.linalg.lapack``.  An
+    extension is initialised once per process: where ``scipy.linalg`` loaded
+    it first, its module is taken from ``sys.modules``.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.machinery.PathFinder.find_spec(name, [str(_scipy_dir() / "linalg")])
+    if spec is None:
+        raise ImportError(f"quadrep needs scipy, and scipy has no {name}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @functools.cache
 def _openblas_threads():
     """(get, set) of the thread count of scipy's bundled OpenBLAS, through
     ``ctypes``; None where scipy has no such library or it lacks the symbols."""
-    import scipy
-
-    for path in sorted((Path(scipy.__file__).parent.parent / "scipy.libs")
-                       .glob("libscipy_openblas*.so")):
+    for path in sorted((_scipy_dir().parent / "scipy.libs").glob("libscipy_openblas*.so")):
         try:
             lib = ctypes.CDLL(str(path))
             return lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
@@ -136,8 +166,7 @@ def householder_qr(a):
 
     Raises ValueError on a non-finite entry: LAPACK does not check.
     """
-    from scipy.linalg import lapack
-
+    lapack = _lapack()
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("expected a nonempty 2-D matrix")

@@ -3,6 +3,7 @@ import copy
 import csv
 import dataclasses
 import inspect
+import io
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import quadrep
 from quadrep import cli, denoise, dictionary, orthopoly, representation, selection
 from quadrep.cli import main
 from quadrep.functions import get_builtin
-from quadrep.files import load_rep
+from quadrep.files import load_rep, write_csv
 from quadrep.selection import SelectionConfig, greedy_select, rrqr_select
 
 
@@ -928,18 +929,27 @@ def test_convergence_blas_thread_count_invariance(tmp_path):
 
 
 def test_eval_and_generate_do_not_load_scipy(tmp_path):
-    # quadrep.linalg imports scipy on its first QR or triangular solve; eval
-    # and generate make neither, so a process that runs one never loads it
+    # quadrep.linalg loads scipy's LAPACK extension from its file on its first
+    # QR or triangular solve, without importing scipy or scipy.linalg; eval and
+    # generate make neither, so a process that runs one loads nothing of scipy
     src = str(Path(quadrep.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     assert run(["fit", "--fn", "sigmoid60", "--method", "deg2-greedy", "--max-terms", "10",
                 "--out", str(tmp_path / "fit")]) == 0
+    assert run(["generate", "--preset", "case4", "--seed", "0",
+                "--out", str(tmp_path / "data")]) == 0
+    lapack_only = ["scipy.linalg._flapack"]
     commands = {
-        "eval": ["eval", "--rep", str(tmp_path / "fit" / "rep.json"), "--grid", "101",
-                 "--branches"],
-        "generate": ["generate", "--preset", "case1", "--seed", "0"],
+        "eval": (["eval", "--rep", str(tmp_path / "fit" / "rep.json"), "--grid", "101",
+                  "--branches"], []),
+        "generate": (["generate", "--preset", "case1", "--seed", "0"], []),
+        "fit": (["fit", "--fn", "sigmoid60", "--method", "deg2-rrqr", "--max-terms", "12"],
+                lapack_only),
+        "convergence": (["convergence", "--fn", "sigmoid60", "--kmax", "8"], lapack_only),
+        "denoise": (["denoise", "--input", str(tmp_path / "data" / "data.csv"),
+                     "--mode", "iterative", "--max-iter", "5"], lapack_only),
     }
-    for name, argv in commands.items():
+    for name, (argv, loaded) in commands.items():
         done = subprocess.run(
             [sys.executable, "-c", "import sys; from quadrep.cli import main; "
              "code = main(sys.argv[1:]); "
@@ -947,7 +957,64 @@ def test_eval_and_generate_do_not_load_scipy(tmp_path):
              "sys.exit(code)", *argv, "--out", str(tmp_path / name)],
             env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]", name
+        assert done.stdout.splitlines()[-1] == str(loaded), name
+
+
+def _csv_writer_bytes(header, rows, comment=None) -> bytes:
+    buf = io.StringIO()
+    if comment is not None:
+        buf.write(f"# {comment}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def test_every_cli_table_is_the_bytes_of_csv_writer(tmp_path, monkeypatch):
+    tables = []
+
+    def recording(path, header, rows, comment=None):
+        rows = [list(row) for row in rows]
+        tables.append((path, header, rows, comment))
+        write_csv(path, header, rows, comment)
+
+    monkeypatch.setattr(cli, "write_csv", recording)
+    assert run(["fit", "--fn", "sigmoid60", "--method", "deg2-greedy", "--max-terms", "10",
+                "--out", str(tmp_path / "fit")]) == 0
+    assert run(["eval", "--rep", str(tmp_path / "fit" / "rep.json"), "--grid", "101",
+                "--branches", "--out", str(tmp_path / "eval")]) == 0
+    assert run(["convergence", "--fn", "sigmoid60", "--methods", "deg0,deg1,deg2-greedy",
+                "--kmax", "8", "--out", str(tmp_path / "conv")]) == 0
+    assert run(["generate", "--preset", "case4", "--seed", "0",
+                "--out", str(tmp_path / "gen")]) == 0
+    assert run(["denoise", "--input", str(tmp_path / "gen" / "data.csv"), "--mode", "ls",
+                "--out", str(tmp_path / "den")]) == 0
+    assert sorted(Path(t[0]).name for t in tables) == [
+        "branches.csv", "convergence.csv", "data.csv", "eval.csv", "reconstruction.csv"]
+    for path, header, rows, comment in tables:
+        assert Path(path).read_bytes() == _csv_writer_bytes(header, rows, comment), path
+
+
+def test_write_csv_blank_fields_are_csv_writer_bytes(tmp_path):
+    rows = [["1.0", "", ""], ["", "", ""], ["nan", "-inf", "2"]]
+    write_csv(tmp_path / "t.csv", ["x", "lo", "hi"], rows, "a, \"note\"")
+    assert (tmp_path / "t.csv").read_bytes() == _csv_writer_bytes(
+        ["x", "lo", "hi"], rows, "a, \"note\"")
+
+
+@pytest.mark.parametrize("header, row", [
+    (["x", "f"], ["1,5", "2"]),
+    (["x", "f"], ['"1"', "2"]),
+    (["x", "f"], ["1\r", "2"]),
+    (["x", "f"], ["1\n2", "3"]),
+    (["x", "f"], ["1", "2", "3"]),
+    (["x", "f"], ["1"]),
+    (["x"], [""]),
+], ids=["comma", "quote", "cr", "lf", "wide", "narrow", "empty-line"])
+def test_write_csv_rejects_a_table_that_needs_quoting(tmp_path, header, row):
+    with pytest.raises(ValueError, match="CSV quoting"):
+        write_csv(tmp_path / "t.csv", header, [["0", "0"][:len(header)], row])
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_manifest_replay_byte_identical(tmp_path):

@@ -1,4 +1,9 @@
+import importlib.util
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,8 +364,7 @@ def test_back_substitute_zero_on_the_diagonal_is_singular(order):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_householder_qr_runs_at_one_thread_and_restores_the_count(monkeypatch, threads):
-    from scipy.linalg import lapack
-
+    lapack = quadrep.linalg._lapack()
     calls = quadrep.linalg._openblas_threads()
     if calls is None:
         pytest.skip("scipy has no bundled OpenBLAS to set")
@@ -377,3 +381,50 @@ def test_householder_qr_runs_at_one_thread_and_restores_the_count(monkeypatch, t
         assert seen == [1]
     finally:
         set_(before)
+
+
+def test_scipy_not_installed_is_an_import_error_naming_it(monkeypatch):
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="needs scipy"):
+        quadrep.linalg._scipy_dir()
+
+
+# Run as a fresh process, so that quadrep loads scipy's LAPACK extension from
+# its file before anything imports scipy.linalg, whose own wrappers then
+# recompute what quadrep computed.
+_BOTH_LOADS = """
+import sys
+import numpy as np
+from quadrep.linalg import back_substitute, householder_qr
+
+rng = np.random.default_rng(11)
+first = [rng.standard_normal(shape) for shape in [(300, 40), (1000, 182)]]
+factors = [householder_qr(a) for a in first]
+rights = [rng.standard_normal(r.shape[0]) for _, r in factors]
+solved = [back_substitute(r, c) for (_, r), c in zip(factors, rights)]
+assert not {"scipy", "scipy.linalg"} & set(sys.modules), sorted(sys.modules)
+
+from scipy.linalg import lapack, solve_triangular
+
+for a, (q, r), c, x in zip(first, factors, rights, solved):
+    n = a.shape[1]
+    qr, tau, _, info = lapack.dgeqrf(a, lwork=n)
+    assert info == 0
+    q_sp, _, info = lapack.dorgqr(qr[:, :n], tau, lwork=n)
+    assert info == 0
+    assert np.array_equal(q, q_sp) and np.array_equal(r, np.triu(qr[:n]))
+    assert np.array_equal(householder_qr(a)[0], q)
+    assert np.array_equal(x, solve_triangular(r, c, lower=False))
+    assert np.array_equal(back_substitute(r, c), x)
+print("same bits")
+"""
+
+
+def test_lapack_loaded_by_file_and_by_scipy_linalg_give_the_same_bits():
+    src = str(Path(quadrep.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _BOTH_LOADS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "same bits\n"
