@@ -10,8 +10,9 @@ the `fit` runs it does not run (`FIT_RUNS`: greedy traces, an rrqr
 tolerance, alone and with a term budget, and an rrqr truncation past the
 numerical rank), the runs on generated data and on failing cells
 (`DATA_RUNS`: `generate --target`, `fit --input` with four methods,
-`denoise --truth` on a CSV, and a convergence table whose greedy cells
-fail), the runs that read back what those wrote (`READ_BACK`: an
+`denoise --truth` on a CSV, a convergence table whose greedy cells fail,
+and one whose adaptive cells are skipped past the columns their runs keep),
+the runs that read back what those wrote (`READ_BACK`: an
 `eval --points` on a points file that this script writes, and a `replay` of
 a `fit` and of a `denoise` manifest) and both `scripts/run_*_experiments.py`,
 each under its own directory of OUT.  It writes every command's exit code to
@@ -81,6 +82,9 @@ DATA_RUNS = (
                            "--truth", "{out}/data-runs/exact/data.csv"]),
     ("convergence-failed-cells", ["convergence", "--fn", "relu", "--methods",
                                   "deg0,deg2-greedy", "--kmin", "6", "--kmax", "10"]),
+    ("convergence-short-runs", ["convergence", "--fn", "sigmoid60", "--methods",
+                                "deg2-rrqr,deg2-greedy,deg0", "--kmin", "6", "--kmax", "12",
+                                "--order", "8"]),
 )
 # the x values of the points file, on sigmoid60's domain [-1, 1], with its
 # ends and points on its steep rise at 0

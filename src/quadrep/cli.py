@@ -150,10 +150,9 @@ def cmd_convergence(args):
 
     errors = []
     for m, k in cells:
-        if isinstance(runs[m], Exception):
-            errors.append(_failed_cell(m, k, runs[m]))
-            continue
         try:
+            if isinstance(runs[m], Exception):
+                raise runs[m]
             errors.append(error_at_k(grid, m, k, runs[m]))
         except (*NUMERICAL_ERRORS, ValueError) as exc:
             errors.append(_failed_cell(m, k, exc))

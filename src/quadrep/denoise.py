@@ -197,7 +197,8 @@ def fit_manifold_ls(data: SampleGrid) -> ManifoldFit4:
     if data.size < 4:
         raise ValueError("need at least 4 samples")
     design = _ls_design(data.unit_nodes, data.values)
-    return _ls_solve(design, data.values, data.weights, data.domain, condition=True)
+    fit = _ls_solve(design, data.values, data.weights, data.domain)
+    return replace(fit, condition=float(np.linalg.cond(design)))
 
 
 def _ls_design(t: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -205,9 +206,8 @@ def _ls_design(t: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.column_stack([f, t * f, np.ones_like(t), t])
 
 
-def _ls_solve(design, f, weights, domain, condition: bool = False) -> ManifoldFit4:
-    """``fit_manifold_ls`` on its design; the fit's condition number is NaN
-    unless ``condition`` is set."""
+def _ls_solve(design, f, weights, domain) -> ManifoldFit4:
+    """``fit_manifold_ls`` on its design, without the condition number (NaN)."""
     try:
         beta, resid = weighted_lsq(design, f * f, weights)
     except RankDeficiencyError as exc:
@@ -216,11 +216,9 @@ def _ls_solve(design, f, weights, domain, condition: bool = False) -> ManifoldFi
             f"degenerate design (column {worst!r} dependent); is f~ constant?",
             exc.numerical_rank, exc.factorization,
         ) from exc
-    cond = float(np.linalg.cond(design)) if condition else float("nan")
     lo, hi = domain
     b0, b1, c0, c1 = _unit_to_raw(beta[0], beta[1], beta[2], beta[3], lo, hi)
-    return ManifoldFit4(b0=b0, b1=b1, c0=c0, c1=c1, method="ls",
-                        residual=resid, condition=cond)
+    return ManifoldFit4(b0=b0, b1=b1, c0=c0, c1=c1, method="ls", residual=resid)
 
 
 # --------------------------------------------------------------------------

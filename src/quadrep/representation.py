@@ -46,7 +46,6 @@ __all__ = [
     "compose_piecewise_manifold",
     "residual_l2",
     "relative_l2",
-    "table_relative_l2",
     "rep_to_dict",
     "rep_from_dict",
 ]
@@ -597,42 +596,28 @@ def fit_degree2_uniform(grid: SampleGrid, n0: int, n1: int,
                                degeneracy=degeneracy, provenance=provenance)
 
 
-def _residual(values_at, grid: SampleGrid) -> float:
-    """Weighted L2 distance between ``values_at(grid.nodes)`` and the grid's
-    samples; an evaluation failure counts as +inf with a warning."""
+def residual_l2(rep, grid: SampleGrid, table: BranchTable | None = None) -> float:
+    """Weighted L2 distance between the representation and the grid's samples.
+
+    A degree-2 rep given with ``table``, the branch table at the grid's nodes
+    that its index was read from (as ``coefficients_to_rep`` returns it), is
+    read from that table instead of evaluated again.  Evaluation failures
+    (poles, complex roots) count as +inf with a warning.
+    """
     try:
-        vals = values_at(grid.nodes)
+        vals = eval_rep(rep, grid.nodes) if table is None else table.pick(rep.index, grid.nodes)
     except (ComplexRootError, PoleError, EvaluationError) as exc:
         warnings.warn(f"evaluation failed, residual reported as inf: {exc}")
         return float("inf")
     return float(np.sqrt(np.sum(grid.weights * (vals - grid.values) ** 2)))
 
 
-def _relative(err: float, grid: SampleGrid) -> float:
-    """``err`` normalized by the samples' norm (when nonzero)."""
+def relative_l2(rep, grid: SampleGrid, table: BranchTable | None = None) -> float:
+    """residual_l2 normalized by the samples' norm (when nonzero)."""
+    err = residual_l2(rep, grid, table)
     ref = grid.values
     denom = float(np.sqrt(np.sum(grid.weights * ref * ref)))
     return err / denom if denom > 0 else err
-
-
-def residual_l2(rep, grid: SampleGrid) -> float:
-    """Weighted L2 distance between the representation and the grid's samples.
-
-    Evaluation failures (poles, complex roots) count as +inf with a warning.
-    """
-    return _residual(lambda x: eval_rep(rep, x), grid)
-
-
-def relative_l2(rep, grid: SampleGrid) -> float:
-    """residual_l2 normalized by the samples' norm (when nonzero)."""
-    return _relative(residual_l2(rep, grid), grid)
-
-
-def table_relative_l2(rep: Rep, table: BranchTable, grid: SampleGrid) -> float:
-    """``relative_l2`` of a degree-2 rep, read from ``table``: the branch table
-    at the grid's nodes that its index was read from, as
-    ``coefficients_to_rep`` returns it.  Builds no table of its own."""
-    return _relative(_residual(lambda x: table.pick(rep.index, x), grid), grid)
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .dictionary import (SampleGrid, assemble, check_counts, check_philox_key, S
                          STREAM_F, STREAM_F2)
 from .linalg import DEFAULT_RANK_TOL, PivotedQR, back_substitute, pivoted_qr
 from .representation import (coefficients_to_rep, fit_degree0, fit_degree1,
-                             fit_degree2_uniform, relative_l2, table_relative_l2)
+                             fit_degree2_uniform, relative_l2)
 
 __all__ = [
     "BATCH_SIZES",
@@ -438,8 +438,12 @@ def fit_at_k(grid: SampleGrid, method: str, k: int, run=None):
 
 
 def error_at_k(grid: SampleGrid, method: str, k: int, run=None) -> float:
-    """``relative_l2`` of ``fit_at_k``'s rep on ``grid``.  A degree-2 rep is
-    read from the branch table that its index was assigned from, so the cell
-    builds one table."""
-    rep, _, _, table = _fit_k(grid, method, k, run)
-    return relative_l2(rep, grid) if table is None else table_relative_l2(rep, table, grid)
+    """``relative_l2`` of ``fit_at_k``'s rep on ``grid``, at a K that
+    ``achievable_k`` gives.  A degree-2 rep is read from the branch table that
+    its index was assigned from, so the cell builds one table.  ValueError if
+    the fit keeps fewer than K coefficients (an adaptive run that stopped
+    short of K)."""
+    rep, kept, _, table = _fit_k(grid, method, k, run)
+    if kept != k:
+        raise ValueError(f"{method} keeps {kept} coefficients, fewer than K={k}")
+    return relative_l2(rep, grid, table)

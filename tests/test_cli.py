@@ -850,6 +850,22 @@ def test_convergence_failures_stay_in_their_cells(tmp_path, capsys, monkeypatch)
            for m in ("deg2-greedy", "deg2-rrqr") for k in (2, 3)])
 
 
+def test_convergence_skips_a_k_past_the_kept_columns(tmp_path, capsys):
+    # 8 nodes give an adaptive run at most 8 columns: at K = 9-12 it keeps 8,
+    # and the cell is skipped as deg0's are rather than written with the 8-column error
+    out = tmp_path / "short"
+    assert run(["convergence", "--fn", "sigmoid60", "--methods", "deg2-rrqr,deg2-greedy,deg0",
+                "--kmin", "6", "--kmax", "12", "--order", "8", "--out", str(out)]) == 0
+    rows = read_csv(out / "convergence.csv")[1:]
+    assert [(r[0], r[1]) for r in rows if math.isnan(float(r[2]))] == [
+        (m, str(k)) for m in ("deg2-rrqr", "deg2-greedy", "deg0") for k in (9, 10, 11, 12)]
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("cell ")]
+    assert lines[:8] == [f"cell ({m}, K={k}) skipped: {m} keeps 8 coefficients, fewer than K={k}"
+                         for m in ("deg2-rrqr", "deg2-greedy") for k in (9, 10, 11, 12)]
+    assert lines[8:] == [f"cell (deg0, K={k}) skipped: more coefficients than samples"
+                         for k in (9, 10, 11, 12)]
+
+
 def test_convergence_starts_no_thread_pool(tmp_path, monkeypatch):
     argv = ["convergence", "--fn", "sin10pi", "--methods", "deg0,deg1,deg2-greedy,deg2-rrqr",
             "--kmin", "2", "--kmax", "6", "--order", "150"]

@@ -623,17 +623,24 @@ def test_greedy_path_runs_no_householder_qr(monkeypatch, tmp_path):
 
 def test_each_degree2_convergence_cell_builds_one_branch_table(monkeypatch, tmp_path):
     """A degree-2 cell reads its error from the branch table that its index
-    was assigned from: one ``branches`` call per cell, at the grid's nodes."""
-    calls = []
+    was assigned from: one ``branches`` call per cell, at the grid's nodes,
+    and one ``relative_l2`` call per cell."""
+    calls, errors = [], []
     real = representation.branches
+    real_error = selection.relative_l2
 
     def counted(rep, x):
         calls.append(np.size(x))
         return real(rep, x)
 
+    def counted_error(rep, grid, table=None):
+        errors.append(table is not None)
+        return real_error(rep, grid, table)
+
     for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "quadrep"]:
         if getattr(module, "branches", None) is real:
             monkeypatch.setattr(module, "branches", counted)
+    monkeypatch.setattr(selection, "relative_l2", counted_error)
     roots_at(fit_at_k(SIG_GRID, "deg2-uniform", 5), 0.0)
     assert calls == [SIG_GRID.size, 1]  # the count sees calls through the module
     calls.clear()
@@ -643,6 +650,7 @@ def test_each_degree2_convergence_cell_builds_one_branch_table(monkeypatch, tmp_
                      "--methods", ",".join(methods), "--out", str(tmp_path)]) == 0
     cells = sum(len(achievable_k(m, 2, 11)) for m in methods)
     assert calls == [SIG_GRID.size] * cells
+    assert errors == [True] * cells  # each read from its fit's table
 
 
 @pytest.mark.parametrize("name", ["sigmoid60", "relu"])
