@@ -10,8 +10,8 @@ OPENBLAS_NUM_THREADS=1 and at 2.  Then compares, with
 `diff -rq -x manifest.json`, REV against this tree at each thread count and
 this tree at 1 thread against 2.  Prints every differing path, and under
 each differing `convergence.csv` one line per method whose cells moved: how
-many, the largest relative move and its K, and every cell that changed
-between finite and non-finite.  Exits 1 on any difference, 0 when there is
+many, the largest relative move and its K, and every moved cell that is
+non-finite on either side.  Exits 1 on any difference, 0 when there is
 none.  The worktree and the snapshots are removed however the run ends.
 """
 from __future__ import annotations
@@ -64,13 +64,13 @@ def read_cells(path: Path) -> dict:
 def moved_cells(a: Path, b: Path) -> list[str]:
     """One line per method whose cells differ between the convergence tables
     ``a`` and ``b``: how many moved, the largest relative move among the cells
-    finite on both sides and its K, and each cell finite on one side only.  A
-    K that one side lacks counts as NaN there."""
+    finite on both sides and its K, and each moved cell non-finite on either
+    side (``inf -> nan`` too).  A K that one side lacks counts as NaN there."""
     old, new = read_cells(a), read_cells(b)
     lines = []
     for method in {**old, **new}:
         before, after = old.get(method, {}), new.get(method, {})
-        moved, largest, flips = 0, None, []
+        moved, largest, nonfinite = 0, None, []
         for k in sorted(before.keys() | after.keys()):
             x, y = before.get(k, math.nan), after.get(k, math.nan)
             if x == y or (math.isnan(x) and math.isnan(y)):
@@ -80,14 +80,14 @@ def moved_cells(a: Path, b: Path) -> list[str]:
                 rel = abs(y - x) / abs(x) if x else math.inf
                 if largest is None or rel > largest[0]:
                     largest = (rel, k)
-            elif math.isfinite(x) != math.isfinite(y):
-                flips.append(f"K={k} {x!r} -> {y!r}")
+            else:
+                nonfinite.append(f"K={k} {x!r} -> {y!r}")
         if moved:
             line = f"{method}: {moved} cell(s) moved"
             if largest is not None:
                 line += f", largest relative move {largest[0]:.2e} at K={largest[1]}"
-            if flips:
-                line += "; finite <-> non-finite: " + ", ".join(flips)
+            if nonfinite:
+                line += "; non-finite: " + ", ".join(nonfinite)
             lines.append(line)
     return lines
 

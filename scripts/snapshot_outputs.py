@@ -19,8 +19,7 @@ each under its own directory of OUT.  It writes every command's exit code to
 OUT/exit_codes.txt, and what each command prints to
 OUT/printed/<its --out under OUT>/stdout.txt and stderr.txt (the experiment
 scripts' to OUT/printed/<script>/), with OUT and this checkout's path
-masked, and so the line numbers of Python warnings.  Two checkouts give
-the same results when
+masked.  Two checkouts give the same results when
 
     diff -r -x manifest.json A B
 
@@ -33,9 +32,7 @@ from __future__ import annotations
 import contextlib
 import importlib
 import io
-import re
 import sys
-import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -118,17 +115,16 @@ def denoise_commands(out: Path) -> list[list[str]]:
 
 
 def _mask(text: str, out: Path) -> str:
-    """``text`` with OUT, this checkout and warning line numbers masked."""
-    text = text.replace(str(out), "OUT").replace(str(ROOT), "ROOT")
-    return re.sub(r"\.py:\d+: (\w*Warning)", r".py:N: \1", text)
+    """``text`` with OUT and this checkout masked."""
+    return text.replace(str(out), "OUT").replace(str(ROOT), "ROOT")
 
 
 def captured(out: Path, label: str, call) -> int:
     """``call()``'s exit code; what it prints is appended, masked, to
-    OUT/printed/<label>/.  Warnings show as in a process of their own."""
+    OUT/printed/<label>/."""
     printed = {"stdout.txt": io.StringIO(), "stderr.txt": io.StringIO()}
     with contextlib.redirect_stdout(printed["stdout.txt"]), \
-            contextlib.redirect_stderr(printed["stderr.txt"]), warnings.catch_warnings():
+            contextlib.redirect_stderr(printed["stderr.txt"]):
         code = call()
     where = out / "printed" / label
     where.mkdir(parents=True, exist_ok=True)

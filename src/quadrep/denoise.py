@@ -339,7 +339,7 @@ def _knn_windows(raw: bytes, k: int) -> np.ndarray:
     positions = np.frombuffer(raw)
     n = positions.size
     if not 1 <= k < n:
-        raise ValueError("need 1 <= k < sample count")
+        raise ValueError(f"k must be >= 1 and < the sample count {n}, got {k}")
     lo = np.clip(np.arange(n)[:, None] + np.arange(-k, 1), 0, n - k - 1)
     x = positions[:, None]
     span = np.maximum(x - positions[lo], positions[lo + k] - x)
@@ -451,7 +451,7 @@ class NoiseConstraintSet:
 
 def noise_constraints(unit_positions, f_values,
                       names: tuple[str, ...] = ALL_CONSTRAINTS) -> NoiseConstraintSet:
-    """Build constraint vectors from {1, x, x^2, f, xf, x^2 f, f^2, xf^2}."""
+    """Build constraint vectors from {1, x, x^2, f, xf, x^2 f, f^2, xf^2}, each named once."""
     t = np.asarray(unit_positions, dtype=float)
     f = np.asarray(f_values, dtype=float)
     table = {
@@ -467,6 +467,10 @@ def noise_constraints(unit_positions, f_values,
     unknown = [n for n in names if n not in table]
     if unknown:
         raise ValueError(f"unknown constraint names {unknown}")
+    # each name takes one projection mode, so a repeat would take one more
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ValueError(f"constraint names listed more than once {repeated}")
     vectors = np.column_stack([table[n] for n in names])
     return NoiseConstraintSet(names=tuple(names), vectors=vectors, unit_positions=t)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -601,19 +600,15 @@ def residual_l2(rep, grid: SampleGrid, table: BranchTable | None = None) -> floa
 
     A degree-2 rep given with ``table``, the branch table at the grid's nodes
     that its index was read from (as ``coefficients_to_rep`` returns it), is
-    read from that table instead of evaluated again.  Evaluation failures
-    (poles, complex roots) count as +inf with a warning.
+    read from that table instead of evaluated again.  Raises as ``eval_rep``
+    does where the rep has no real value at a node (complex roots, a pole, no root).
     """
-    try:
-        vals = eval_rep(rep, grid.nodes) if table is None else table.pick(rep.index, grid.nodes)
-    except (ComplexRootError, PoleError, EvaluationError) as exc:
-        warnings.warn(f"evaluation failed, residual reported as inf: {exc}")
-        return float("inf")
+    vals = eval_rep(rep, grid.nodes) if table is None else table.pick(rep.index, grid.nodes)
     return float(np.sqrt(np.sum(grid.weights * (vals - grid.values) ** 2)))
 
 
 def relative_l2(rep, grid: SampleGrid, table: BranchTable | None = None) -> float:
-    """residual_l2 normalized by the samples' norm (when nonzero)."""
+    """residual_l2 normalized by the samples' norm (when nonzero); raises as it does."""
     err = residual_l2(rep, grid, table)
     ref = grid.values
     denom = float(np.sqrt(np.sum(grid.weights * ref * ref)))

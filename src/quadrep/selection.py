@@ -441,8 +441,8 @@ def error_at_k(grid: SampleGrid, method: str, k: int, run=None) -> float:
     """``relative_l2`` of ``fit_at_k``'s rep on ``grid``, at a K that
     ``achievable_k`` gives.  A degree-2 rep is read from the branch table that
     its index was assigned from, so the cell builds one table.  ValueError if
-    the fit keeps fewer than K coefficients (an adaptive run that stopped
-    short of K)."""
+    the fit keeps fewer than K coefficients (an adaptive run that stopped short
+    of K); raises as ``eval_rep`` where the rep has no real value at a node."""
     rep, kept, _, table = _fit_k(grid, method, k, run)
     if kept != k:
         raise ValueError(f"{method} keeps {kept} coefficients, fewer than K={k}")

@@ -31,6 +31,9 @@ from quadrep.linalg import weighted_lsq
 from quadrep.orthopoly import gauss_legendre, legendre_row
 from quadrep.representation import (
     BASIS_MONOMIAL,
+    ComplexRootError,
+    EvaluationError,
+    PoleError,
     PolyCoeffs,
     basis_convert,
     compose_piecewise_manifold,
@@ -181,8 +184,14 @@ _SIGMOID_CAPS = {"deg2-rrqr": 40}
 
 
 def _sigmoid_method_error(grid, method, k, seed=0):
+    """The cell's relative L2 error; inf where the rep has no real value at
+    a node, so that it ranks below every finite error."""
     run = method_run(grid, method, k, seed, _SIGMOID_CAPS.get(method, 60))
-    return relative_l2(fit_at_k(grid, method, k, run), grid)
+    rep = fit_at_k(grid, method, k, run)
+    try:
+        return relative_l2(rep, grid)
+    except (ComplexRootError, PoleError, EvaluationError):
+        return math.inf
 
 
 def test_criterion_06_sigmoid_method_ordering():

@@ -480,9 +480,9 @@ def test_denoise_debias_requires_sigma2(tmp_path):
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """A case3 data.csv, copies of it with a NaN x in a middle row and an
-    infinite last x, a degree-0 rep.json, points files holding only the
-    header and nothing at all, a directory, and a file that is not UTF-8,
-    for the rejected commands."""
+    infinite last x, a data CSV of six samples, a degree-0 rep.json, points
+    files holding only the header and nothing at all, a directory, and a file
+    that is not UTF-8, for the rejected commands."""
     root = tmp_path_factory.mktemp("inputs")
     assert run(["generate", "--preset", "case3", "--seed", "0", "--out", str(root / "gen")]) == 0
     assert run(["fit", "--fn", "relu", "--method", "deg0", "--n", "5",
@@ -492,13 +492,15 @@ def inputs(tmp_path_factory):
         bad = list(lines)
         bad[row] = x + bad[row][bad[row].index(","):]
         (root / f"{name}.csv").write_text("".join(bad))
-    for name, text in (("header_only", "x\n"), ("empty", "")):
+    for name, text in (("header_only", "x\n"), ("empty", ""),
+                       ("six", "x,f\n0,25\n1,27\n2,24\n3,255\n4,252\n5,256\n")):
         (root / f"{name}.csv").write_text(text)
     (root / "a_dir").mkdir()
     (root / "latin1.csv").write_bytes(b"x,f\n\xff,1\n")
     return {"data": str(root / "gen" / "data.csv"), "deg0": str(root / "deg0" / "rep.json"),
             "missing": str(root / "missing"), "nan_x": str(root / "nan_x.csv"),
             "inf_x": str(root / "inf_x.csv"), "header_only": str(root / "header_only.csv"),
+            "six": str(root / "six.csv"),
             "empty": str(root / "empty.csv"), "dir": str(root / "a_dir"),
             "latin1": str(root / "latin1.csv")}
 
@@ -577,6 +579,8 @@ BAD_NUMBERS = {
     ["convergence", "--fn", "relu", "--methods", "deg2-uniform", "--kmin", "3", "--kmax", "4"],
     ["generate", "--preset", "case1", "--sigma", "-5", "--seed", "0"],
     ["generate", "--preset", "case1", "--target", "function", "--seed", "0"],
+    [*_ITERATIVE, "--constraints", "f,f"],
+    ["denoise", "--input", "{six}", "--mode", "ls+vote"],
     *(argv for argv, _ in BAD_NUMBERS.values()),
     *UNREADABLE.values(),
 ], ids=["debias-no-sigma2", "case3-no-sigma2", "generate-no-noise", "eval-branches-deg0",
@@ -584,7 +588,8 @@ BAD_NUMBERS = {
         "debias-nan-x", "ls-nan-x", "fit-nan-x", "ls-inf-x", "eval-points-header-only",
         "eval-points-empty", "convergence-kmax-0", "convergence-kmin-above-kmax",
         "convergence-method-twice", "convergence-method-without-k", "generate-preset-sigma",
-        "generate-preset-target", *BAD_NUMBERS, *UNREADABLE])
+        "generate-preset-target", "iterative-constraint-twice",
+        "vote-default-k-six-samples", *BAD_NUMBERS, *UNREADABLE])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rejected_command_writes_nothing(tmp_path, capsys, inputs, argv):
     out = tmp_path / "out"
@@ -605,6 +610,10 @@ def test_rejected_command_writes_nothing(tmp_path, capsys, inputs, argv):
             assert inputs[bad] in err, err
     if "--preset" in argv:
         assert err == f"error: {argv[3]} is not read with --preset\n"
+    if "--constraints" in argv:
+        assert err == "error: constraint names listed more than once ['f']\n"
+    if "{six}" in argv:  # --k not given: its default, 10
+        assert err == "error: k must be >= 1 and < the sample count 6, got 10\n"
     for bad, name in BAD_NUMBERS.values():
         if argv == bad:
             assert re.search(rf"\b{name}\b", err), err
@@ -852,18 +861,23 @@ def test_convergence_failures_stay_in_their_cells(tmp_path, capsys, monkeypatch)
 
 def test_convergence_skips_a_k_past_the_kept_columns(tmp_path, capsys):
     # 8 nodes give an adaptive run at most 8 columns: at K = 9-12 it keeps 8,
-    # and the cell is skipped as deg0's are rather than written with the 8-column error
+    # and the cell is skipped as deg0's are rather than written with the 8-column
+    # error; the rrqr reps at K = 6 and 7 have complex roots at some node, and fail
     out = tmp_path / "short"
     assert run(["convergence", "--fn", "sigmoid60", "--methods", "deg2-rrqr,deg2-greedy,deg0",
                 "--kmin", "6", "--kmax", "12", "--order", "8", "--out", str(out)]) == 0
     rows = read_csv(out / "convergence.csv")[1:]
     assert [(r[0], r[1]) for r in rows if math.isnan(float(r[2]))] == [
+        ("deg2-rrqr", "6"), ("deg2-rrqr", "7")] + [
         (m, str(k)) for m in ("deg2-rrqr", "deg2-greedy", "deg0") for k in (9, 10, 11, 12)]
+    assert all(math.isfinite(float(r[2])) or r[2] == "nan" for r in rows)
     lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("cell ")]
-    assert lines[:8] == [f"cell ({m}, K={k}) skipped: {m} keeps 8 coefficients, fewer than K={k}"
-                         for m in ("deg2-rrqr", "deg2-greedy") for k in (9, 10, 11, 12)]
-    assert lines[8:] == [f"cell (deg0, K={k}) skipped: more coefficients than samples"
-                         for k in (9, 10, 11, 12)]
+    assert [ln.rpartition(" ")[0] for ln in lines[:2]] == [
+        f"cell (deg2-rrqr, K={k}) failed: negative discriminant" for k in (6, 7)]
+    assert lines[2:10] == [f"cell ({m}, K={k}) skipped: {m} keeps 8 coefficients, fewer than K={k}"
+                           for m in ("deg2-rrqr", "deg2-greedy") for k in (9, 10, 11, 12)]
+    assert lines[10:] == [f"cell (deg0, K={k}) skipped: more coefficients than samples"
+                          for k in (9, 10, 11, 12)]
 
 
 def test_convergence_starts_no_thread_pool(tmp_path, monkeypatch):

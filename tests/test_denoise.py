@@ -357,8 +357,10 @@ def test_vote_is_idempotent_at_fixpoint():
 
 
 def test_vote_k_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k must be >= 1 and < the sample count 5, got 5$"):
         knn_vote_index(np.ones(5, dtype=int), np.arange(5.0), k=5)
+    with pytest.raises(ValueError, match=r"sample count 5, got 0$"):
+        knn_vote_index(np.ones(5, dtype=int), np.arange(5.0), k=0)
 
 
 def test_vote_sigma150_true_manifold_statistics():
@@ -505,6 +507,16 @@ def test_inconsistent_constraint_raises_after_one_factorization(monkeypatch):
     # message still names the one left unmet
     assert info.value.dependent == ()
     assert "'f'" in str(info.value)
+
+
+def test_a_constraint_listed_twice_is_rejected():
+    # each listed name takes one projection mode: a repeat would take one more
+    t = tabulated_grid(POS, TRUTH).unit_nodes
+    with pytest.raises(ValueError, match=r"^constraint names listed more than once \['f'\]$"):
+        noise_constraints(t, TRUTH, ("1", "f", "x", "f"))
+    data, _ = generate_noisy(POS, TRUTH, "function", 30.0, seed=0)
+    with pytest.raises(ValueError, match=r"more than once \['f', 'x'\]$"):
+        denoise_iterative(data, constraint_names=("x", "f", "f", "x"))
 
 
 def test_constraints_on_manifold_values_are_rank_six():

@@ -2,7 +2,6 @@ import csv
 import functools
 import math
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +14,9 @@ from quadrep.functions import BUILTINS, get_builtin
 from quadrep.linalg import weighted_lsq
 from quadrep.representation import (
     BASIS_MONOMIAL,
+    ComplexRootError,
+    EvaluationError,
+    PoleError,
     Rep,
     basis_convert,
     coefficients_to_rep,
@@ -232,10 +234,9 @@ def test_rrqr_beats_nothing_smaller_than_greedy_documented():
     # every pivot), so its reconstruction error stays far above greedy's
     rep_g, _ = greedy_select(SIG_GRID, SelectionConfig(max_terms=14, rng_seed=1)).rep_at(14)
     rep_r, _ = rrqr_select(SIG_GRID, stream_cap=40).rep_at(14)
-    err_g = relative_l2(rep_g, SIG_GRID)
-    err_r = relative_l2(rep_r, SIG_GRID)
-    assert err_g < 1e-2
-    assert not (err_r <= err_g * 1.05)
+    assert relative_l2(rep_g, SIG_GRID) < 1e-2
+    with pytest.raises(ComplexRootError):  # no real value at some node: no error at all
+        relative_l2(rep_r, SIG_GRID)
 
 
 # the largest K of each table of scripts/run_convergence_experiments.py
@@ -645,45 +646,47 @@ def test_each_degree2_convergence_cell_builds_one_branch_table(monkeypatch, tmp_
     assert calls == [SIG_GRID.size, 1]  # the count sees calls through the module
     calls.clear()
     methods = ("deg2-uniform", "deg2-greedy", "deg2-rrqr")
-    with warnings.catch_warnings(record=True):  # the infinite cells' warnings
-        assert main(["convergence", "--fn", "sigmoid60", "--kmin", "2", "--kmax", "11",
-                     "--methods", ",".join(methods), "--out", str(tmp_path)]) == 0
+    assert main(["convergence", "--fn", "sigmoid60", "--kmin", "2", "--kmax", "11",
+                 "--methods", ",".join(methods), "--out", str(tmp_path)]) == 0
     cells = sum(len(achievable_k(m, 2, 11)) for m in methods)
     assert calls == [SIG_GRID.size] * cells
     assert errors == [True] * cells  # each read from its fit's table
 
 
 @pytest.mark.parametrize("name", ["sigmoid60", "relu"])
-def test_convergence_cells_are_the_relative_l2_of_fit_at_k(name, tmp_path):
+def test_convergence_cells_are_the_relative_l2_of_fit_at_k(name, tmp_path, capsys):
     """Each cell of ``convergence --kmax 20`` is ``relative_l2`` of the rep that
-    ``fit_at_k`` gives, which builds a second branch table to evaluate it;
-    each infinite cell warns with the same text.  relu has failed greedy
-    cells and infinite rrqr cells."""
+    ``fit_at_k`` gives, which builds a second branch table to evaluate it, or
+    NaN where either raises, with one ``failed`` line carrying the error's
+    text, in table order.  Both have rrqr cells whose reps have no real value
+    at some node; relu also has greedy cells whose fits fail."""
     grid = grid_of(name)
-    with warnings.catch_warnings(record=True) as shown:
-        warnings.simplefilter("always")
-        assert main(["convergence", "--fn", name, "--kmax", "20", "--out", str(tmp_path)]) == 0
-    rows = [r for r in csv.reader(open(tmp_path / "convergence.csv")) if r[0] in METHODS]
-    expected, warned = [], []
+    assert main(["convergence", "--fn", name, "--kmax", "20", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "convergence.csv") as fh:
+        rows = [r for r in csv.reader(fh) if r[0] in METHODS]
+    expected, failed, no_real_value = [], [], 0
     for method in METHODS:
         ks = achievable_k(method, 2, 20)
         run = method_run(grid, method, ks[-1], 0, 60)
         for k in ks:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+            try:
+                rep = fit_at_k(grid, method, k, run)
                 try:
-                    error = relative_l2(fit_at_k(grid, method, k, run), grid)
-                except (*NUMERICAL_ERRORS, ValueError):
-                    error = math.nan
+                    error = relative_l2(rep, grid)
+                except (ComplexRootError, PoleError, EvaluationError):
+                    no_real_value += 1
+                    raise
+            except NUMERICAL_ERRORS as exc:
+                error = math.nan
+                failed.append(f"cell ({method}, K={k}) failed: {exc}")
             expected.append([method, str(k), repr(float(error))])
-            warned += [str(w.message) for w in caught]
     assert rows == expected
-    assert [str(w.message) for w in shown] == warned
-    infinite = sum(r[2] == "inf" for r in rows)
-    assert len(warned) == infinite
-    assert all(m.startswith("evaluation failed, residual reported as inf: ") for m in warned)
+    assert not any(r[2] == "inf" for r in rows)
+    err = capsys.readouterr().err.splitlines()
+    assert [ln for ln in err if ln.startswith("cell ")] == failed
+    assert no_real_value and len(failed) == sum(r[2] == "nan" for r in rows)
     if name == "relu":
-        assert infinite and any(r[2] == "nan" for r in rows)
+        assert len(failed) > no_real_value
 
 
 def _dictionary_columns(grid, tags, cap=60):
