@@ -8,15 +8,18 @@ copies this tree's `scripts/snapshot_outputs.py` over REV's (so both sides
 run the same commands) and runs the snapshot on both sides at
 OPENBLAS_NUM_THREADS=1 and at 2.  Then compares, with
 `diff -rq -x manifest.json`, REV against this tree at each thread count and
-this tree at 1 thread against 2.  Prints every differing path, and under
+this tree at 1 thread against 2.  Prints every differing path, under
 each differing `convergence.csv` one line per method whose cells moved: how
 many, the largest relative move and its K, and every moved cell that is
-non-finite on either side.  Exits 1 on any difference, 0 when there is
-none.  The worktree and the snapshots are removed however the run ends.
+non-finite on either side, and under each differing `report.json` or
+`fit.json` one line per key that moved (`iterations 50 -> 4`).  Exits 1
+on any difference, 0 when there is none.  The worktree and the snapshots
+are removed however the run ends.
 """
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 import re
@@ -30,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SNAPSHOT = Path("scripts") / "snapshot_outputs.py"
 THREADS = (1, 2)
 CELLS = "convergence.csv"
+DOCUMENTS = ("report.json", "fit.json")
 
 
 def snapshot(tree: Path, out: Path, threads: int) -> None:
@@ -92,10 +96,36 @@ def moved_cells(a: Path, b: Path) -> list[str]:
     return lines
 
 
+def _leaves(doc: dict, prefix: str = "") -> dict:
+    """{key: value} of every value in the JSON object ``doc`` that is not an
+    object itself, the keys of nested objects dotted (``rep.b``)."""
+    leaves = {}
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            leaves.update(_leaves(value, f"{prefix}{key}."))
+        else:
+            leaves[prefix + key] = value
+    return leaves
+
+
+def moved_keys(a: Path, b: Path) -> list[str]:
+    """One line per key whose value differs between the JSON documents ``a``
+    and ``b``: ``key old -> new``, each value in JSON, or ``absent`` on the
+    side that lacks the key."""
+    old, new = (_leaves(json.loads(path.read_text())) for path in (a, b))
+    lines = []
+    for key in {**old, **new}:
+        x, y = (json.dumps(side[key]) if key in side else "absent" for side in (old, new))
+        if x != y:
+            lines.append(f"{key} {x} -> {y}")
+    return lines
+
+
 def report(pairs: list[tuple[Path, Path]], labels: dict[Path, str]) -> int:
     """Print each pair's count of differing paths, then every such path, with
-    the snapshot directories replaced by their labels and each differing
-    convergence table followed by its ``moved_cells``; the number of paths."""
+    the snapshot directories replaced by their labels, each differing
+    convergence table followed by its ``moved_cells`` and each differing
+    report or fit document by its ``moved_keys``; the number of paths."""
     found = []
     for a, b in pairs:
         lines = differences(a, b)
@@ -107,8 +137,10 @@ def report(pairs: list[tuple[Path, Path]], labels: dict[Path, str]) -> int:
             shown = shown.replace(str(path), label)
         print(shown)
         files = re.fullmatch(r"Files (.+) and (.+) differ", line)
-        if files and Path(files[1]).name == CELLS:
-            for summary in moved_cells(Path(files[1]), Path(files[2])):
+        name = Path(files[1]).name if files else None
+        summarize = moved_cells if name == CELLS else moved_keys if name in DOCUMENTS else None
+        if summarize:
+            for summary in summarize(Path(files[1]), Path(files[2])):
                 print("    " + summary)
     return len(found)
 

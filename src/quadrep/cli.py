@@ -233,6 +233,7 @@ def cmd_denoise(args):
         "noise_x_correlation": float((xc @ (eps_hat - eps_hat.mean())) / denom) if denom > 0 else 0.0,
         "converged": res.converged,
         "iterations": res.iterations,
+        "stop_reason": res.stop_reason,
         "vote_rounds": res.vote_rounds,
         "max_constraint_residual": res.max_constraint_residual,
     }

@@ -381,7 +381,10 @@ class Reconstruction:
     """A denoising result: the manifold fit, the index that picks a root at
     each sample, and the picked values, ``clamped_points`` of them at the
     vertex.  ``vote_rounds`` is None when no vote ran; only
-    ``denoise_iterative`` sets the iteration fields."""
+    ``denoise_iterative`` sets the iteration fields.  ``stop_reason`` says
+    why its loop ended: ``converged``, ``max_iter``, ``left_bound`` (a refit
+    broke the data's bound) or ``numerical`` (a step raised one of
+    ``NUMERICAL_ERRORS``)."""
 
     fit: ManifoldFit4
     index: IndexFunction
@@ -392,6 +395,7 @@ class Reconstruction:
     iterations: int | None = None
     max_constraint_residual: float | None = None
     coefficient_trace: tuple = ()
+    stop_reason: str | None = None
 
 
 def reconstruct(fit: ManifoldFit4, data: SampleGrid, k: int | None = _VOTE_K) -> Reconstruction:
@@ -449,9 +453,24 @@ class NoiseConstraintSet:
         return np.linalg.norm(self.vectors, axis=0)
 
 
+def _check_constraint_names(names: tuple[str, ...]) -> None:
+    """ValueError unless ``names`` lists at least one of ``ALL_CONSTRAINTS``
+    and none twice."""
+    if not names:
+        raise ValueError("need at least one constraint")
+    unknown = [n for n in names if n not in ALL_CONSTRAINTS]
+    if unknown:
+        raise ValueError(f"unknown constraint names {unknown}")
+    # each name takes one projection mode, so a repeat would take one more
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ValueError(f"constraint names listed more than once {repeated}")
+
+
 def noise_constraints(unit_positions, f_values,
                       names: tuple[str, ...] = ALL_CONSTRAINTS) -> NoiseConstraintSet:
     """Build constraint vectors from {1, x, x^2, f, xf, x^2 f, f^2, xf^2}, each named once."""
+    _check_constraint_names(names)
     t = np.asarray(unit_positions, dtype=float)
     f = np.asarray(f_values, dtype=float)
     table = {
@@ -464,13 +483,6 @@ def noise_constraints(unit_positions, f_values,
         "f2": f * f,
         "xf2": t * f * f,
     }
-    unknown = [n for n in names if n not in table]
-    if unknown:
-        raise ValueError(f"unknown constraint names {unknown}")
-    # each name takes one projection mode, so a repeat would take one more
-    repeated = sorted({n for n in names if names.count(n) > 1})
-    if repeated:
-        raise ValueError(f"constraint names listed more than once {repeated}")
     vectors = np.column_stack([table[n] for n in names])
     return NoiseConstraintSet(names=tuple(names), vectors=vectors, unit_positions=t)
 
@@ -539,8 +551,17 @@ def denoise_iterative(data: SampleGrid,
     subtract the smooth excess from the data, refit the manifold and re-vote
     the index.  Converged when the coefficients move by < tol (relative) and
     no index sign flips.  Constraint vectors that involve f use the current
-    iterate, rebuilt every iteration.  Returns the last reconstruction with
-    its iteration fields set and no vote rounds.
+    iterate, rebuilt every iteration.
+
+    Stops early, unconverged, when a refit leaves the data's bound: if both
+    roots lie in [-M, M], M = max|f~| of ``data``'s values, then |b(x)| <= 2M
+    and |c(x)| <= M^2, checked at the end nodes (b and c are linear in x).
+    The start is not checked.  On this stop, or when a step raises one of
+    ``NUMERICAL_ERRORS``, the last iterate inside is returned: ``iterations``
+    counts the refit that stopped the loop, and ``coefficient_trace`` (the
+    start, then each kept refit) ends at the returned fit.  Returns the last
+    kept reconstruction with its iteration fields and ``stop_reason`` set and
+    no vote rounds.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -548,8 +569,7 @@ def denoise_iterative(data: SampleGrid,
         raise ValueError("tol must be > 0")
     if init not in INIT_MODES:
         raise ValueError(f"unknown init mode {init!r}")
-    if not constraint_names:
-        raise ValueError("need at least one constraint")
+    _check_constraint_names(constraint_names)
     if init == "case3":
         if sigma2_0 is None:
             raise ValueError("case3 initialization needs sigma2_0")
@@ -566,11 +586,13 @@ def denoise_iterative(data: SampleGrid,
     weights = np.ones_like(nodes)
     modes = _projection_modes(t, len(constraint_names))
     design = None  # the LS design of the fit in ``res``, once the loop has one
+    ends = nodes[[0, -1]]
+    bound = float(np.max(np.abs(data.values)))
 
     prev_coeffs = np.array([res.fit.b0, res.fit.b1, res.fit.c0, res.fit.c1])
     prev_signs = res.index.signs_at(nodes)
     trace = [tuple(prev_coeffs)]
-    converged = False
+    stop_reason = "max_iter"
     iterations = 0
     max_constraint_residual = 0.0
     for iterations in range(1, max_iter + 1):
@@ -587,10 +609,14 @@ def denoise_iterative(data: SampleGrid,
                 raise DataError("non-finite sample values")
             new_design = _ls_design(grid_t, values)
             fit = _ls_solve(new_design, values, weights, domain)
+            if not _inside_bound(fit, ends, bound):
+                stop_reason = "left_bound"
+                break
             res, signs = _reconstruct(fit, domain, nodes, values, k)
             design = new_design
         except NUMERICAL_ERRORS:
             # iterate left the representable region: keep the last good one
+            stop_reason = "numerical"
             break
         coeffs = np.array([fit.b0, fit.b1, fit.c0, fit.c1])
         trace.append(tuple(coeffs))
@@ -600,11 +626,20 @@ def denoise_iterative(data: SampleGrid,
         flips = int(np.sum(signs != prev_signs))
         prev_coeffs, prev_signs = coeffs, signs
         if coeff_move < tol and flips == 0:
-            converged = True
+            stop_reason = "converged"
             break
     # the condition number of the returned fit only: the init fit has its own
     condition = res.fit.condition if design is None else float(np.linalg.cond(design))
     return replace(res, fit=replace(res.fit, method="iterative", condition=condition),
-                   vote_rounds=None, converged=converged, iterations=iterations,
-                   max_constraint_residual=max_constraint_residual,
-                   coefficient_trace=tuple(trace))
+                   vote_rounds=None, converged=stop_reason == "converged",
+                   iterations=iterations, max_constraint_residual=max_constraint_residual,
+                   coefficient_trace=tuple(trace), stop_reason=stop_reason)
+
+
+def _inside_bound(fit: ManifoldFit4, ends: np.ndarray, bound: float) -> bool:
+    """Whether |b| <= 2 ``bound`` and |c| <= ``bound``^2 at the raw x ``ends``,
+    as they are wherever both roots lie in [-bound, bound] (b is their sum,
+    -c their product).  False on a NaN coefficient."""
+    b = fit.b0 + fit.b1 * ends
+    c = fit.c0 + fit.c1 * ends
+    return bool(np.all(np.abs(b) <= 2.0 * bound) and np.all(np.abs(c) <= bound * bound))

@@ -406,13 +406,13 @@ def test_denoise_clean_data_any_mode_is_exact(tmp_path):
         assert np.max(np.abs(hat - obs)) < 1e-6
         report = json.loads((out / "report.json").read_text())
         assert report["mislabel_count"] == 0
-        iteration_fields = [report[f] for f in
-                            ("converged", "iterations", "max_constraint_residual")]
+        iteration_fields = [report[f] for f in ("converged", "iterations", "stop_reason",
+                                                "max_constraint_residual")]
         if mode == "iterative":
             assert report["vote_rounds"] is None
             assert None not in iteration_fields
         else:
-            assert iteration_fields == [None, None, None]
+            assert iteration_fields == [None, None, None, None]
             if mode == "ls":
                 assert report["vote_rounds"] is None
             else:
@@ -775,6 +775,26 @@ def test_denoise_iterative_report_fields(tmp_path):
     assert report["max_constraint_residual"] < 1e-9
     fit = json.loads((out / "fit.json").read_text())
     assert set(fit) >= {"b0", "b1", "c0", "c1", "method", "rep"}
+
+
+def test_denoise_report_states_why_the_iteration_stopped(tmp_path):
+    # sigma = 30 converges; the benchmark's case-4 seed 3 leaves the data's
+    # bound at its 4th refit; a mode without iteration reports no reason
+    runs = {"s30": (["--target", "function", "--sigma", "30", "--seed", "2"], "iterative"),
+            "case4": (["--preset", "case4", "--seed", "3"], "iterative"),
+            "ls": (["--preset", "case4", "--seed", "3"], "ls")}
+    reports = {}
+    for name, (gen_flags, mode) in runs.items():
+        gen = tmp_path / f"gen-{name}"
+        assert run(["generate", *gen_flags, "--out", str(gen)]) == 0
+        out = tmp_path / f"den-{name}"
+        assert run(["denoise", "--input", str(gen / "data.csv"), "--mode", mode,
+                    "--truth", "step", "--out", str(out)]) == 0
+        reports[name] = json.loads((out / "report.json").read_text())
+    assert (reports["s30"]["stop_reason"], reports["s30"]["converged"]) == ("converged", True)
+    assert [reports["case4"][f] for f in ("stop_reason", "converged", "iterations")] \
+        == ["left_bound", False, 4]
+    assert reports["ls"]["stop_reason"] is None
 
 
 def test_convergence_table(tmp_path):

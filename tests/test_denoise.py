@@ -10,6 +10,7 @@ import quadrep.denoise as denoise_mod
 import quadrep.linalg as linalg_mod
 from quadrep.denoise import (
     ALL_CONSTRAINTS,
+    NOISE_PRESETS,
     MomentSet,
     MomentSystemError,
     ManifoldFit4,
@@ -328,8 +329,10 @@ def test_iterative_builds_one_branch_table_per_vote(monkeypatch, init):
     monkeypatch.setattr(denoise_mod, "branches", counted_branches)
     data, _ = generate_noisy(POS, TRUTH, "function", 200.0, 3)
     res = denoise_iterative(data, init=init, sigma2_0=40000.0, k=10)
-    assert not res.converged and res.iterations == 50
-    assert len(tables) == 51
+    assert (res.stop_reason, res.converged) == ("left_bound", False)
+    assert res.iterations == {"case1": 4, "case3": 10}[init]
+    # the refit that left the data's bound is neither rebuilt nor voted on
+    assert len(tables) == res.iterations
 
 
 def test_vote_uniform_signs_unchanged():
@@ -568,11 +571,33 @@ def test_iterative_case3_initialization():
         denoise_iterative(data, init="case3")
 
 
+def reference_refit(data, res):
+    """The manifold refit that follows the iterate ``res``: its noise
+    estimate projected, the excess taken from the data, and a fresh LS fit;
+    with the grid it was fitted to and the largest constraint residual
+    relative to the noise estimate (0 for none)."""
+    est_noise = data.values - res.reconstructed
+    constraints = noise_constraints(data.unit_nodes, res.reconstructed, ALL_CONSTRAINTS)
+    corrected, leftover = project_noise(est_noise, constraints)
+    scale = np.linalg.norm(est_noise)
+    worst = float(np.max(leftover) / scale) if scale > 0 else 0.0
+    improved = tabulated_grid(data.nodes, data.values - corrected)
+    return fit_manifold_ls(improved), improved, worst
+
+
+def inside_data_bound(fit, data):
+    """|b(x)| <= 2M and |c(x)| <= M^2 at every node, M = max |f~|."""
+    m = np.max(np.abs(data.values))
+    b = fit.b0 + fit.b1 * data.nodes
+    c = fit.c0 + fit.c1 * data.nodes
+    return bool(np.all(np.abs(b) <= 2 * m) and np.all(np.abs(c) <= m * m))
+
+
 def denoise_iterative_reference(data, init="case1", sigma2_0=None, k=10, max_iter=50,
-                                tol=1e-6):
+                                tol=1e-6, bounded=True):
     """The Case-4 loop written plainly from the public steps, each called
-    afresh every iteration; the oracle for ``denoise_iterative``'s bits."""
-    t = data.unit_nodes
+    afresh every iteration; the oracle for ``denoise_iterative``'s bits.
+    ``bounded=False`` drops the stop where a refit leaves the data's bound."""
     if init == "case3":
         res = denoise_case3(data, sigma2_0, k)
     else:
@@ -580,21 +605,19 @@ def denoise_iterative_reference(data, init="case1", sigma2_0=None, k=10, max_ite
     prev_coeffs = np.array([res.fit.b0, res.fit.b1, res.fit.c0, res.fit.c1])
     prev_signs = res.index.signs_at(data.nodes)
     trace = [tuple(prev_coeffs)]
-    converged = False
+    stop_reason = "max_iter"
     iterations = 0
     max_constraint_residual = 0.0
     for iterations in range(1, max_iter + 1):
-        est_noise = data.values - res.reconstructed
         try:
-            constraints = noise_constraints(t, res.reconstructed, ALL_CONSTRAINTS)
-            corrected, leftover = project_noise(est_noise, constraints)
-            scale = np.linalg.norm(est_noise)
-            if scale > 0:
-                res_now = float(np.max(leftover) / scale)
-                max_constraint_residual = max(max_constraint_residual, res_now)
-            improved = tabulated_grid(data.nodes, data.values - corrected)
-            res = reconstruct(fit_manifold_ls(improved), improved, k)
+            fit, improved, worst = reference_refit(data, res)
+            max_constraint_residual = max(max_constraint_residual, worst)
+            if bounded and not inside_data_bound(fit, data):
+                stop_reason = "left_bound"
+                break
+            res = reconstruct(fit, improved, k)
         except denoise_mod.NUMERICAL_ERRORS:
+            stop_reason = "numerical"
             break
         coeffs = np.array([res.fit.b0, res.fit.b1, res.fit.c0, res.fit.c1])
         trace.append(tuple(coeffs))
@@ -604,27 +627,18 @@ def denoise_iterative_reference(data, init="case1", sigma2_0=None, k=10, max_ite
         flips = int(np.sum(signs != prev_signs))
         prev_coeffs, prev_signs = coeffs, signs
         if coeff_move < tol and flips == 0:
-            converged = True
+            stop_reason = "converged"
             break
     return res.fit, res.index, res.reconstructed, {
         "coefficient_trace": tuple(trace), "iterations": iterations,
-        "converged": converged, "max_constraint_residual": max_constraint_residual}
+        "converged": stop_reason == "converged", "stop_reason": stop_reason,
+        "max_constraint_residual": max_constraint_residual,
+        "clamped_points": res.clamped_points}
 
 
-@pytest.mark.parametrize("sigma, seed, init, converges", [
-    (200.0, 0, "case1", False),
-    (200.0, 1, "case1", False),
-    (200.0, 2, "case1", False),
-    (30.0, 4, "case1", True),
-    (30.0, 2, "case3", True),
-    (200.0, 3, "case3", False),
-])
-def test_iterative_matches_the_reference_loop_bit_for_bit(sigma, seed, init, converges):
-    data, _ = generate_noisy(POS, TRUTH, "function", sigma, seed)
-    res = denoise_iterative(data, init=init, sigma2_0=sigma * sigma)
-    fit, index, values, fields = denoise_iterative_reference(data, init, sigma * sigma)
-    assert res.converged is converges
-    assert res.iterations == (fields["iterations"] if converges else 50)
+def assert_matches_the_reference(res, reference):
+    """Every field of ``res`` equals the reference loop's, bit for bit."""
+    fit, index, values, fields = reference
     assert res.fit == ManifoldFit4(fit.b0, fit.b1, fit.c0, fit.c1, "iterative",
                                    fit.residual, fit.condition)
     assert math.isfinite(res.fit.condition)
@@ -635,6 +649,61 @@ def test_iterative_matches_the_reference_loop_bit_for_bit(sigma, seed, init, con
     assert res.vote_rounds is None
     for name, want in fields.items():
         assert getattr(res, name) == want, name
+
+
+@pytest.mark.parametrize("sigma, seed, init, converges", [
+    (200.0, 0, "case1", False),
+    (200.0, 1, "case1", False),
+    (200.0, 2, "case1", False),
+    (30.0, 4, "case1", True),
+    (30.0, 2, "case3", True),
+    (200.0, 3, "case3", False),
+    (70.0, 1, "case1", False),
+])
+def test_iterative_matches_the_reference_loop_bit_for_bit(sigma, seed, init, converges):
+    data, _ = generate_noisy(POS, TRUTH, "function", sigma, seed)
+    res = denoise_iterative(data, init=init, sigma2_0=sigma * sigma)
+    reference = denoise_iterative_reference(data, init, sigma * sigma)
+    # each unconverged run at sigma = 200 leaves the data's bound; the one
+    # at sigma = 70 keeps all 50 refits inside it
+    stop_reason = "converged" if converges else "left_bound" if sigma == 200.0 else "max_iter"
+    assert (res.converged, res.stop_reason) == (converges, stop_reason)
+    if stop_reason == "max_iter":
+        assert res.iterations == 50
+    assert_matches_the_reference(res, reference)
+
+
+@pytest.mark.parametrize("sigma, init, converging", [
+    (30.0, "case1", 10), (30.0, "case3", 10), (50.0, "case1", 2), (50.0, "case3", 10),
+])
+def test_runs_that_converge_without_the_bound_are_unchanged_by_it(sigma, init, converging):
+    # the loop without the stop rule is the reference with bounded=False:
+    # each of seeds 0-9 it takes to convergence gives the same result now
+    converged = 0
+    for seed in range(10):
+        data, _ = generate_noisy(POS, TRUTH, "function", sigma, seed)
+        unbounded = denoise_iterative_reference(data, init, sigma * sigma, bounded=False)
+        if unbounded[3]["converged"]:
+            converged += 1
+            assert_matches_the_reference(
+                denoise_iterative(data, init=init, sigma2_0=sigma * sigma), unbounded)
+    assert converged == converging
+
+
+CASE4_STOPS = (2, 4, 7, 4, 6, 49, 25, 11, 15, 1)  # refits per benchmark case-4 seed
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_case4_stops_at_the_refit_that_leaves_the_data_bound(seed):
+    data, _ = generate_noisy(POS, TRUTH, *NOISE_PRESETS["case4"], seed)
+    res = denoise_iterative(data)
+    assert (res.stop_reason, res.converged) == ("left_bound", False)
+    assert res.iterations == CASE4_STOPS[seed]
+    # the trace holds the start and each kept refit, and ends at the result
+    assert len(res.coefficient_trace) == res.iterations
+    assert res.coefficient_trace[-1] == (res.fit.b0, res.fit.b1, res.fit.c0, res.fit.c1)
+    assert inside_data_bound(res.fit, data)
+    assert not inside_data_bound(reference_refit(data, res)[0], data)
 
 
 def test_iterative_on_a_wider_weighted_grid_matches_the_reference_loop():
@@ -670,6 +739,7 @@ def test_iterative_stopped_in_its_first_iteration_returns_the_init_fit(monkeypat
     monkeypatch.setattr(denoise_mod, "branches", fail_after_the_first)
     res = denoise_iterative(data)
     assert (res.iterations, res.converged, len(tables)) == (1, False, 2)
+    assert res.stop_reason == "numerical"
     assert res.fit == ManifoldFit4(init.b0, init.b1, init.c0, init.c1, "iterative",
                                    init.residual, init.condition)
     assert res.coefficient_trace == ((init.b0, init.b1, init.c0, init.c1),)
@@ -679,6 +749,29 @@ def test_iterative_needs_a_constraint():
     data, _ = generate_noisy(POS, TRUTH, "function", 30.0, 2)
     with pytest.raises(ValueError, match="at least one constraint"):
         denoise_iterative(data, constraint_names=())
+
+
+@pytest.mark.parametrize("names, message", [
+    ((), r"^need at least one constraint$"),
+    (("zz",), r"^unknown constraint names \['zz'\]$"),
+    (("f", "f"), r"^constraint names listed more than once \['f'\]$"),
+])
+def test_iterative_checks_constraint_names_before_its_start(monkeypatch, names, message):
+    votes = []
+    real_vote = denoise_mod.knn_vote_index
+
+    def counted_vote(*args, **kwargs):
+        votes.append(1)
+        return real_vote(*args, **kwargs)
+
+    monkeypatch.setattr(denoise_mod, "knn_vote_index", counted_vote)
+    data, _ = generate_noisy(POS, TRUTH, "function", 30.0, 2)
+    for init in ("case1", "case3"):
+        with pytest.raises(ValueError, match=message):
+            denoise_iterative(data, constraint_names=names, init=init, sigma2_0=900.0)
+    with pytest.raises(ValueError, match=message):
+        noise_constraints(data.unit_nodes, data.values, names)
+    assert votes == []
 
 
 # ------------------------------------------------------------- CSV round trip

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,4 +41,27 @@ def test_diff_outputs_summarizes_the_moved_cells_of_each_method(tmp_path, capsys
         "A vs B: 1 differing path(s)",
         "Files A/t/convergence.csv and B/t/convergence.csv differ",
         "    " + summary,
+    ]
+
+
+def test_diff_outputs_lists_the_moved_keys_of_a_report(tmp_path, capsys):
+    diff_outputs = _script("diff_outputs")
+    before = {"converged": False, "iterations": 50, "noise_mean": -966.5,
+              "rep": {"b": [1.0, 2.0], "index": None}, "residual": float("nan")}
+    after = {"converged": False, "iterations": 4, "stop_reason": "left_bound",
+             "noise_mean": -11.9, "rep": {"b": [1.0, 2.5], "index": None},
+             "residual": float("nan")}
+    a, b = tmp_path / "a", tmp_path / "b"
+    for side, doc in ((a, before), (b, after)):
+        (side / "d").mkdir(parents=True)
+        (side / "d" / "report.json").write_text(json.dumps(doc))
+    moved = ["iterations 50 -> 4", "noise_mean -966.5 -> -11.9",
+             "rep.b [1.0, 2.0] -> [1.0, 2.5]", 'stop_reason absent -> "left_bound"']
+    assert diff_outputs.moved_keys(a / "d" / "report.json", b / "d" / "report.json") == moved
+    assert diff_outputs.moved_keys(a / "d" / "report.json", a / "d" / "report.json") == []
+    assert diff_outputs.report([(a, b)], {a: "A", b: "B"}) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "A vs B: 1 differing path(s)",
+        "Files A/d/report.json and B/d/report.json differ",
+        *("    " + line for line in moved),
     ]
