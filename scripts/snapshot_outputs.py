@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Write every output of the benchmark's command lists and the experiment scripts.
 
-    python3 scripts/snapshot_outputs.py OUT
+    python3 scripts/snapshot_outputs.py OUT [--digests FILE]
 
 Runs, in this process, the three command lists of `perfbench/workloads.py`
 (`sweep`, `fit-eval`, `denoise`, benchmark seed 1), the `denoise` modes the
@@ -26,12 +26,29 @@ masked.  Two checkouts give the same results when
 is empty (`manifest.json` holds timings and timestamps).  The BLAS thread
 count comes from the environment (`OPENBLAS_NUM_THREADS`), so a snapshot per
 BLAS thread setting checks thread invariance too.
+
+With `--digests FILE` it also writes, to FILE, one `sha256 size path` line
+per output but `manifest.json`, sorted by the path under OUT, after a header
+of `# field value` lines naming what decides the bits (`machine`).
+`tests/output_digests.txt` is this list for the current tree, and Tier-1
+compares a fresh snapshot against it: a change that moves an output writes
+the list again, with
+
+    python3 scripts/snapshot_outputs.py OUT --digests tests/output_digests.txt
+
+and names the moved paths (`scripts/diff_outputs.py` shows how they moved).
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
+import ctypes
+import hashlib
 import importlib
+import importlib.metadata
+import importlib.util
 import io
+import platform
 import sys
 from pathlib import Path
 
@@ -134,11 +151,61 @@ def captured(out: Path, label: str, call) -> int:
     return code
 
 
+def _openblas_core(package: str) -> str:
+    """The core that the OpenBLAS bundled with ``package`` runs its kernels
+    for (a ``DYNAMIC_ARCH`` build picks it at load time), or ``none``."""
+    where = Path(importlib.util.find_spec(package).submodule_search_locations[0])
+    for path in sorted(where.parent.glob(f"{package}.libs/*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            get = getattr(lib, symbol, None)
+            if get is not None:
+                get.restype = ctypes.c_char_p
+                return get().decode()
+    return "none"
+
+
+def machine() -> dict[str, str]:
+    """What decides the bits of a snapshot: the Python, NumPy and SciPy
+    versions and the core of each package's OpenBLAS."""
+    packages = ("numpy", "scipy")
+    return {"python": platform.python_version(),
+            **{p: importlib.metadata.version(p) for p in packages},
+            **{f"{p}-openblas": _openblas_core(p) for p in packages}}
+
+
+def digest_lines(out: Path) -> list[str]:
+    """``sha256 size path`` of every file under ``out`` but manifest.json,
+    sorted by its path under ``out``."""
+    files = {p.relative_to(out).as_posix(): p for p in out.rglob("*")
+             if p.is_file() and p.name != "manifest.json"}
+    lines = []
+    for name in sorted(files):
+        data = files[name].read_bytes()
+        lines.append(f"{hashlib.sha256(data).hexdigest()} {len(data)} {name}")
+    return lines
+
+
+def read_digests(path: Path) -> tuple[dict[str, str], dict[str, str]]:
+    """(header, digests) of a digest list: its ``field value`` pairs, and
+    ``sha256 size`` by path."""
+    header, digests = {}, {}
+    for line in path.read_text().splitlines():
+        if line.startswith("# "):
+            field, value = line[2:].split(" ", 1)
+            header[field] = value
+        else:
+            sha, size, name = line.split(" ", 2)
+            digests[name] = f"{sha} {size}"
+    return header, digests
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    out = Path(argv[0]).resolve()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", help="a directory that does not exist yet")
+    parser.add_argument("--digests", help="also write the digest list to this file")
+    options = parser.parse_args(argv)
+    out = Path(options.out).resolve()
     if out.exists():
         print(f"{out} exists; give a new directory", file=sys.stderr)
         return 2
@@ -170,6 +237,9 @@ def main(argv: list[str]) -> int:
         module = importlib.import_module(script)
         codes.append((script, captured(out, script, lambda: module.run(out / script))))
     (out / "exit_codes.txt").write_text("".join(f"{c}\t{a}\n" for a, c in codes))
+    if options.digests is not None:
+        header = [f"# {field} {value}" for field, value in machine().items()]
+        Path(options.digests).write_text("\n".join([*header, *digest_lines(out)]) + "\n")
     return 0
 
 

@@ -67,7 +67,7 @@ def cmd_fit(args):
     rep, k, run, _ = fit_method(grid, args.method, vars(args))
     docs = {"rep.json": rep_to_dict(rep)}
     if args.trace:
-        docs["trace.json"] = run.trace_doc(rep.fit_residual)
+        docs["trace.json"] = run.trace_doc()
     print(f"K={k} residual={rep.fit_residual:.6e}")
     if run is not None and k - 1 < grid.size:
         baseline = fit_at_k(grid, "deg0", k)
@@ -98,7 +98,10 @@ def _point_table(header, xs, columns):
 
 
 def cmd_eval(args):
-    if args.grid < 1:
+    if args.points is not None:
+        _reject_unread(args, ["grid"], "with --points")
+    grid = 101 if args.grid is None else args.grid
+    if grid < 1:
         raise ValueError("--grid must be >= 1")
     try:
         rep = load_rep(args.rep)
@@ -109,7 +112,7 @@ def cmd_eval(args):
     if args.points is not None:
         xs = read_points(args.points)
     else:
-        xs = np.linspace(*rep.domain, args.grid)
+        xs = np.linspace(*rep.domain, grid)
     values, roots = _eval_table(rep, xs)
     docs = {"eval.csv": _point_table(["x", "value"], xs, [values])}
     if args.branches:
@@ -175,9 +178,10 @@ def cmd_generate(args):
     positions = np.arange(0.0, 401.0)
     truth = step_ground_truth(positions)
     data, metadata = generate_noisy(positions, truth, model, sigma, args.seed)
+    table = dataset_table(data)
     print(f"wrote {data.size} samples (model={model}, sigma={sigma})")
     # the metadata is a sidecar for readers of the data; no command reads it back
-    return {"data.csv": dataset_table(data), "data.meta.json": metadata}, args.seed
+    return {"data.csv": table, "data.meta.json": metadata}, args.seed
 
 
 def _check_denoise_flags(args) -> None:
@@ -279,7 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a stored representation")
     p_eval.add_argument("--rep", required=True)
-    p_eval.add_argument("--grid", type=int, default=101)
+    p_eval.add_argument("--grid", type=int,
+                        help="points on the rep's domain (default 101); not read with --points")
     p_eval.add_argument("--points", default=None)
     p_eval.add_argument("--branches", action="store_true",
                         help="also write both quadratic roots per point")

@@ -6,8 +6,8 @@ voting, and an iterative scheme that projects the estimated noise onto the
 subspace allowed by a set of moment constraints.
 
 Every function here takes the samples as the unit-weight ``SampleGrid`` of
-``dictionary.tabulated_grid``; x-coordinates are rescaled to [-1, 1] by its
-``to_unit`` for conditioning, and the four manifold coefficients are
+``dictionary.tabulated_grid``; x-coordinates are rescaled to [-1, 1] (its
+``unit_nodes``) for conditioning, and the four manifold coefficients are
 reported in raw coordinates.
 """
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .dictionary import DataError, SampleGrid, check_philox_key, tabulated_grid
 from .functions import STEP_HIGH, STEP_JUMP_AT, STEP_LOW, STEP_MID
 from .linalg import RankDeficiencyError, pivoted_qr, weighted_lsq
-from .orthopoly import legendre_row, to_unit
+from .orthopoly import legendre_row
 from .representation import (
     BASIS_MONOMIAL,
     IndexFunction,
@@ -196,29 +196,25 @@ def fit_manifold_ls(data: SampleGrid) -> ManifoldFit4:
     """Plain least squares of f~^2 against {f~, x f~, 1, x} (Cases 1 and 2)."""
     if data.size < 4:
         raise ValueError("need at least 4 samples")
-    design = _ls_design(data.unit_nodes, data.values)
-    fit = _ls_solve(design, data.values, data.weights, data.domain)
+    fit, design = _ls_fit(data, data.unit_nodes, data.values)
     return replace(fit, condition=float(np.linalg.cond(design)))
 
 
-def _ls_design(t: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The columns {f, t f, 1, t} of ``fit_manifold_ls`` at unit positions ``t``."""
-    return np.column_stack([f, t * f, np.ones_like(t), t])
-
-
-def _ls_solve(design, f, weights, domain) -> ManifoldFit4:
-    """``fit_manifold_ls`` on its design, without the condition number (NaN)."""
+def _ls_fit(data: SampleGrid, t: np.ndarray, f: np.ndarray):
+    """(fit, design): ``fit_manifold_ls`` of the values ``f`` on ``data``'s
+    weights and domain, ``t`` its unit nodes, without the condition number
+    (NaN), and the design {f, t f, 1, t} that it solved."""
+    design = np.column_stack([f, t * f, np.ones_like(t), t])
     try:
-        beta, resid = weighted_lsq(design, f * f, weights)
+        beta, resid = weighted_lsq(design, f * f, data.weights)
     except RankDeficiencyError as exc:
         worst = _LS_COLUMN_NAMES[exc.factorization.perm[-1]]
         raise RankDeficiencyError(
             f"degenerate design (column {worst!r} dependent); is f~ constant?",
             exc.numerical_rank, exc.factorization,
         ) from exc
-    lo, hi = domain
-    b0, b1, c0, c1 = _unit_to_raw(beta[0], beta[1], beta[2], beta[3], lo, hi)
-    return ManifoldFit4(b0=b0, b1=b1, c0=c0, c1=c1, method="ls", residual=resid)
+    b0, b1, c0, c1 = _unit_to_raw(beta[0], beta[1], beta[2], beta[3], *data.domain)
+    return ManifoldFit4(b0=b0, b1=b1, c0=c0, c1=c1, method="ls", residual=resid), design
 
 
 # --------------------------------------------------------------------------
@@ -230,9 +226,9 @@ def _ls_solve(design, f, weights, domain) -> ManifoldFit4:
 class MomentSet:
     """Discrete inner-product moments (unit weights) in the rescaled coordinate.
 
-    ``center`` and ``halfwidth`` record the affine map raw_x = center +
-    halfwidth * x used when the moments were computed, so solutions can be
-    reported in raw coordinates.
+    ``domain`` is the raw interval that the rescaled x = -1 .. 1 stood for
+    when the moments were computed, so solutions can be reported in raw
+    coordinates.
     """
 
     s0: float
@@ -246,8 +242,7 @@ class MomentSet:
     m_x2f2: float
     m_f3: float
     m_xf3: float
-    center: float = 0.0
-    halfwidth: float = 1.0
+    domain: tuple[float, float] = (-1.0, 1.0)
 
     def __post_init__(self):
         if self.s0 <= 0:
@@ -260,7 +255,6 @@ def compute_noisy_moments(data: SampleGrid) -> MomentSet:
     """All eleven moments of the observed data (sums over samples)."""
     t = data.unit_nodes
     f = data.values
-    lo, hi = data.domain
     return MomentSet(
         s0=float(data.size),
         sx=float(np.sum(t)),
@@ -273,8 +267,7 @@ def compute_noisy_moments(data: SampleGrid) -> MomentSet:
         m_x2f2=float(np.sum(t * t * f * f)),
         m_f3=float(np.sum(f ** 3)),
         m_xf3=float(np.sum(t * f ** 3)),
-        center=0.5 * (lo + hi),
-        halfwidth=0.5 * (hi - lo),
+        domain=data.domain,
     )
 
 
@@ -314,9 +307,7 @@ def solve_moment_system(m: MomentSet) -> ManifoldFit4:
     if not np.isfinite(cond) or cond > 1e10:
         raise MomentSystemError(f"moment system condition {cond:.3e}", cond)
     sol = np.linalg.solve(a, rhs)
-    lo = m.center - m.halfwidth
-    hi = m.center + m.halfwidth
-    b0, b1, c0, c1 = _unit_to_raw(sol[0], sol[1], sol[2], sol[3], lo, hi)
+    b0, b1, c0, c1 = _unit_to_raw(sol[0], sol[1], sol[2], sol[3], *m.domain)
     return ManifoldFit4(b0=b0, b1=b1, c0=c0, c1=c1, method=_MOMENT_METHOD, condition=cond)
 
 
@@ -391,11 +382,15 @@ class Reconstruction:
     reconstructed: np.ndarray
     clamped_points: int
     vote_rounds: int | None
-    converged: bool | None = None
     iterations: int | None = None
     max_constraint_residual: float | None = None
     coefficient_trace: tuple = ()
     stop_reason: str | None = None
+
+    @property
+    def converged(self) -> bool | None:
+        """Whether ``denoise_iterative``'s loop converged; None outside it."""
+        return None if self.stop_reason is None else self.stop_reason == "converged"
 
 
 def reconstruct(fit: ManifoldFit4, data: SampleGrid, k: int | None = _VOTE_K) -> Reconstruction:
@@ -403,19 +398,19 @@ def reconstruct(fit: ManifoldFit4, data: SampleGrid, k: int | None = _VOTE_K) ->
     when ``k`` is None), and the roots the index selects, all read from one
     branch table.  A sample with complex roots gets the vertex b/(2a), the
     clamp-to-vertex convention of manifold-noise generation."""
-    return _reconstruct(fit, data.domain, data.nodes, data.values, k)[0]
+    return _reconstruct(fit, data, data.values, k)[0]
 
 
-def _reconstruct(fit, domain, nodes, values, k):
-    """``reconstruct`` on the samples ``values`` at ``nodes`` over ``domain``,
-    and the signs its index gives at the nodes."""
-    table = branches(fit.as_rep(domain), nodes)
+def _reconstruct(fit, data, values, k):
+    """``reconstruct`` of the samples ``values`` at ``data``'s nodes, and the
+    signs its index gives at the nodes."""
+    table = branches(fit.as_rep(data.domain), data.nodes)
     signs = table.nearest_signs(values)
     if k is None:
-        index, rounds = IndexFunction.from_dense(nodes, signs), None
+        index, rounds = IndexFunction.from_dense(data.nodes, signs), None
     else:
-        index, rounds, _ = knn_vote_index(signs, nodes, k=k)
-    picked = index.signs_at(nodes)
+        index, rounds, _ = knn_vote_index(signs, data.nodes, k=k)
+    picked = index.signs_at(data.nodes)
     out = np.where(table.complex, table.vertex, table.select(picked))
     return Reconstruction(fit=fit, index=index, reconstructed=out,
                           clamped_points=int(np.sum(table.complex)), vote_rounds=rounds), picked
@@ -548,10 +543,10 @@ def denoise_iterative(data: SampleGrid,
 
     Per iteration: estimate the noise as data minus the current on-manifold
     reconstruction, project it onto the constraint-compatible subspace,
-    subtract the smooth excess from the data, refit the manifold and re-vote
-    the index.  Converged when the coefficients move by < tol (relative) and
-    no index sign flips.  Constraint vectors that involve f use the current
-    iterate, rebuilt every iteration.
+    subtract the smooth excess from the data, refit the manifold on the grid
+    of ``data`` and re-vote the index.  Converged when the coefficients move
+    by < tol (relative) and no index sign flips.  Constraint vectors that
+    involve f use the current iterate, rebuilt every iteration.
 
     Stops early, unconverged, when a refit leaves the data's bound: if both
     roots lie in [-M, M], M = max|f~| of ``data``'s values, then |b(x)| <= 2M
@@ -577,13 +572,10 @@ def denoise_iterative(data: SampleGrid,
     else:
         res = reconstruct(fit_manifold_ls(data), data, k)
 
-    # per run: each iterate is the unit-weight grid that ``tabulated_grid``
-    # makes at the data's nodes, so only its values change and are checked
+    # per run: every iterate is ``data`` with other values, so only the
+    # values change and are checked
     nodes = data.nodes
-    t = data.unit_nodes  # where the constraints are sampled
-    domain = (float(nodes[0]), float(nodes[-1]))
-    grid_t = to_unit(domain, nodes)
-    weights = np.ones_like(nodes)
+    t = data.unit_nodes  # where the constraints are sampled and the refits fitted
     modes = _projection_modes(t, len(constraint_names))
     design = None  # the LS design of the fit in ``res``, once the loop has one
     ends = nodes[[0, -1]]
@@ -607,12 +599,11 @@ def denoise_iterative(data: SampleGrid,
             values = data.values - corrected
             if not np.isfinite(values).all():
                 raise DataError("non-finite sample values")
-            new_design = _ls_design(grid_t, values)
-            fit = _ls_solve(new_design, values, weights, domain)
+            fit, new_design = _ls_fit(data, t, values)
             if not _inside_bound(fit, ends, bound):
                 stop_reason = "left_bound"
                 break
-            res, signs = _reconstruct(fit, domain, nodes, values, k)
+            res, signs = _reconstruct(fit, data, values, k)
             design = new_design
         except NUMERICAL_ERRORS:
             # iterate left the representable region: keep the last good one
@@ -631,9 +622,8 @@ def denoise_iterative(data: SampleGrid,
     # the condition number of the returned fit only: the init fit has its own
     condition = res.fit.condition if design is None else float(np.linalg.cond(design))
     return replace(res, fit=replace(res.fit, method="iterative", condition=condition),
-                   vote_rounds=None, converged=stop_reason == "converged",
-                   iterations=iterations, max_constraint_residual=max_constraint_residual,
-                   coefficient_trace=tuple(trace), stop_reason=stop_reason)
+                   vote_rounds=None, max_constraint_residual=max_constraint_residual,
+                   iterations=iterations, coefficient_trace=tuple(trace), stop_reason=stop_reason)
 
 
 def _inside_bound(fit: ManifoldFit4, ends: np.ndarray, bound: float) -> bool:

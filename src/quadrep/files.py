@@ -63,7 +63,10 @@ def _read_csv(path) -> list[list[str]]:
 
 def dataset_table(data: SampleGrid):
     """The data CSV of ``data``, ``(header, rows)`` for ``write_csv``: a row
-    ``x,f`` per sample, under the header ``x,f``."""
+    ``x,f`` per sample, under the header ``x,f``; DataError for an f beyond
+    ``MAX_ABS_F``, which ``read_dataset`` refuses."""
+    if np.abs(data.values).max() > MAX_ABS_F:
+        raise DataError(f"|f| must be at most {MAX_ABS_F:g} to be written to a data CSV")
     return ["x", "f"], (map(repr, row) for row in zip(data.nodes.tolist(), data.values.tolist()))
 
 

@@ -162,12 +162,12 @@ class GreedyRun:
                         "stream_cap": config.stream_cap},
         )
 
-    def trace_doc(self, final_residual: float) -> dict:
-        """The steps, notes and stop of this run, the trace.json document of
-        ``quadrep fit --trace``, with the rep's ``final_residual``."""
+    def trace_doc(self) -> dict:
+        """The trace.json document of ``quadrep fit --trace``: this run's steps,
+        notes and stop, and the residual after its last kept column."""
         return {
             "rng_seed": self.config.rng_seed,
-            "final_residual": final_residual,
+            "final_residual": float(self.residuals[-1]),
             "exhausted": self.exhausted,
             "notes": list(self.notes),
             "steps": [

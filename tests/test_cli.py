@@ -19,7 +19,7 @@ import quadrep
 from quadrep import cli, denoise, dictionary, orthopoly, representation, selection
 from quadrep.cli import main
 from quadrep.functions import get_builtin
-from quadrep.files import load_rep, write_csv
+from quadrep.files import MAX_ABS_F, load_rep, read_dataset, write_csv
 from quadrep.selection import SelectionConfig, greedy_select, rrqr_select
 
 
@@ -389,6 +389,25 @@ def test_generate_sigma_zero_exact_step(tmp_path):
     assert set(values.tolist()) == {25.0, 255.0}
 
 
+@pytest.mark.parametrize("target, sigma", [("function", "1e200"), ("manifold", "1e300")])
+def test_generate_refuses_data_its_readers_refuse(tmp_path, capsys, target, sigma):
+    out = tmp_path / "g"
+    assert run(["generate", "--target", target, "--sigma", sigma, "--seed", "0",
+                "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert (printed.out, printed.err) == (
+        "", "error: |f| must be at most 1e+100 to be written to a data CSV\n")
+    assert not out.exists()
+
+
+def test_generate_writes_data_below_the_bound_that_reads_back(tmp_path):
+    out = tmp_path / "g"
+    assert run(["generate", "--target", "function", "--sigma", "1e99", "--seed", "0",
+                "--out", str(out)]) == 0
+    values = read_dataset(out / "data.csv").values
+    assert 1e99 < np.abs(values).max() <= MAX_ABS_F
+
+
 def test_denoise_clean_data_any_mode_is_exact(tmp_path):
     gen = tmp_path / "gen"
     assert run(["generate", "--target", "function", "--sigma", "0",
@@ -712,6 +731,16 @@ def test_denoise_flag_its_mode_does_not_take_is_a_usage_error(tmp_path, capsys, 
     out = tmp_path / "out"
     assert run(["denoise", "--input", inputs["data"], *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_eval_grid_with_points_is_a_usage_error(tmp_path, capsys, inputs):
+    points = tmp_path / "points.csv"
+    points.write_text("x\n0.5\n")
+    out = tmp_path / "out"
+    assert run(["eval", "--rep", inputs["deg0"], "--grid", "5", "--points", str(points),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --grid is not read with --points\n"
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -573,15 +574,15 @@ def test_iterative_case3_initialization():
 
 def reference_refit(data, res):
     """The manifold refit that follows the iterate ``res``: its noise
-    estimate projected, the excess taken from the data, and a fresh LS fit;
-    with the grid it was fitted to and the largest constraint residual
-    relative to the noise estimate (0 for none)."""
+    estimate projected, the excess taken from the data, and a fresh LS fit
+    on ``data`` with those values; with that grid and the largest constraint
+    residual relative to the noise estimate (0 for none)."""
     est_noise = data.values - res.reconstructed
     constraints = noise_constraints(data.unit_nodes, res.reconstructed, ALL_CONSTRAINTS)
     corrected, leftover = project_noise(est_noise, constraints)
     scale = np.linalg.norm(est_noise)
     worst = float(np.max(leftover) / scale) if scale > 0 else 0.0
-    improved = tabulated_grid(data.nodes, data.values - corrected)
+    improved = replace(data, values=data.values - corrected)
     return fit_manifold_ls(improved), improved, worst
 
 
@@ -707,17 +708,14 @@ def test_case4_stops_at_the_refit_that_leaves_the_data_bound(seed):
 
 
 def test_iterative_on_a_wider_weighted_grid_matches_the_reference_loop():
-    # the init fit reads the grid's domain and weights; every refit reads the
-    # unit-weight grid over the nodes' own span, as tabulated_grid makes it
+    # the start and every refit read the grid they were given, its domain
+    # and weights too: one sample grid per run
     noisy, _ = generate_noisy(POS, TRUTH, "function", 30.0, 1)
     data = SampleGrid(domain=(-10.0, 410.0), nodes=POS, values=noisy.values,
                       weights=np.full(POS.size, 2.0))
     res = denoise_iterative(data)
-    fit, _, values, fields = denoise_iterative_reference(data)
     assert res.converged
-    assert (res.fit.b0, res.fit.c0, res.fit.condition) == (fit.b0, fit.c0, fit.condition)
-    assert np.array_equal(res.reconstructed, values)
-    assert res.coefficient_trace == fields["coefficient_trace"]
+    assert_matches_the_reference(res, denoise_iterative_reference(data))
 
 
 def test_iterative_stopped_in_its_first_iteration_returns_the_init_fit(monkeypatch):

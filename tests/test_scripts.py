@@ -1,8 +1,14 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+DIGESTS = ROOT / "tests" / "output_digests.txt"
 
 
 def _script(name):
@@ -65,3 +71,33 @@ def test_diff_outputs_lists_the_moved_keys_of_a_report(tmp_path, capsys):
         "Files A/d/report.json and B/d/report.json differ",
         *("    " + line for line in moved),
     ]
+
+
+def test_every_output_keeps_its_stored_digest(tmp_path):
+    # a snapshot at one and at two BLAS threads, each in its own process, the
+    # two side by side, against the list that snapshot_outputs.py --digests wrote
+    snapshot = _script("snapshot_outputs")
+    header, stored = snapshot.read_digests(DIGESTS)
+    for field, value in snapshot.machine().items():
+        if header.get(field) != value:
+            pytest.skip(f"{DIGESTS.name} holds the bits of {field} {header.get(field)},"
+                        f" and this machine has {value}")
+    runs = {threads: subprocess.Popen(
+        [sys.executable, str(ROOT / "scripts" / "snapshot_outputs.py"),
+         str(tmp_path / f"out-{threads}"), "--digests", str(tmp_path / f"{threads}.txt")],
+        cwd=ROOT, env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for threads in (1, 2)}
+    moved = []
+    for threads, run in runs.items():
+        _, err = run.communicate()
+        assert run.returncode == 0, err
+        _, digests = snapshot.read_digests(tmp_path / f"{threads}.txt")
+        for path in sorted(stored.keys() | digests.keys()):
+            kind = ("missing" if path not in digests else "extra" if path not in stored
+                    else "differs" if digests[path] != stored[path] else None)
+            if kind:
+                moved.append(f"{threads} BLAS thread(s): {kind}: {path}")
+    assert not moved, "\n".join([
+        *moved, "scripts/diff_outputs.py REV shows how each convergence cell and report"
+        " key moved against REV; a change that means to move them writes the list again"
+        " (scripts/snapshot_outputs.py OUT --digests tests/output_digests.txt)"])

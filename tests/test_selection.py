@@ -99,7 +99,7 @@ def test_greedy_tags_unique_and_final_residual_matches():
     tags = [tuple(t) for s in run.steps for t in s.chosen_tags]
     assert len(tags) == len(set(tags))
     assert rep.fit_residual == pytest.approx(run.steps[-1].residual_after, abs=1e-12)
-    assert run.trace_doc(rep.fit_residual)["final_residual"] == rep.fit_residual
+    assert run.trace_doc()["final_residual"] == rep.fit_residual
 
 
 def test_greedy_is_deterministic():
@@ -108,7 +108,7 @@ def test_greedy_is_deterministic():
     rep1, rep2 = run1.rep_at(8)[0], run2.rep_at(8)[0]
     assert np.array_equal(rep1.b.coeffs, rep2.b.coeffs)
     assert np.array_equal(rep1.c.coeffs, rep2.c.coeffs)
-    assert run1.trace_doc(rep1.fit_residual) == run2.trace_doc(rep2.fit_residual)
+    assert run1.trace_doc() == run2.trace_doc()
 
 
 def test_greedy_batch_modes_run():
@@ -145,8 +145,9 @@ def test_greedy_exponential_decay_on_sigmoid():
 
 def test_greedy_trace_serializes():
     run = greedy_select(SIN_GRID, SelectionConfig(max_terms=3, rng_seed=2))
-    doc = run.trace_doc(run.rep_at(3)[0].fit_residual)
+    doc = run.trace_doc()
     assert doc["rng_seed"] == 2
+    assert doc["final_residual"] == run.rep_at(3)[0].fit_residual
     assert len(doc["steps"]) == 3
     assert all("candidates" in s for s in doc["steps"])
 
@@ -553,9 +554,9 @@ def greedy_run_reference(grid, config) -> GreedyRun:
 
 def _run_docs(run):
     """The rep at the run's own max_terms (or the error it raises) and the
-    run's trace document, whose final residual is the last step's."""
+    run's trace document."""
     rep = _rep_doc(lambda: (run.rep_at(run.config.max_terms)[0], run.tags))
-    return rep, run.trace_doc(run.steps[-1].residual_after)
+    return rep, run.trace_doc()
 
 
 # 30 terms: every builtin's run reaches it, in whole batches of 1, 3 and 5
